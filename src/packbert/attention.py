@@ -1,10 +1,10 @@
 """Masked softmax attention over packed batches, plus the padded path.
 
-The packed path dispatches to the selected kernel backend (compiled or
-numpy reference).  The padded path computes conventional dense attention
-over (batch, max_len) tensors including PAD slots; it exists so the
-throughput benchmark can price padding waste, and it doubles as an oracle
-for the packed≡padded equivalence tests.
+The packed path runs the blocked kernels of ``packbert.kernels``.  The
+padded path computes conventional dense attention over (batch, max_len)
+tensors including PAD slots; it exists so the throughput benchmark can price
+padding waste, and it doubles as an oracle for the packed≡padded
+equivalence tests.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _check_boundaries(boundaries, total: int) -> np.ndarray:
     return b
 
 
-def attention(q, k, v, spec: MaskSpec, boundaries=None, scale: float | None = None, backend: str | None = None):
+def attention(q, k, v, spec: MaskSpec, boundaries=None, scale: float | None = None):
     """Softmax attention restricted to allowed(i, j) within each member.
 
     q, k, v: (heads, total, head_dim) or (total, head_dim).  ``boundaries``
@@ -51,11 +51,11 @@ def attention(q, k, v, spec: MaskSpec, boundaries=None, scale: float | None = No
     b = _check_boundaries(boundaries, q3.shape[1])
     if scale is None:
         scale = 1.0 / math.sqrt(q3.shape[2])
-    out = kernels.attn_forward(q3, k3, v3, b, spec.code, spec.window, scale, override=backend)
+    out = kernels.attn_forward(q3, k3, v3, b, spec.code, spec.window, scale)
     return out[0] if squeezed else out
 
 
-def attention_vjp(q, k, v, d_out, spec: MaskSpec, boundaries=None, scale: float | None = None, backend: str | None = None):
+def attention_vjp(q, k, v, d_out, spec: MaskSpec, boundaries=None, scale: float | None = None):
     """Gradients of attention outputs w.r.t. q, k, v."""
     q3, k3, v3, squeezed = _normalize_qkv(q, k, v)
     g3 = np.ascontiguousarray(d_out)
@@ -66,9 +66,7 @@ def attention_vjp(q, k, v, d_out, spec: MaskSpec, boundaries=None, scale: float 
     b = _check_boundaries(boundaries, q3.shape[1])
     if scale is None:
         scale = 1.0 / math.sqrt(q3.shape[2])
-    dq, dk, dv = kernels.attn_backward(
-        q3, k3, v3, g3, b, spec.code, spec.window, scale, override=backend
-    )
+    dq, dk, dv = kernels.attn_backward(q3, k3, v3, g3, b, spec.code, spec.window, scale)
     if squeezed:
         return dq[0], dk[0], dv[0]
     return dq, dk, dv

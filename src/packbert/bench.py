@@ -163,10 +163,10 @@ def packed_positions(batches) -> int:
     return sum(len(s) for b in batches for s in b)
 
 
-def _run_packed(params, cfg, batches, backend):
+def _run_packed(params, cfg, batches):
     for batch in batches:
         packed = pack(batch)
-        forward(params, cfg, packed, backend=backend)
+        forward(params, cfg, packed)
 
 
 def _run_padded(params, cfg, batches):
@@ -180,10 +180,10 @@ def _run_padded(params, cfg, batches):
         forward_padded(params, cfg, ids, lengths)
 
 
-def check_paths_agree(params, cfg, batch, *, tol: float = 1e-5, backend=None):
+def check_paths_agree(params, cfg, batch, *, tol: float = 1e-5):
     """Probe one batch through both paths; refuse to time if they disagree."""
     packed = pack(batch)
-    packed_h = forward(params, cfg, packed, backend=backend).hidden
+    packed_h = forward(params, cfg, packed).hidden
     lmax = max(len(s) for s in batch)
     ids = np.zeros((len(batch), lmax), dtype=np.int32)
     lengths = np.asarray([len(s) for s in batch], dtype=np.int64)
@@ -212,7 +212,6 @@ def measure(
     *,
     batch_budget: int = 16384,
     reps: int = 10,
-    backend: str | None = None,
     model_id: str = "",
     spec_label: str = "",
     spread_note: str | None = None,
@@ -240,13 +239,13 @@ def measure(
                 batches = _padded_batches(dataset, budget)
                 positions = padded_positions(batches)
             if probe:
-                check_paths_agree(params, cfg, batches[0], backend=backend)
+                check_paths_agree(params, cfg, batches[0])
 
             times = []
             for rep in range(reps + 1):  # first pass warms caches, then discard
                 t0 = time.perf_counter()
                 if path == "packed":
-                    _run_packed(params, cfg, batches, backend)
+                    _run_packed(params, cfg, batches)
                 else:
                     _run_padded(params, cfg, batches)
                 elapsed = time.perf_counter() - t0

@@ -137,7 +137,6 @@ def cmd_pretrain(args) -> int:
         checkpoint_interval_tokens=args.ckpt_interval,
         max_epochs=args.max_epochs,
         out_dir=args.out,
-        backend=args.backend,
     )
     last = result.metrics[-1] if result.metrics else None
     if last:
@@ -191,7 +190,6 @@ def cmd_mntp(args) -> int:
         alpha=args.alpha,
         phase_tag=args.phase_tag,
         max_epochs=args.max_epochs,
-        backend=args.backend,
     )
     save_adapters(adapters, args.out)
     first = result.metrics[0][2] if result.metrics else float("nan")
@@ -249,7 +247,6 @@ def cmd_embed_train(args) -> int:
         temperature=args.temperature,
         max_epochs=args.max_epochs,
         out_dir=args.out,
-        backend=args.backend,
     )
     if result.metrics:
         print(f"final contrastive loss {result.metrics[-1][2]:.6f}")
@@ -291,7 +288,6 @@ def cmd_niah_eval(args) -> int:
             ex,
             vocab,
             max_answer_len=args.max_answer_len,
-            backend=args.backend,
         )
         for ex in examples
     ]
@@ -326,7 +322,6 @@ def cmd_qa_finetune(args) -> int:
         phase,
         max_epochs=args.max_epochs,
         out_dir=args.out,
-        backend=args.backend,
     )
     if result.metrics:
         print(f"final span loss {result.metrics[-1][2]:.6f}")
@@ -371,7 +366,6 @@ def cmd_bench(args) -> int:
                 path,
                 batch_budget=args.budget,
                 reps=args.reps,
-                backend=args.backend,
                 model_id=model_id,
                 spec_label=spec.describe(),
                 spread_note="std" if spec.spread_is_std else "variance",
@@ -461,7 +455,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--ckpt-interval", type=int, default=0)
     p.add_argument("--max-epochs", type=int, default=0)
-    p.add_argument("--backend", default=None)
 
     p = add("extend", cmd_extend, "raise the global rotation base and max length")
     p.add_argument("--ckpt", required=True)
@@ -481,7 +474,6 @@ def build_parser() -> _Parser:
     p.add_argument("--bidirectional", action="store_true",
                    help="replace a causal mask with full attention first")
     p.add_argument("--max-epochs", type=int, default=0)
-    p.add_argument("--backend", default=None)
 
     p = add("merge-adapters", cmd_merge_adapters, "fold adapters into the weights")
     p.add_argument("--ckpt", required=True)
@@ -496,7 +488,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--temperature", type=float, default=0.05)
     p.add_argument("--max-epochs", type=int, default=0)
-    p.add_argument("--backend", default=None)
 
     p = add("niah-gen", cmd_niah_gen, "build haystack examples from QA pairs")
     p.add_argument("--pairs", required=True)
@@ -512,7 +503,6 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--examples", required=True)
     p.add_argument("--max-answer-len", type=int, default=30)
-    p.add_argument("--backend", default=None)
 
     p = add("qa-finetune", cmd_qa_finetune, "span-extraction fine-tune on haystacks")
     p.add_argument("--ckpt", required=True)
@@ -521,7 +511,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--max-epochs", type=int, default=0)
-    p.add_argument("--backend", default=None)
 
     p = add("bench", cmd_bench, "padded vs packed throughput")
     p.add_argument("--ckpt", default=None)
@@ -535,7 +524,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--spread-as-variance", action="store_true",
                    help="read the spread figure as a variance, not a std")
-    p.add_argument("--backend", default=None)
 
     p = add("inspect", cmd_inspect, "print checkpoint and provenance metadata")
     p.add_argument("--ckpt", required=True)

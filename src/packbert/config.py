@@ -78,7 +78,6 @@ class TrainPhaseConfig:
     eps: float = 1e-6
     mask_rate: float = 0.30
     max_seq_len: int = 1024
-    rope_theta_override: float | None = None
     seed: int = 0
 
 
@@ -289,8 +288,6 @@ def validate_phase(phase: TrainPhaseConfig) -> list[str]:
     b1, b2 = phase.betas
     if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
         v.append(f"betas must lie in [0,1), got {phase.betas!r}")
-    if phase.rope_theta_override is not None and phase.rope_theta_override <= 0:
-        v.append("rope_theta_override must be positive when set")
     return v
 
 
@@ -304,8 +301,6 @@ def _format_value(value) -> str:
         return repr(value)
     if isinstance(value, tuple):
         return ", ".join(_format_value(x) for x in value)
-    if value is None:
-        return "none"
     return str(value)
 
 
@@ -359,10 +354,6 @@ def _coerce(key: str, s: str, annot) -> object:
         if len(parts) != 2:
             raise ConfigError(f"{key}: expected two comma-separated numbers, got {s!r}")
         return (_parse_float(key, parts[0]), _parse_float(key, parts[1]))
-    if annot == "float | None":
-        if s.lower() in ("none", ""):
-            return None
-        return _parse_float(key, s)
     raise ConfigError(f"{key}: unsupported field type {annot!r}")
 
 

@@ -203,7 +203,7 @@ def _merge_heads(x):
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, h * d)
 
 
-def _attn_forward(x, layer, params, cfg, positions, boundaries, backend, extra):
+def _attn_forward(x, layer, params, cfg, positions, boundaries, extra):
     p = f"layers.{layer}.attn"
     q = _split_heads(_linear(x, params, f"{p}.wq", extra), cfg.n_heads, cfg.head_dim)
     k = _split_heads(_linear(x, params, f"{p}.wk", extra), cfg.n_heads, cfg.head_dim)
@@ -213,21 +213,19 @@ def _attn_forward(x, layer, params, cfg, positions, boundaries, backend, extra):
     kr = apply_rope(k, positions, table)
     spec = _layer_spec(cfg, layer)
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    ctx = kernels.attn_forward(qr, kr, v, boundaries, spec.code, spec.window, scale, override=backend)
+    ctx = kernels.attn_forward(qr, kr, v, boundaries, spec.code, spec.window, scale)
     merged = _merge_heads(ctx)
     out = _linear(merged, params, f"{p}.wo", extra)
     cache = (x, qr, kr, v, merged, spec, table, scale)
     return out, cache
 
 
-def _attn_backward(d_out, cache, layer, params, cfg, positions, boundaries, backend, grads):
+def _attn_backward(d_out, cache, layer, params, cfg, positions, boundaries, grads):
     x, qr, kr, v, merged, spec, table, scale = cache
     p = f"layers.{layer}.attn"
     d_merged = _linear_backward(d_out, merged, params, f"{p}.wo", grads)
     d_ctx = _split_heads(d_merged, cfg.n_heads, cfg.head_dim)
-    dqr, dkr, dv = kernels.attn_backward(
-        qr, kr, v, d_ctx, boundaries, spec.code, spec.window, scale, override=backend
-    )
+    dqr, dkr, dv = kernels.attn_backward(qr, kr, v, d_ctx, boundaries, spec.code, spec.window, scale)
     dq = apply_rope(dqr, positions, table, inverse=True)
     dk = apply_rope(dkr, positions, table, inverse=True)
     dx = _linear_backward(_merge_heads(dq), x, params, f"{p}.wq", grads)
@@ -307,7 +305,6 @@ def forward(
     dropout_rate: float = 0.0,
     seq_seeds=None,
     extra_linear=None,
-    backend: str | None = None,
     want_cache: bool = False,
 ) -> ForwardOutput:
     """Run the stack over a packed batch; returns final hidden states.
@@ -334,7 +331,7 @@ def forward(
     for i in range(cfg.n_layers):
         if pre:
             y1, n1c = _norm_forward(h, params, f"layers.{i}.norm1", cfg)
-            a, ac = _attn_forward(y1, i, params, cfg, positions, boundaries, backend, extra_linear)
+            a, ac = _attn_forward(y1, i, params, cfg, positions, boundaries, extra_linear)
             if masks[i] is not None:
                 a = a * masks[i]
             h = h + a
@@ -342,7 +339,7 @@ def forward(
             f, fc = _ffn_forward(y2, i, params, cfg, extra_linear)
             h = h + f
         else:
-            a, ac = _attn_forward(h, i, params, cfg, positions, boundaries, backend, extra_linear)
+            a, ac = _attn_forward(h, i, params, cfg, positions, boundaries, extra_linear)
             if masks[i] is not None:
                 a = a * masks[i]
             h, n1c = _norm_forward(h + a, params, f"layers.{i}.norm1", cfg)
@@ -358,7 +355,6 @@ def forward(
             "positions": positions,
             "layers": layer_caches,
             "final_norm": fn_cache,
-            "backend": backend,
         }
     return ForwardOutput(hidden=out, cache=cache)
 
@@ -376,7 +372,6 @@ def backward(
     batch: PackedBatch = cache["batch"]
     positions = cache["positions"]
     boundaries = batch.boundaries
-    backend = cache["backend"]
     dh = _norm_backward(d_hidden, cache["final_norm"], params, "final_norm", cfg, grads)
     pre = cfg.block_style == "pre_norm"
     for i in reversed(range(cfg.n_layers)):
@@ -385,9 +380,7 @@ def backward(
             d_f = _ffn_backward(dh, fc, i, params, cfg, grads)
             dh = dh + _norm_backward(d_f, n2c, params, f"layers.{i}.norm2", cfg, grads)
             d_a = dh if mask is None else dh * mask
-            d_y1 = _attn_backward(
-                d_a, ac, i, params, cfg, positions, boundaries, backend, grads
-            )
+            d_y1 = _attn_backward(d_a, ac, i, params, cfg, positions, boundaries, grads)
             dh = dh + _norm_backward(d_y1, n1c, params, f"layers.{i}.norm1", cfg, grads)
         else:
             d_t2 = _norm_backward(dh, n2c, params, f"layers.{i}.norm2", cfg, grads)
@@ -395,9 +388,7 @@ def backward(
             dh = d_t2 + d_f
             d_t1 = _norm_backward(dh, n1c, params, f"layers.{i}.norm1", cfg, grads)
             d_a = d_t1 if mask is None else d_t1 * mask
-            dh = d_t1 + _attn_backward(
-                d_a, ac, i, params, cfg, positions, boundaries, backend, grads
-            )
+            dh = d_t1 + _attn_backward(d_a, ac, i, params, cfg, positions, boundaries, grads)
     np.add.at(grads["tok_emb"], batch.tokens, dh)
     return grads
 

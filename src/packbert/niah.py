@@ -319,7 +319,6 @@ def predict_example(
     vocab: Vocab,
     *,
     max_answer_len: int = 30,
-    backend: str | None = None,
 ):
     """Predicted (start, end) document-token span, truncating to the model max.
 
@@ -328,7 +327,7 @@ def predict_example(
     a short-context model on a long document.
     """
     ids = doc_tokens(example, vocab)[: cfg.max_seq_len]
-    out = forward(params, cfg, pack([ids]), backend=backend)
+    out = forward(params, cfg, pack([ids]))
     start_sc, end_sc = span_logits(out.hidden, params)
     return predict_span(start_sc, end_sc, max_answer_len)
 

@@ -16,7 +16,7 @@ from .errors import DataError
 
 MASK_KINDS = ("global_bidirectional", "sliding_window", "causal")
 
-# Integer codes shared with the compiled kernel.
+# Integer codes the attention kernels take.
 KIND_GLOBAL = 0
 KIND_WINDOW = 1
 KIND_CAUSAL = 2

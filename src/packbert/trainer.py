@@ -405,7 +405,9 @@ def _train_loop(
     metrics_file = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        metrics_file = open(out_path / "metrics.txt", "a", encoding="utf-8")
+        # A resumed run continues the log; a fresh run replaces any old one.
+        mode = "a" if resume_from is not None else "w"
+        metrics_file = open(out_path / "metrics.txt", mode, encoding="utf-8")
 
     try:
         while tokens_seen < budget:
@@ -518,7 +520,6 @@ def train_masked(
     checkpoint_interval_tokens: int = 0,
     max_epochs: int = 0,
     out_dir=None,
-    backend: str | None = None,
     resume_from: Checkpoint | None = None,
     view=None,
 ) -> TrainResult:
@@ -588,7 +589,6 @@ def train_masked(
                 train=True,
                 dropout_rate=dropout_rate,
                 seq_seeds=seeds,
-                backend=backend,
                 want_cache=True,
             )
             logits = mlm_logits(out.hidden[rows], live)
@@ -715,7 +715,6 @@ def train_span_qa(
     checkpoint_interval_tokens: int = 0,
     max_epochs: int = 0,
     out_dir=None,
-    backend: str | None = None,
     resume_from: Checkpoint | None = None,
 ) -> TrainResult:
     """Fine-tune start/end span extraction with per-document cross-entropy."""
@@ -748,7 +747,6 @@ def train_span_qa(
                 train=True,
                 dropout_rate=dropout_rate,
                 seq_seeds=seeds,
-                backend=backend,
                 want_cache=True,
             )
             start_sc, end_sc = span_logits(out.hidden, live)
@@ -826,7 +824,7 @@ def _triplet_digest(trips) -> str:
     return h.hexdigest()
 
 
-def embed_triplet_batch(params, cfg, batch, *, backend=None):
+def embed_triplet_batch(params, cfg, batch):
     """Pack a triplet batch and mean-pool; returns (pooled, packed, group sizes).
 
     Member order is all queries, then all positives, then each triplet's
@@ -839,7 +837,7 @@ def embed_triplet_batch(params, cfg, batch, *, backend=None):
         members.extend(t.negatives)
         neg_counts.append(len(t.negatives))
     packed = pack(members)
-    out = forward(params, cfg, packed, backend=backend, want_cache=True)
+    out = forward(params, cfg, packed, want_cache=True)
     pooled = pool_mean_packed(out.hidden, packed.boundaries)
     return pooled, packed, out, neg_counts
 
@@ -855,7 +853,6 @@ def train_embedder(
     checkpoint_interval_tokens: int = 0,
     max_epochs: int = 0,
     out_dir=None,
-    backend: str | None = None,
     resume_from: Checkpoint | None = None,
     view=None,
 ) -> TrainResult:
@@ -872,9 +869,7 @@ def train_embedder(
 
     def compute(items, grads):
         batch = [trips[g] for g, _ in items]
-        pooled, packed, out, neg_counts = embed_triplet_batch(
-            live, cfg, batch, backend=backend
-        )
+        pooled, packed, out, neg_counts = embed_triplet_batch(live, cfg, batch)
         b = len(batch)
         q, p, negs = pooled[:b], pooled[b : 2 * b], pooled[2 * b :]
         loss, d_q, d_p, d_n = info_nce(
@@ -911,7 +906,7 @@ def train_embedder(
     )
 
 
-def retrieval_accuracy(params, cfg, triplets, *, backend=None) -> float:
+def retrieval_accuracy(params, cfg, triplets) -> float:
     """Fraction of triplets whose positive outranks every explicit negative."""
     trips = [
         Triplet(
@@ -927,7 +922,7 @@ def retrieval_accuracy(params, cfg, triplets, *, backend=None) -> float:
     for t in trips:
         members = [t.query, t.positive, *t.negatives]
         packed = pack(members)
-        out = forward(params, cfg, packed, backend=backend)
+        out = forward(params, cfg, packed)
         pooled = pool_mean_packed(out.hidden, packed.boundaries)
         unit = pooled / np.linalg.norm(pooled, axis=1, keepdims=True)
         sims = unit[1:] @ unit[0]

@@ -1,4 +1,6 @@
-"""Attention kernels: reference vs compiled, isolation, causal witnesses."""
+"""Attention kernels: dense oracles, block edges, isolation, causal witnesses."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +39,25 @@ def brute_force(q, k, v, spec, boundaries, scale):
     return out
 
 
+def brute_force_vjp(q, k, v, d_out, spec, boundaries, scale):
+    """Dense per-member attention gradients (dq, dk, dv) in float64."""
+    q, k, v, d_out = (x.astype(np.float64) for x in (q, k, v, d_out))
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
+        m = mask_matrix(hi - lo, spec)
+        scores = (q[:, lo:hi] @ k[:, lo:hi].transpose(0, 2, 1)) * scale
+        scores[:, ~m] = -np.inf
+        p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        g = d_out[:, lo:hi]
+        dv[:, lo:hi] = p.transpose(0, 2, 1) @ g
+        dp = g @ v[:, lo:hi].transpose(0, 2, 1)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        dq[:, lo:hi] = ds @ k[:, lo:hi]
+        dk[:, lo:hi] = ds.transpose(0, 2, 1) @ q[:, lo:hi]
+    return dq, dk, dv
+
+
 @pytest.fixture(scope="module")
 def boundaries():
     return np.array([0, 7, 12, 30], dtype=np.int64)
@@ -52,28 +73,90 @@ def test_forward_matches_brute_force(spec, boundaries):
     np.testing.assert_allclose(got, want, atol=2e-6)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-def test_backends_agree_forward(spec, boundaries):
-    if not kernels.compiled_available():
-        pytest.skip("compiled extension not built")
-    rng = np.random.default_rng(1)
-    q, k, v = rand_qkv(rng, 2, 30, 16)
-    a = attention(q, k, v, spec, boundaries, backend="reference")
-    b = attention(q, k, v, spec, boundaries, backend="compiled")
-    np.testing.assert_allclose(a, b, atol=1e-6)
+# Members on both sides of the 128-row query block, and one spanning three
+# blocks; windows far narrower than a block, and one wider than most members.
+EDGE_LENGTHS = (1, 127, 128, 129, 300)
+EDGE_SPECS = (
+    GLOBAL_SPEC,
+    CAUSAL_SPEC,
+    MaskSpec("sliding_window", window=2),
+    MaskSpec("sliding_window", window=8),
+    MaskSpec("sliding_window", window=256),
+)
+# dtype -> (forward atol, backward atol) against the float64 oracle.
+EDGE_TOL = {np.float32: (2e-6, 1e-5), np.float64: (1e-12, 1e-11)}
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-def test_backends_agree_backward(spec, boundaries):
-    if not kernels.compiled_available():
-        pytest.skip("compiled extension not built")
-    rng = np.random.default_rng(2)
-    q, k, v = rand_qkv(rng, 2, 30, 16)
+def _spec_id(spec):
+    return spec.kind if spec.kind != "sliding_window" else f"window{spec.window}"
+
+
+@pytest.fixture(scope="module")
+def edge_boundaries():
+    return np.concatenate([[0], np.cumsum(EDGE_LENGTHS)]).astype(np.int64)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+@pytest.mark.parametrize("spec", EDGE_SPECS, ids=_spec_id)
+def test_block_edges_forward_matches_brute_force(spec, dtype, edge_boundaries):
+    rng = np.random.default_rng(14)
+    q, k, v = rand_qkv(rng, 2, int(edge_boundaries[-1]), 16, dtype=dtype)
+    got = attention(q, k, v, spec, edge_boundaries, scale=0.25)
+    assert got.dtype == dtype
+    want = brute_force(q, k, v, spec, edge_boundaries, 0.25)
+    np.testing.assert_allclose(got, want, rtol=0, atol=EDGE_TOL[dtype][0])
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+@pytest.mark.parametrize("spec", EDGE_SPECS, ids=_spec_id)
+def test_block_edges_backward_matches_brute_force(spec, dtype, edge_boundaries):
+    rng = np.random.default_rng(15)
+    q, k, v = rand_qkv(rng, 2, int(edge_boundaries[-1]), 16, dtype=dtype)
+    d_out = rng.normal(size=q.shape).astype(dtype)
+    got = attention_vjp(q, k, v, d_out, spec, edge_boundaries, scale=0.25)
+    want = brute_force_vjp(q, k, v, d_out, spec, edge_boundaries, 0.25)
+    for name, g, w in zip("qkv", got, want):
+        assert g.dtype == dtype, name
+        np.testing.assert_allclose(g, w, rtol=0, atol=EDGE_TOL[dtype][1], err_msg=name)
+
+
+@pytest.mark.parametrize("spec", EDGE_SPECS[:3], ids=_spec_id)
+def test_long_member_backward_matches_finite_differences(spec):
+    # One 300-token member: three query blocks, so dk and dv sum over blocks.
+    rng = np.random.default_rng(16)
+    h, t, d = 1, 300, 4
+    q, k, v = (rng.normal(size=(h, t, d)) for _ in range(3))
+    d_out = rng.normal(size=(h, t, d))
+    grads = dict(zip("qkv", attention_vjp(q, k, v, d_out, spec)))
+    eps = 1e-6
+    for name in "qkv":
+        for pos in (0, 127, 128, 200, 299):
+            idx = (0, pos, int(rng.integers(d)))
+            inputs = {"q": q, "k": k, "v": v}
+            sides = []
+            for sign in (1, -1):
+                moved = inputs[name].copy()
+                moved[idx] += sign * eps
+                args = {**inputs, name: moved}
+                sides.append(float(np.sum(attention(args["q"], args["k"], args["v"], spec) * d_out)))
+            fd = (sides[0] - sides[1]) / (2 * eps)
+            assert abs(fd - grads[name][idx]) <= 1e-6 * max(1.0, abs(fd)), (name, pos)
+
+
+def test_global_memory_is_bounded_by_a_query_block():
+    # One L x L float32 score matrix at L = 4096 is 64 MiB; the kernel holds
+    # only a 128-row block of it at a time.
+    rng = np.random.default_rng(17)
+    q, k, v = rand_qkv(rng, 1, 4096, 16)
     d_out = rng.normal(size=q.shape).astype(np.float32)
-    ra = attention_vjp(q, k, v, d_out, spec, boundaries, backend="reference")
-    rb = attention_vjp(q, k, v, d_out, spec, boundaries, backend="compiled")
-    for a, b in zip(ra, rb):
-        np.testing.assert_allclose(a, b, atol=2e-5)
+    tracemalloc.start()
+    try:
+        attention(q, k, v, GLOBAL_SPEC)
+        attention_vjp(q, k, v, d_out, GLOBAL_SPEC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_single_position_returns_v():
@@ -161,17 +244,20 @@ def test_backward_matches_finite_differences():
         assert abs(fd - grad[idx]) <= 1e-4 * max(1.0, abs(fd)), name
 
 
-def test_float64_always_uses_reference():
+def test_float64_stays_float64():
     rng = np.random.default_rng(8)
     q, k, v = rand_qkv(rng, 1, 6, 4, dtype=np.float64)
     out = attention(q, k, v, GLOBAL_SPEC)
     assert out.dtype == np.float64
-    assert kernels.backend_name(np.float64) == "reference"
 
 
-def test_backend_override_validation():
+def test_unknown_kind_code_rejected():
+    q = np.zeros((1, 4, 8), dtype=np.float32)
+    b = np.array([0, 4], dtype=np.int64)
     with pytest.raises(ValueError):
-        kernels.backend_name(np.float32, override="gpu")
+        kernels.attn_forward(q, q, q, b, 7, 0, 1.0)
+    with pytest.raises(ValueError):
+        kernels.attn_backward(q, q, q, q, b, 7, 0, 1.0)
 
 
 def test_2d_inputs_squeeze():

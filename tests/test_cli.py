@@ -105,6 +105,19 @@ def test_missing_required_arguments():
     assert main(["tokenize"]) == 1
 
 
+def test_kernel_choice_option_is_rejected_before_output(workspace, capsys):
+    # There is one attention kernel, so no option chooses one.
+    out = workspace["root"] / "never-created"
+    rc = main(
+        ["pretrain", "--config", str(_write_job(workspace["root"] / "opt.cfg")),
+         "--vocab", str(workspace["vocab"]), "--data", str(workspace["data"]),
+         "--out", str(out), "--backend", "reference"]
+    )
+    assert rc == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_maps_to_one():
     assert main(["bench", "--spec", "nope:12", "--reps", "1"]) == 1
 

@@ -104,10 +104,17 @@ def test_phase_roundtrip_bit_exact():
 
 
 def test_phase_roundtrip_through_file(tmp_path):
-    phase = config.TrainPhaseConfig(token_budget=4096, rope_theta_override=160000.0)
+    phase = config.TrainPhaseConfig(token_budget=4096, max_seq_len=8192)
     path = tmp_path / "phase.cfg"
     config.write_phase_config(phase, path)
     assert config.read_phase_config(path) == phase
+
+
+def test_phase_file_rejects_unknown_key(tmp_path):
+    path = tmp_path / "phase.cfg"
+    path.write_text("token_budget = 4096\nrope_theta_override = 160000.0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="rope_theta_override"):
+        config.read_phase_config(path)
 
 
 def test_parse_kv_rejects_garbage():

@@ -221,6 +221,31 @@ def test_output_dir_contents(tiny_cfg, tmp_path):
     assert all(line.startswith("step=") and " loss=" in line for line in lines)
 
 
+def _logged_steps(out_dir):
+    lines = (out_dir / "metrics.txt").read_text().strip().splitlines()
+    return [int(line.split()[0].removeprefix("step=")) for line in lines]
+
+
+def test_fresh_runs_into_one_dir_log_each_step_once(tiny_cfg, tmp_path):
+    phase = quick_phase(token_budget=800)
+    for _ in range(2):
+        result = run_mlm(tiny_cfg, toy_dataset(), phase, out_dir=tmp_path)
+    assert _logged_steps(tmp_path) == [m[0] for m in result.metrics]
+
+
+def test_resume_into_same_dir_continues_metrics_log(tiny_cfg, tmp_path):
+    data = toy_dataset(n=8)
+    full_phase = quick_phase(token_budget=1200, batch_tokens_or_sequences=4)
+    half = run_mlm(tiny_cfg, data, quick_phase(token_budget=600, batch_tokens_or_sequences=4),
+                   out_dir=tmp_path)
+    ckpt = load_checkpoint(tmp_path / "ckpt_final.pbt")
+    ckpt.phase = full_phase
+    resumed = resume_masked(ckpt, data, mask_id=MASK_ID, special_ids=SPECIALS, out_dir=tmp_path)
+    full = run_mlm(tiny_cfg, data, full_phase)
+    steps = [m[0] for m in half.metrics] + [m[0] for m in resumed.metrics]
+    assert _logged_steps(tmp_path) == steps == [m[0] for m in full.metrics]
+
+
 def test_checkpoint_cadence_marks(tiny_cfg, tmp_path):
     data = toy_dataset(n=8)
     phase = quick_phase(token_budget=900, batch_tokens_or_sequences=4)
