@@ -1,8 +1,9 @@
 """Blocked softmax attention over packed batches.
 
-Each packed member is processed in ``BLOCK``-row query blocks.  A block's
-scores cover only the keys it may see: the whole member for global
-attention, ``[i0 - w/2, i1 + w/2)`` for a sliding window of width ``w`` and
+Each packed member is processed in ``BLOCK``-row query blocks, or
+``WINDOW_BLOCK``-row blocks for sliding-window layers.  A block's scores
+cover only the keys it may see: the whole member for global attention,
+``[i0 - w/2, i1 + w/2)`` for a sliding window of width ``w`` and
 ``[lo, i1)`` for causal attention.  Window layers therefore cost
 O(total * window), and no call holds more than a (heads, BLOCK, member
 length) score block.  The backward pass recomputes each block's
@@ -17,6 +18,9 @@ import numpy as np
 from .packing import KIND_CAUSAL, KIND_GLOBAL, KIND_WINDOW
 
 BLOCK = 128
+# A window block of b rows scores b * (b + w) keys, of which about b * (w + 1)
+# are visible, so shorter blocks waste less on window layers.
+WINDOW_BLOCK = 64
 
 
 def _blocks(boundaries, kind, window):
@@ -24,10 +28,11 @@ def _blocks(boundaries, kind, window):
     if kind not in (KIND_GLOBAL, KIND_WINDOW, KIND_CAUSAL):
         raise ValueError(f"unknown mask kind code {kind}")
     half = window // 2
+    step = WINDOW_BLOCK if kind == KIND_WINDOW else BLOCK
     b = np.asarray(boundaries).tolist()
     for lo, hi in zip(b[:-1], b[1:]):
-        for i0 in range(lo, hi, BLOCK):
-            i1 = min(i0 + BLOCK, hi)
+        for i0 in range(lo, hi, step):
+            i1 = min(i0 + step, hi)
             if kind == KIND_WINDOW:
                 yield i0, i1, max(lo, i0 - half), min(hi, i1 + half)
             elif kind == KIND_CAUSAL:

@@ -86,15 +86,23 @@ def mlm_loss(logits: np.ndarray, labels: np.ndarray):
     n = int(active.sum())
     if n == 0:
         raise ValueError("mlm_loss requires at least one non-ignored label")
-    rows = np.flatnonzero(active)
-    logp = _log_softmax(logits[rows].astype(np.float64))
+    all_active = n == labels.size
+    rows = slice(None) if all_active else np.flatnonzero(active)
+    z = logits[rows].astype(np.float64)
     gold = labels[rows]
-    loss = -logp[np.arange(n), gold].mean()
+    z -= z.max(axis=-1, keepdims=True)
+    picked = (np.arange(n), gold)
+    gold_z = z[picked]
+    np.exp(z, out=z)
+    sums = z.sum(axis=-1, keepdims=True)
+    loss = float(np.mean(np.log(sums[:, 0]) - gold_z))
+    z *= 1.0 / (sums * n)  # softmax / n
+    z[picked] -= 1.0 / n
+    if all_active:
+        return loss, z.astype(logits.dtype)
     d = np.zeros_like(logits)
-    soft = np.exp(logp)
-    soft[np.arange(n), gold] -= 1.0
-    d[rows] = (soft / n).astype(logits.dtype)
-    return float(loss), d
+    d[rows] = z
+    return loss, d
 
 
 def mntp_targets(ids, mask_positions):

@@ -46,13 +46,14 @@ def build_rope_table(theta: float, head_dim: int, max_positions: int) -> RopeTab
 
 
 @functools.lru_cache(maxsize=128)
-def _cast_table(theta: float, head_dim: int, max_positions: int, dtype_str: str):
+def _complex_table(theta: float, head_dim: int, max_positions: int, dtype_str: str) -> np.ndarray:
+    """cos + i sin of the table, in the complex dtype made of two ``dtype_str`` floats."""
     table = _build(theta, head_dim, max_positions)
-    cos = table.cos.astype(dtype_str)
-    sin = table.sin.astype(dtype_str)
-    cos.setflags(write=False)
-    sin.setflags(write=False)
-    return cos, sin
+    rot = np.empty(table.cos.shape, dtype=np.result_type(dtype_str, np.complex64))
+    rot.real = table.cos
+    rot.imag = table.sin
+    rot.setflags(write=False)
+    return rot
 
 
 def apply_rope(
@@ -76,16 +77,11 @@ def apply_rope(
         raise ValueError(
             f"position out of range: table covers [0, {table.max_positions})"
         )
-    cos_full, sin_full = _cast_table(
-        table.theta, table.head_dim, table.max_positions, vectors.dtype.str
-    )
-    cos = cos_full[positions]  # (T, head_dim/2)
-    sin = sin_full[positions]
+    # Each interleaved pair (2k, 2k+1) is one complex number x + iy, and the
+    # rotation is a multiply by cos + i sin (by its conjugate for the inverse).
+    real = np.dtype(np.float32 if vectors.dtype == np.float32 else np.float64)
+    rot = _complex_table(table.theta, table.head_dim, table.max_positions, real.str)[positions]
     if inverse:
-        sin = -sin
-    x = vectors[..., 0::2]
-    y = vectors[..., 1::2]
-    out = np.empty_like(vectors)
-    out[..., 0::2] = x * cos - y * sin
-    out[..., 1::2] = x * sin + y * cos
-    return out
+        rot = rot.conj()
+    pairs = np.ascontiguousarray(vectors, dtype=real).view(rot.dtype)
+    return (pairs * rot).view(real)

@@ -73,9 +73,10 @@ def test_forward_matches_brute_force(spec, boundaries):
     np.testing.assert_allclose(got, want, atol=2e-6)
 
 
-# Members on both sides of the 128-row query block, and one spanning three
-# blocks; windows far narrower than a block, and one wider than most members.
-EDGE_LENGTHS = (1, 127, 128, 129, 300)
+# Members on both sides of the 64-row window block and of the 128-row block of
+# the other kinds, and one spanning several blocks; windows far narrower than a
+# block, and one wider than most members.
+EDGE_LENGTHS = (1, 63, 64, 65, 127, 128, 129, 300)
 EDGE_SPECS = (
     GLOBAL_SPEC,
     CAUSAL_SPEC,

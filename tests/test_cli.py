@@ -1,9 +1,13 @@
 """Command-line surface: exit codes, help, and end-to-end happy paths."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import packbert
 from packbert.cli import main
 from packbert.data_pipeline import read_sequences
 from packbert.tokenizer import save_vocab, toy_vocab
@@ -351,3 +355,16 @@ def test_bench_prints_table(capsys):
     assert "spmt_mean=" in out
     assert "padded" in out and "packed" in out
     assert "s/1M tokens" in out
+
+
+def test_entry_modules_do_not_import_scipy():
+    # scipy.special costs about 0.3 s at start-up; nothing in packbert needs it.
+    src = str(Path(packbert.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "import packbert.cli, packbert.model, packbert.trainer, packbert.niah;"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -155,3 +155,37 @@ def test_gradients_accumulate_across_calls(tiny_cfg):
         model.backward(params, cfg, out.cache, d_hidden, grads)
     for k in g1:
         np.testing.assert_allclose(grads[k], 2 * g1[k], atol=1e-12)
+
+
+@pytest.mark.parametrize("activation", ("gelu", "silu"))
+def test_ffn_matches_fd(tiny_cfg, activation):
+    # The backward pass rebuilds the activation from the gate saved in the
+    # forward cache; check it against central differences of the FFN alone.
+    cfg = dataclasses.replace(tiny_cfg, activation=activation)
+    rng = np.random.default_rng(12)
+    params = f64_params(cfg, seed=12)
+    x = rng.normal(size=(5, cfg.hidden))
+    w_out = rng.normal(size=(5, cfg.hidden))
+
+    def loss(p, xs):
+        out, cache = model._ffn_forward(xs, 0, p, cfg, None)
+        return float(np.sum(out * w_out)), cache
+
+    _, cache = loss(params, x)
+    grads = model.zeros_like_params(params)
+    dx = model._ffn_backward(w_out, cache, 0, params, cfg, grads)
+    eps = 1e-6
+    checks = [("x", x, dx)] + [
+        (name, params[name], grads[name]) for name in ("layers.0.ffn.wu", "layers.0.ffn.wd")
+    ]
+    for name, arr, g in checks:
+        for _ in range(6):
+            idx = tuple(int(rng.integers(n)) for n in arr.shape)
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            up = loss(params, x)[0]
+            arr[idx] = orig - eps
+            down = loss(params, x)[0]
+            arr[idx] = orig
+            fd = (up - down) / (2 * eps)
+            assert abs(fd - g[idx]) <= 1e-6 * max(1.0, abs(fd)), (name, idx)

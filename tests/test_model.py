@@ -1,11 +1,13 @@
 """Encoder stack: skeleton identities, equivalences, heads, pooling."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from packbert import config, model
+from packbert.objectives import IGNORE, mlm_loss
 from packbert.packing import pack
 
 # --- parameters ---
@@ -288,3 +290,67 @@ def test_predict_span_tie_prefers_shortest_then_earliest():
 
 def test_predict_span_single_position():
     assert model.predict_span(np.array([1.0]), np.array([2.0]), 5) == (0, 0)
+
+
+# --- erf and the gated activation ---
+
+
+@pytest.mark.parametrize("dtype, bound", ((np.float32, 5e-7), (np.float64, 4.5e-16)),
+                         ids=("f32", "f64"))
+def test_erf_matches_math_erf(dtype, bound):
+    x = np.linspace(-10.0, 10.0, 400_001).astype(dtype)
+    want = np.array([math.erf(float(v)) for v in x])
+    got = model.erf(x)
+    assert got.dtype == dtype
+    assert np.abs(got.astype(np.float64) - want).max() <= bound
+    assert np.abs(got).max() == 1.0
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+def test_erf_special_values(dtype):
+    got = model.erf(np.array([np.inf, -np.inf, np.nan, -0.0, 0.0], dtype=dtype))
+    assert got[0] == 1.0 and got[1] == -1.0
+    assert np.isnan(got[2])
+    assert got[3] == 0.0 and np.signbit(got[3])
+    assert got[4] == 0.0 and not np.signbit(got[4])
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+def test_erf_keeps_dtype_and_shape(dtype):
+    rng = np.random.default_rng(21)
+    scalar = model.erf(np.array(0.5, dtype=dtype))
+    assert scalar.shape == () and scalar.dtype == dtype
+    assert scalar == model.erf(np.array([0.5], dtype=dtype))[0]
+    empty = model.erf(np.zeros((0, 7), dtype=dtype))
+    assert empty.shape == (0, 7) and empty.dtype == dtype
+    # Column slices, as the FFN gate is, and rows wider than one float32 chunk.
+    for shape in ((5000, 12), (3, 40_000)):
+        full = (rng.normal(size=shape) * 3).astype(dtype)
+        cols = full[:, 1:-1]
+        assert not cols.flags.c_contiguous
+        got = model.erf(cols)
+        assert got.shape == cols.shape and got.dtype == dtype
+        np.testing.assert_array_equal(got, model.erf(np.ascontiguousarray(cols)))
+        np.testing.assert_array_equal(got.ravel(), model.erf(cols.ravel()))
+
+
+def test_erf_rejects_other_dtypes():
+    with pytest.raises(TypeError):
+        model.erf(np.zeros(3, dtype=np.float16))
+
+
+def test_erf_runs_once_per_layer_per_training_step(tiny_cfg, rand_batch, monkeypatch):
+    assert tiny_cfg.activation == "gelu"
+    calls = []
+    real = model.erf
+    monkeypatch.setattr(model, "erf", lambda x: calls.append(x.shape) or real(x))
+    params = model.init_params(tiny_cfg, seed=2)
+    out = model.forward(params, tiny_cfg, rand_batch, want_cache=True)
+    labels = np.full(rand_batch.total_tokens, IGNORE, dtype=np.int64)
+    labels[::3] = rand_batch.tokens[::3]
+    logits = model.mlm_logits(out.hidden, params)
+    _, d_logits = mlm_loss(logits, labels)
+    grads = model.zeros_like_params(params)
+    d_hidden = model.mlm_logits_vjp(d_logits, out.hidden, params, grads)
+    model.backward(params, tiny_cfg, out.cache, d_hidden, grads)
+    assert calls == [(rand_batch.total_tokens, tiny_cfg.intermediate)] * tiny_cfg.n_layers
