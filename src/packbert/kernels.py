@@ -5,13 +5,25 @@ Each packed member is processed in ``BLOCK``-row query blocks, or
 cover only the keys it may see: the whole member for global attention,
 ``[i0 - w/2, i1 + w/2)`` for a sliding window of width ``w`` and
 ``[lo, i1)`` for causal attention.  Window layers therefore cost
-O(total * window), and no call holds more than a (heads, BLOCK, member
+O(total * window), and no worker holds more than a (heads, BLOCK, member
 length) score block.  The backward pass recomputes each block's
 probabilities instead of saving them.  The same code serves every float
 dtype; float64 is what the gradient checks run on.
+
+Large calls run on a pool of threads, one per usable CPU left over by BLAS
+(usable CPUs // BLAS threads), each pinned to its own CPU; numpy releases
+the GIL inside matmul and ufunc loops, so the blocks run at the same time.
+The forward pass hands out query blocks, which write disjoint output rows.
+The backward pass hands out whole packed members, which own disjoint
+dq/dk/dv rows, and walks a member's blocks in order.  Block boundaries never
+depend on the worker count, so the results are bit-identical for any count.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import os
 
 import numpy as np
 
@@ -21,64 +33,164 @@ BLOCK = 128
 # A window block of b rows scores b * (b + w) keys, of which about b * (w + 1)
 # are visible, so shorter blocks waste less on window layers.
 WINDOW_BLOCK = 64
+# Calls that score fewer query-key pairs than this (heads x sum over blocks of
+# rows x keys) run in the caller: below it, a kernel-only sweep on a 2-vCPU
+# machine found waking the pool cost more than it saved.
+PARALLEL_MIN_PAIRS = 1 << 17
+
+_workers: int | None = None  # resolved at the first call above the threshold
+_pool = None  # (workers, ThreadPoolExecutor), created with it
+
+
+def _worker_count() -> int:
+    """Usable CPUs // BLAS threads, found once; 1 if the BLAS is unknown."""
+    global _workers
+    if _workers is None:
+        from .util import blas_threads
+
+        threads = blas_threads() if hasattr(os, "sched_setaffinity") else None
+        _workers = max(1, len(os.sched_getaffinity(0)) // threads) if threads else 1
+    return _workers
+
+
+def _pin(cpus, slots):
+    # Pid 0 is the calling thread: only this worker moves.  Workers beyond
+    # the CPU count (tests ask for them) share CPUs.
+    os.sched_setaffinity(0, {cpus[next(slots) % len(cpus)]})
+
+
+def _executor(workers: int):
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        from concurrent.futures import ThreadPoolExecutor
+
+        if _pool is not None:
+            _pool[1].shutdown()
+        cpus = sorted(os.sched_getaffinity(0))
+        pool = ThreadPoolExecutor(
+            workers, thread_name_prefix="packbert-attn",
+            initializer=_pin, initargs=(cpus, itertools.count()),
+        )
+        _pool = (workers, pool)
+    return _pool[1]
+
+
+def _drain(fn, tasks):
+    # Workers share one iterator; next() on it is atomic under the GIL.
+    for task in tasks:
+        fn(task)
+
+
+def _run(fn, tasks, pairs):
+    """fn(task) for every task: on the pool if the call scores enough pairs."""
+    workers = _worker_count() if pairs >= PARALLEL_MIN_PAIRS and len(tasks) > 1 else 1
+    if workers == 1:
+        _drain(fn, tasks)
+        return
+    from concurrent.futures import wait
+
+    shared = iter(tasks)
+    pool = _executor(workers)
+    futures = [pool.submit(_drain, fn, shared) for _ in range(min(workers, len(tasks)))]
+    wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _blocks(boundaries, kind, window):
-    """Yield (i0, i1, j0, j1): a query block and the key span it may see."""
+    """Per packed member, its (i0, i1, j0, j1): query blocks and the key spans they may see."""
     if kind not in (KIND_GLOBAL, KIND_WINDOW, KIND_CAUSAL):
         raise ValueError(f"unknown mask kind code {kind}")
     half = window // 2
     step = WINDOW_BLOCK if kind == KIND_WINDOW else BLOCK
     b = np.asarray(boundaries).tolist()
+    members = []
     for lo, hi in zip(b[:-1], b[1:]):
+        blocks = []
         for i0 in range(lo, hi, step):
             i1 = min(i0 + step, hi)
             if kind == KIND_WINDOW:
-                yield i0, i1, max(lo, i0 - half), min(hi, i1 + half)
+                blocks.append((i0, i1, max(lo, i0 - half), min(hi, i1 + half)))
             elif kind == KIND_CAUSAL:
-                yield i0, i1, lo, i1
+                blocks.append((i0, i1, lo, i1))
             else:
-                yield i0, i1, lo, hi
+                blocks.append((i0, i1, lo, hi))
+        members.append(blocks)
+    return members
 
 
-def _probs(q, k, i0, i1, j0, j1, kind, window, scale):
-    """Softmax probabilities of query rows [i0, i1) over keys [j0, j1)."""
-    scores = q[:, i0:i1] @ k[:, j0:j1].transpose(0, 2, 1)
-    scores *= scale
+def _pairs(heads, members) -> int:
+    return heads * sum((i1 - i0) * (j1 - j0) for m in members for i0, i1, j0, j1 in m)
+
+
+@functools.lru_cache(maxsize=256)
+def _blocked(kind, half, offset, rows, cols):
+    """Masked keys of a block whose first query sits ``offset`` keys into its span.
+
+    Depends on the block's shape and offset only, so the interior blocks of
+    every member share one mask.  Causal masks cover the diagonal tile only.
+    """
+    if kind == KIND_CAUSAL:
+        d = np.arange(cols - offset)[None, :] - np.arange(rows)[:, None]
+        blocked = d > 0
+    else:
+        d = np.arange(cols)[None, :] - np.arange(offset, offset + rows)[:, None]
+        blocked = np.abs(d) > half
+    blocked.flags.writeable = False
+    return blocked
+
+
+def _exp_scores(qs, k, i0, i1, j0, j1, kind, window):
+    """exp(scores - row max) of scaled query rows [i0, i1) over keys [j0, j1), and row sums."""
+    scores = qs[:, i0:i1] @ k[:, j0:j1].transpose(0, 2, 1)
     if kind != KIND_GLOBAL:
         # A causal block sees every key before i0; only its diagonal tile is masked.
         c0 = i0 - j0 if kind == KIND_CAUSAL else 0
-        d = np.arange(j0 + c0, j1)[None, :] - np.arange(i0, i1)[:, None]
-        blocked = d > 0 if kind == KIND_CAUSAL else np.abs(d) > window // 2
+        blocked = _blocked(kind, window // 2, i0 - j0, i1 - i0, j1 - j0)
         np.copyto(scores[:, :, c0:], -np.inf, where=blocked)
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
+    return scores, scores.sum(axis=-1, keepdims=True)
 
 
-def attn_forward(q, k, v, boundaries, kind, window, scale):
-    """q, k, v: (heads, total, head_dim); returns the attention output, same shape."""
-    out = np.empty_like(q)
-    for i0, i1, j0, j1 in _blocks(boundaries, kind, window):
-        probs = _probs(q, k, i0, i1, j0, j1, kind, window, scale)
-        out[:, i0:i1] = probs @ v[:, j0:j1]
-    return out
+def _forward_block(qs, k, v, out, kind, window, block):
+    i0, i1, j0, j1 = block
+    e, sums = _exp_scores(qs, k, i0, i1, j0, j1, kind, window)
+    # Normalise the (heads, b, d) output rows, not the (heads, b, L) weights.
+    np.divide(e @ v[:, j0:j1], sums, out=out[:, i0:i1])
 
 
-def attn_backward(q, k, v, d_out, boundaries, kind, window, scale):
-    """Recompute-based backward pass; returns (dq, dk, dv)."""
-    dq = np.empty_like(q)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
-    for i0, i1, j0, j1 in _blocks(boundaries, kind, window):
-        probs = _probs(q, k, i0, i1, j0, j1, kind, window, scale)
+def _backward_member(qs, k, v, d_out, dq, dk, dv, kind, window, blocks):
+    for i0, i1, j0, j1 in blocks:
+        probs, sums = _exp_scores(qs, k, i0, i1, j0, j1, kind, window)
+        probs /= sums
         g = d_out[:, i0:i1]
         dv[:, j0:j1] += probs.transpose(0, 2, 1) @ g
         d_scores = g @ v[:, j0:j1].transpose(0, 2, 1)
         d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
         d_scores *= probs  # zero wherever masked: probs == 0 there
-        d_scores *= scale
         dq[:, i0:i1] = d_scores @ k[:, j0:j1]
-        dk[:, j0:j1] += d_scores.transpose(0, 2, 1) @ q[:, i0:i1]
+        dk[:, j0:j1] += d_scores.transpose(0, 2, 1) @ qs[:, i0:i1]
+
+
+def attn_forward(q, k, v, boundaries, kind, window, scale):
+    """q, k, v: (heads, total, head_dim); returns the attention output, same shape."""
+    members = _blocks(boundaries, kind, window)
+    blocks = [blk for m in members for blk in m]
+    out = np.empty_like(q)
+    step = functools.partial(_forward_block, q * scale, k, v, out, kind, window)
+    _run(step, blocks, _pairs(q.shape[0], members))
+    return out
+
+
+def attn_backward(q, k, v, d_out, boundaries, kind, window, scale):
+    """Recompute-based backward pass; returns (dq, dk, dv)."""
+    members = _blocks(boundaries, kind, window)
+    dq = np.empty_like(q)
+    dk = np.zeros_like(k)
+    dv = np.zeros_like(v)
+    # With q pre-scaled, dk needs no scale; dq takes it once at the end.
+    step = functools.partial(_backward_member, q * scale, k, v, d_out, dq, dk, dv, kind, window)
+    _run(step, members, _pairs(q.shape[0], members))
+    dq *= scale
     return dq, dk, dv

@@ -3,12 +3,14 @@
 Text is split on whitespace; each word is consumed left to right by the
 longest vocabulary piece that matches, where pieces after the first must
 carry the continuation prefix ("##" by default).  A word with no full
-decomposition becomes a single UNK.  All token counting in the data pipeline
-and dataset builders goes through this module.
+decomposition becomes a single UNK.  Each ``Vocab`` memoises the pieces of
+the words it has seen, so a repeated word is matched once.  All token
+counting in the data pipeline and dataset builders goes through this module.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -17,6 +19,10 @@ import numpy as np
 from .errors import DataError
 
 SPECIAL_PIECES = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
+# \s is str.isspace() for str patterns, so words split where the text splits.
+_WORD = re.compile(r"\S+")
+# Words a Vocab memoises at most; later new words are matched every time.
+MEMO_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -28,6 +34,10 @@ class Vocab:
     normalize_nfc: bool = False
     lowercase: bool = False
     piece_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    # word -> (token ids, characters each token covers)
+    memo: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         mapping = {}
@@ -39,6 +49,7 @@ class Vocab:
         if missing:
             raise DataError(f"vocab missing special pieces: {', '.join(missing)}")
         object.__setattr__(self, "piece_to_id", mapping)
+        object.__setattr__(self, "memo", {})
 
     @property
     def size(self) -> int:
@@ -94,11 +105,13 @@ def _normalize(text: str, vocab: Vocab) -> str:
     return text
 
 
-def _match_word(word: str, vocab: Vocab) -> list[int] | None:
-    """Greedy longest-match decomposition of one word, or None if stuck."""
+def _match_word(word: str, vocab: Vocab) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Greedy longest-match decomposition of one word, as (ids, characters
+    each piece covers), or None if stuck."""
     table = vocab.piece_to_id
     prefix = vocab.continuation_prefix
     ids: list[int] = []
+    lengths: list[int] = []
     pos = 0
     n = len(word)
     while pos < n:
@@ -116,8 +129,19 @@ def _match_word(word: str, vocab: Vocab) -> list[int] | None:
         if found < 0:
             return None
         ids.append(found)
+        lengths.append(end - pos)
         pos = end
-    return ids
+    return tuple(ids), tuple(lengths)
+
+
+def _word_pieces(word: str, vocab: Vocab) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(ids, characters each token covers) of one word; UNK covers the whole word."""
+    hit = vocab.memo.get(word)
+    if hit is None:
+        hit = _match_word(word, vocab) or ((vocab.unk_id,), (len(word),))
+        if len(vocab.memo) < MEMO_WORDS:
+            vocab.memo[word] = hit
+    return hit
 
 
 def encode_with_offsets(
@@ -136,35 +160,16 @@ def encode_with_offsets(
     if add_specials:
         ids.append(vocab.cls_id)
         spans.append((0, 0))
-    pos = 0
-    n = len(norm)
-    while pos < n:
-        if norm[pos].isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < n and not norm[end].isspace():
-            end += 1
-        word = norm[pos:end]
-        match = _match_word(word, vocab)
-        if match is None:
-            ids.append(vocab.unk_id)
-            spans.append((pos, end))
-        else:
-            cursor = pos
-            for token_id in match:
-                piece = vocab.pieces[token_id]
-                if piece.startswith(vocab.continuation_prefix) and cursor > pos:
-                    length = len(piece) - len(vocab.continuation_prefix)
-                else:
-                    length = len(piece)
-                ids.append(token_id)
-                spans.append((cursor, cursor + length))
-                cursor += length
-        pos = end
+    for m in _WORD.finditer(norm):
+        word_ids, lengths = _word_pieces(m.group(), vocab)
+        ids.extend(word_ids)
+        cursor = m.start()
+        for length in lengths:
+            spans.append((cursor, cursor + length))
+            cursor += length
     if add_specials:
         ids.append(vocab.sep_id)
-        spans.append((n, n))
+        spans.append((len(norm), len(norm)))
     return ids, spans
 
 

@@ -21,6 +21,15 @@ PURPOSE_DROP = 0x64726F706F757473  # per-sequence dropout seeds
 PURPOSE_DATA = 0x646174616467656E  # synthetic data generation
 PURPOSE_NIAH = 0x6E6565646C657321  # haystack construction
 
+# Thread-count getters of the BLAS builds numpy ships with or links against.
+_BLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+    "MKL_Get_Max_Threads",
+)
+
 
 def derived_rng(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
     """Independent generator for one (seed, purpose, index) triple."""
@@ -68,3 +77,26 @@ def params_digest(params: dict) -> str:
         h.update(repr(arr.shape).encode("ascii"))
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+def blas_threads() -> int | None:
+    """Thread count of the BLAS library mapped into this process, or None if unknown."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as f:
+            libs = {line.split()[-1] for line in f if "blas" in line.lower() and ".so" in line}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in _BLAS_THREAD_SYMBOLS:
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = []
+                return int(fn())
+    return None

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from packbert import config
+from packbert import config, kernels
 from packbert.packing import pack
 from packbert.tokenizer import toy_vocab
 
@@ -13,6 +13,16 @@ from packbert.tokenizer import toy_vocab
 @pytest.fixture
 def tiny_cfg():
     return config.preset("tiny_test")
+
+
+@pytest.fixture
+def attn_workers(monkeypatch):
+    """Set the attention pool's worker count; calls of any size then use it."""
+    monkeypatch.setattr(kernels, "PARALLEL_MIN_PAIRS", 0)
+    monkeypatch.setattr(kernels, "_pool", None)
+    yield lambda n: monkeypatch.setattr(kernels, "_workers", n)
+    if kernels._pool is not None:
+        kernels._pool[1].shutdown()
 
 
 @pytest.fixture

@@ -1,5 +1,9 @@
-"""Attention kernels: dense oracles, block edges, isolation, causal witnesses."""
+"""Attention kernels: dense oracles, block edges, worker pool, isolation,
+causal witnesses."""
 
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -144,20 +148,112 @@ def test_long_member_backward_matches_finite_differences(spec):
             assert abs(fd - grads[name][idx]) <= 1e-6 * max(1.0, abs(fd)), (name, pos)
 
 
-def test_global_memory_is_bounded_by_a_query_block():
-    # One L x L float32 score matrix at L = 4096 is 64 MiB; the kernel holds
+def test_global_memory_is_bounded_by_a_query_block(attn_workers):
+    # One L x L float32 score matrix at L = 4096 is 64 MiB; each worker holds
     # only a 128-row block of it at a time.
     rng = np.random.default_rng(17)
     q, k, v = rand_qkv(rng, 1, 4096, 16)
     d_out = rng.normal(size=q.shape).astype(np.float32)
-    tracemalloc.start()
+    for workers in (1, 2):
+        attn_workers(workers)
+        tracemalloc.start()
+        try:
+            attention(q, k, v, GLOBAL_SPEC)
+            attention_vjp(q, k, v, d_out, GLOBAL_SPEC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{workers} workers: peak {peak / 2**20:.1f} MiB"
+
+
+# --- worker pool ---
+
+POOL_LAYOUTS = {
+    "one_long": (1000,),
+    "sixteen_short": (24, 40, 31, 17, 38, 29, 33, 26, 40, 35, 22, 30, 39, 27, 36, 25),
+    "edges": EDGE_LENGTHS,
+}
+
+
+@pytest.mark.parametrize("layout", POOL_LAYOUTS)
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_pool_matches_serial_bit_for_bit(spec, dtype, layout, attn_workers):
+    lengths = POOL_LAYOUTS[layout]
+    b = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    rng = np.random.default_rng(18)
+    q, k, v = rand_qkv(rng, 2, int(b[-1]), 16, dtype=dtype)
+    d_out = rng.normal(size=q.shape).astype(dtype)
+
+    def run():
+        out = kernels.attn_forward(q, k, v, b, spec.code, spec.window, 0.3)
+        return (out, *kernels.attn_backward(q, k, v, d_out, b, spec.code, spec.window, 0.3))
+
+    attn_workers(1)
+    serial = run()
+    for workers in (1, 2, 3):
+        attn_workers(workers)
+        for name, got, want in zip(("out", "dq", "dk", "dv"), run(), serial):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want), (workers, name)
+    assert kernels._pool[0] == 3  # the last calls ran on a pool of three
+
+
+def test_pool_stress_with_more_workers_than_cpus(attn_workers):
+    # Many small members and a short switch interval: a lost update of a
+    # shared dk/dv row, or two workers taking one task, changes the bits.
+    rng = np.random.default_rng(21)
+    lengths = rng.integers(1, 70, size=120)
+    b = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    q, k, v = rand_qkv(rng, 2, int(b[-1]), 8)
+    d_out = rng.normal(size=q.shape).astype(np.float32)
+    spec = MaskSpec("sliding_window", window=16)
+    attn_workers(1)
+    want = kernels.attn_backward(q, k, v, d_out, b, spec.code, spec.window, 0.5)
+    attn_workers((os.cpu_count() or 1) + 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        attention(q, k, v, GLOBAL_SPEC)
-        attention_vjp(q, k, v, d_out, GLOBAL_SPEC)
-        _, peak = tracemalloc.get_traced_memory()
+        for _ in range(5):
+            got = kernels.attn_backward(q, k, v, d_out, b, spec.code, spec.window, 0.5)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
     finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        sys.setswitchinterval(interval)
+
+
+def test_worker_exception_surfaces_from_the_call(attn_workers, monkeypatch):
+    attn_workers(2)
+    rng = np.random.default_rng(19)
+    q, k, v = rand_qkv(rng, 2, 400, 8)
+    b = np.array([0, 150, 400], dtype=np.int64)
+    serial = kernels.attn_forward(q, k, v, b, GLOBAL_SPEC.code, 0, 0.5)
+    real = kernels._exp_scores
+
+    def fail_off_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_exp_scores", fail_off_main_thread)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        kernels.attn_forward(q, k, v, b, GLOBAL_SPEC.code, 0, 0.5)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        kernels.attn_backward(q, k, v, q, b, GLOBAL_SPEC.code, 0, 0.5)
+    # The pool survives a failed call.
+    monkeypatch.setattr(kernels, "_exp_scores", real)
+    again = kernels.attn_forward(q, k, v, b, GLOBAL_SPEC.code, 0, 0.5)
+    assert np.array_equal(again, serial)
+
+
+@pytest.mark.parametrize("probed, cpus, want", [(2, 2, 1), (None, 2, 1), (1, 2, 2), (1, 4, 4), (2, 4, 2)])
+def test_worker_count_is_usable_cpus_over_blas_threads(probed, cpus, want, monkeypatch):
+    from packbert import util
+
+    monkeypatch.setattr(util, "blas_threads", lambda: probed)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
+    monkeypatch.setattr(kernels, "_workers", None)
+    assert kernels._worker_count() == want
 
 
 def test_single_position_returns_v():

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, help, and end-to-end happy paths."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -368,3 +369,47 @@ def test_entry_modules_do_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _run_python(code, *args, env_extra=None):
+    src = str(Path(packbert.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(env_extra or {})
+    out = subprocess.run([sys.executable, "-c", code, src, *args], capture_output=True,
+                         text=True, timeout=60, check=True, env=env)
+    return json.loads(out.stdout)
+
+
+def test_small_attention_calls_start_no_thread():
+    # An mlm_short-sized call (16 members of 32 tokens) stays in the caller:
+    # no pool, no thread, no BLAS probe, no concurrent.futures import.  With
+    # one BLAS thread on this many CPUs a large call would use the pool.
+    # (numpy itself imports ctypes, so the probe's import cannot be seen.)
+    code = (
+        "import json, sys, threading; sys.path.insert(0, sys.argv[1]);"
+        "import numpy as np; before = threading.active_count();"
+        "import packbert.cli, packbert.model, packbert.kernels, packbert.trainer, packbert.niah;"
+        "from packbert import kernels;"
+        "q = np.random.default_rng(0).normal(size=(1, 512, 64)).astype(np.float32);"
+        "b = np.arange(0, 513, 32);"
+        "kernels.attn_forward(q, q, q, b, 0, 0, 0.125);"
+        "kernels.attn_backward(q, q, q, q, b, 0, 0, 0.125);"
+        "print(json.dumps({'futures': 'concurrent.futures' in sys.modules,"
+        " 'new_threads': threading.active_count() - before,"
+        " 'probed': kernels._workers is not None}))"
+    )
+    got = _run_python(code, env_extra={"OPENBLAS_NUM_THREADS": "1"})
+    assert got == {"futures": False, "new_threads": 0, "probed": False}
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_blas_thread_probe_reads_the_loaded_blas(threads):
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]);"
+        "import numpy; from packbert import util; print(json.dumps(util.blas_threads()))"
+    )
+    env = {f"{lib}_NUM_THREADS": str(threads) for lib in ("OPENBLAS", "OMP", "MKL")}
+    got = _run_python(code, env_extra=env)
+    if got is None:
+        pytest.skip("numpy's BLAS exposes no known thread-count symbol")
+    assert got == threads

@@ -1,4 +1,6 @@
-"""Greedy longest-match tokenizer: encoding, offsets, vocab files."""
+"""Greedy longest-match tokenizer: encoding, offsets, vocab files, word memo."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -170,3 +172,70 @@ def test_vocab_is_frozen(ab_vocab):
     assert isinstance(ab_vocab, Vocab)
     with pytest.raises(Exception):
         ab_vocab.pieces = ()
+
+
+# --- word memo ---
+
+SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+def char_loop_encode(text, vocab, add_specials=False):
+    """The tokenizer as a plain character loop, matching every word afresh."""
+    table, prefix = vocab.piece_to_id, vocab.continuation_prefix
+    ids, spans = ([vocab.cls_id], [(0, 0)]) if add_specials else ([], [])
+    pos, n = 0, len(text)
+    while pos < n:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        end = pos
+        while end < n and not text[end].isspace():
+            end += 1
+        word_ids, word_spans, p = [], [], pos
+        while p < end:
+            stop = next((e for e in range(end, p, -1)
+                         if (prefix if p > pos else "") + text[p:e] in table), None)
+            if stop is None:
+                word_ids, word_spans = [vocab.unk_id], [(pos, end)]
+                break
+            word_ids.append(table[(prefix if p > pos else "") + text[p:stop]])
+            word_spans.append((p, stop))
+            p = stop
+        ids += word_ids
+        spans += word_spans
+        pos = end
+    if add_specials:
+        ids.append(vocab.sep_id)
+        spans.append((n, n))
+    return ids, spans
+
+
+def test_memo_matches_character_loop():
+    vocab = toy_vocab(["the", "code", "omega"],
+                      extra_pieces=("a", "ab", "abc", "##c", "##bc", "##ab", "x", "##x", "##"))
+    # Whole words, '##' continuations, dead ends (UNK), a word that is itself
+    # a continuation piece, and a lone continuation prefix.
+    words = ["the", "code", "omega", "abc", "abbc", "aabab", "abx", "axx", "zzz",
+             "ax", "thecode", "omegaab", "codex", "##c", "##", "a##", "é", "omega."]
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        parts = []
+        for _ in range(int(rng.integers(0, 25))):
+            parts.append(words[int(rng.integers(len(words)))])
+            parts.append("".join(rng.choice(SPACES, size=int(rng.integers(1, 4)))))
+        lead = "".join(rng.choice(SPACES, size=int(rng.integers(0, 3))))
+        text = lead + "".join(parts)
+        specials = bool(rng.integers(2))
+        want = char_loop_encode(text, vocab, specials)
+        assert encode_with_offsets(text, vocab, specials) == want, repr(text)
+    assert set(vocab.memo) == set(words)  # each word matched once, then remembered
+    fresh = Vocab(pieces=vocab.pieces)
+    assert fresh == vocab and not fresh.memo
+
+
+def test_memo_splits_on_every_whitespace_code_point():
+    vocab = toy_vocab(["ab", "cd"])
+    text = "".join("ab" + space for space in SPACES) + "cd"
+    ids, spans = encode_with_offsets(text, vocab)
+    assert (ids, spans) == char_loop_encode(text, vocab)
+    assert len(ids) == len(SPACES) + 1

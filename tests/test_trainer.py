@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from packbert import config, model, optim
+from packbert import config, model, optim, util
 from packbert.errors import DataError, TrainingError
 from packbert.trainer import (
     Checkpoint,
@@ -59,6 +59,17 @@ def test_rerun_is_bit_identical(tiny_cfg):
     assert_params_equal(r1.checkpoint.params, r2.checkpoint.params)
     assert r1.provenance == r2.provenance
     assert r1.metrics == r2.metrics
+
+
+def test_attention_worker_count_leaves_weights_unchanged(tiny_cfg, attn_workers):
+    # Every attention call runs on the pool here, whatever its size.
+    data = toy_dataset()
+    phase = quick_phase(token_budget=600)
+    digests = []
+    for workers in (1, 2):
+        attn_workers(workers)
+        digests.append(util.params_digest(run_mlm(tiny_cfg, data, phase).checkpoint.params))
+    assert digests[0] == digests[1]
 
 
 def test_seed_changes_trajectory(tiny_cfg):
