@@ -10,23 +10,21 @@ length) score block.  The backward pass recomputes each block's
 probabilities instead of saving them.  The same code serves every float
 dtype; float64 is what the gradient checks run on.
 
-Large calls run on a pool of threads, one per usable CPU left over by BLAS
-(usable CPUs // BLAS threads), each pinned to its own CPU; numpy releases
-the GIL inside matmul and ufunc loops, so the blocks run at the same time.
-The forward pass hands out query blocks, which write disjoint output rows.
-The backward pass hands out whole packed members, which own disjoint
-dq/dk/dv rows, and walks a member's blocks in order.  Block boundaries never
-depend on the worker count, so the results are bit-identical for any count.
+Large calls run on the pinned worker pool of ``pool.py``, which the layer
+stack in ``model.py`` shares.  The forward pass hands out query blocks,
+which write disjoint output rows.  The backward pass hands out whole packed
+members, which own disjoint dq/dk/dv rows, and walks a member's blocks in
+order.  Block boundaries never depend on the worker count, so the results
+are bit-identical for any count.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import os
 
 import numpy as np
 
+from . import pool
 from .packing import KIND_CAUSAL, KIND_GLOBAL, KIND_WINDOW
 
 BLOCK = 128
@@ -37,64 +35,6 @@ WINDOW_BLOCK = 64
 # rows x keys) run in the caller: below it, a kernel-only sweep on a 2-vCPU
 # machine found waking the pool cost more than it saved.
 PARALLEL_MIN_PAIRS = 1 << 17
-
-_workers: int | None = None  # resolved at the first call above the threshold
-_pool = None  # (workers, ThreadPoolExecutor), created with it
-
-
-def _worker_count() -> int:
-    """Usable CPUs // BLAS threads, found once; 1 if the BLAS is unknown."""
-    global _workers
-    if _workers is None:
-        from .util import blas_threads
-
-        threads = blas_threads() if hasattr(os, "sched_setaffinity") else None
-        _workers = max(1, len(os.sched_getaffinity(0)) // threads) if threads else 1
-    return _workers
-
-
-def _pin(cpus, slots):
-    # Pid 0 is the calling thread: only this worker moves.  Workers beyond
-    # the CPU count (tests ask for them) share CPUs.
-    os.sched_setaffinity(0, {cpus[next(slots) % len(cpus)]})
-
-
-def _executor(workers: int):
-    global _pool
-    if _pool is None or _pool[0] != workers:
-        from concurrent.futures import ThreadPoolExecutor
-
-        if _pool is not None:
-            _pool[1].shutdown()
-        cpus = sorted(os.sched_getaffinity(0))
-        pool = ThreadPoolExecutor(
-            workers, thread_name_prefix="packbert-attn",
-            initializer=_pin, initargs=(cpus, itertools.count()),
-        )
-        _pool = (workers, pool)
-    return _pool[1]
-
-
-def _drain(fn, tasks):
-    # Workers share one iterator; next() on it is atomic under the GIL.
-    for task in tasks:
-        fn(task)
-
-
-def _run(fn, tasks, pairs):
-    """fn(task) for every task: on the pool if the call scores enough pairs."""
-    workers = _worker_count() if pairs >= PARALLEL_MIN_PAIRS and len(tasks) > 1 else 1
-    if workers == 1:
-        _drain(fn, tasks)
-        return
-    from concurrent.futures import wait
-
-    shared = iter(tasks)
-    pool = _executor(workers)
-    futures = [pool.submit(_drain, fn, shared) for _ in range(min(workers, len(tasks)))]
-    wait(futures)
-    for f in futures:
-        f.result()
 
 
 def _blocks(boundaries, kind, window):
@@ -179,7 +119,7 @@ def attn_forward(q, k, v, boundaries, kind, window, scale):
     blocks = [blk for m in members for blk in m]
     out = np.empty_like(q)
     step = functools.partial(_forward_block, q * scale, k, v, out, kind, window)
-    _run(step, blocks, _pairs(q.shape[0], members))
+    pool._run(step, blocks, _pairs(q.shape[0], members) >= PARALLEL_MIN_PAIRS)
     return out
 
 
@@ -191,6 +131,6 @@ def attn_backward(q, k, v, d_out, boundaries, kind, window, scale):
     dv = np.zeros_like(v)
     # With q pre-scaled, dk needs no scale; dq takes it once at the end.
     step = functools.partial(_backward_member, q * scale, k, v, d_out, dq, dk, dv, kind, window)
-    _run(step, members, _pairs(q.shape[0], members))
+    pool._run(step, members, _pairs(q.shape[0], members) >= PARALLEL_MIN_PAIRS)
     dq *= scale
     return dq, dk, dv

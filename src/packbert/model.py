@@ -24,7 +24,7 @@ import numpy as np
 from .config import ArchConfig
 from .packing import MaskSpec, PackedBatch
 from .rope import apply_rope, build_rope_table
-from . import kernels
+from . import kernels, pool
 from .attention import attention_padded
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -112,6 +112,59 @@ def validate_params(params: dict[str, np.ndarray], cfg: ArchConfig) -> list[str]
     return v
 
 
+# --- row blocks on the worker pool -------------------------------------------
+
+# Large ops run in row blocks on the pinned pool of pool.py: blocks of their
+# input rows, or of a weight gradient's rows, each of which sums over all
+# tokens.  Whether an op is blocked, and where its blocks end, depends only on
+# its shape, through the thresholds below, never on the worker count, so the
+# results are bit-identical for any count.  Smaller ops run whole in the
+# caller and start no thread.  An even number of near-equal blocks keeps two
+# workers balanced; at most ROWS rows per block keeps the count low, because
+# each block repacks the other matmul operand, which made 512-row blocks 20%
+# slower than whole products at one worker and two BLAS threads.  Thresholds
+# and ROWS come from sweeps at one and two BLAS threads on a 2-vCPU machine;
+# see CHANGES.md.
+ROWS = 2048
+MATMUL_MIN_MACS = 1 << 25  # multiply-adds of one product
+ROWWISE_MIN_ELEMS = 1 << 18  # elements of a row-wise op's input
+
+
+def _row_blocks(n, large):
+    """Row slices of an n-row op: if ``large``, an even number of near-equal
+    blocks of at most ROWS rows; else all rows."""
+    if not large:
+        return [slice(None)]
+    count = 2 * max(1, -(-n // (2 * ROWS)))
+    step = max(1, -(-n // count))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _matmul(a, b):
+    """a @ b for a 2-D a, in row blocks of a when large."""
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    large = a.shape[0] * a.shape[1] * b.shape[1] >= MATMUL_MIN_MACS
+    pool._run(lambda r: np.matmul(a[r], b, out=out[r]), _row_blocks(a.shape[0], large))
+    return out
+
+
+def _matmul_tn(a, b):
+    """a.T @ b, in row blocks of the result when large."""
+    out = np.empty((a.shape[1], b.shape[1]), dtype=np.result_type(a, b))
+    large = a.shape[0] * a.shape[1] * b.shape[1] >= MATMUL_MIN_MACS
+    pool._run(lambda r: np.matmul(a[:, r].T, b, out=out[r]), _row_blocks(a.shape[1], large))
+    return out
+
+
+def _rowwise_blocks(x):
+    return _row_blocks(x.shape[0], x.size >= ROWWISE_MIN_ELEMS)
+
+
+def _rowwise(fn, x):
+    """fn(rows) over the rows of x: in row blocks when x is large."""
+    pool._run(fn, _rowwise_blocks(x))
+
+
 # --- primitive ops with backward --------------------------------------------
 
 
@@ -179,9 +232,12 @@ def erf(x: np.ndarray) -> np.ndarray:
     dst = out.reshape(rows.shape)
     width = min(rows.shape[1], _ERF_CHUNK)
     height = _ERF_CHUNK // width
-    for i in range(0, rows.shape[0], height):
-        for j in range(0, rows.shape[1], width):
-            _erf32_block(rows[i : i + height, j : j + width], dst[i : i + height, j : j + width])
+    chunks = [
+        (slice(i, i + height), slice(j, j + width))
+        for i in range(0, rows.shape[0], height)
+        for j in range(0, rows.shape[1], width)
+    ]
+    pool._run(lambda c: _erf32_block(rows[c], dst[c]), chunks, x.size >= ROWWISE_MIN_ELEMS)
     return out
 
 
@@ -189,61 +245,112 @@ def act_forward(x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Activation of x and the gate s with act = x * s that act_grad reuses.
 
     s is the normal CDF 0.5 * (1 + erf(x / sqrt 2)) for gelu and sigmoid(x)
-    for silu.
+    for silu.  Large inputs run in row blocks.
     """
+    act = np.empty(x.shape, dtype=x.dtype)
     if kind == "gelu":
-        s = erf(x * _INV_SQRT2)
-        s += 1.0
-        s *= 0.5
+        t = np.empty_like(act)
+        _rowwise(lambda r: np.multiply(x[r], _INV_SQRT2, out=t[r]), x)
+        s = erf(t)
+
+        def block(r):
+            s[r] += 1.0
+            s[r] *= 0.5
+            np.multiply(x[r], s[r], out=act[r])
     elif kind == "silu":
-        s = 1.0 / (1.0 + np.exp(-x))
+        s = np.empty_like(act)
+
+        def block(r):
+            np.divide(1.0, 1.0 + np.exp(-x[r]), out=s[r])
+            np.multiply(x[r], s[r], out=act[r])
     else:
         raise ValueError(f"unknown activation {kind!r}")
-    return x * s, s
+    _rowwise(block, x)
+    return act, s
 
 
 def act_grad(x: np.ndarray, s: np.ndarray, kind: str) -> np.ndarray:
     """d act / dx from x and the gate s that act_forward returned."""
+    g = np.empty(x.shape, dtype=np.result_type(x, s))
     if kind == "gelu":
-        return s + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    if kind == "silu":
-        return s * (1.0 + x * (1.0 - s))
-    raise ValueError(f"unknown activation {kind!r}")
+        def block(r):
+            xr = x[r]
+            np.add(s[r], xr * np.exp(-0.5 * xr * xr) * _INV_SQRT_2PI, out=g[r])
+    elif kind == "silu":
+        def block(r):
+            np.multiply(s[r], 1.0 + x[r] * (1.0 - s[r]), out=g[r])
+    else:
+        raise ValueError(f"unknown activation {kind!r}")
+    _rowwise(block, x)
+    return g
 
 
 def _norm_forward(x, params, prefix, cfg):
     scale = params[f"{prefix}.scale"]
+    eps = cfg.norm_eps
+    y = np.empty(x.shape, dtype=np.result_type(x, scale))
+    r = np.empty((x.shape[0], 1), dtype=x.dtype)  # 1 / std of each row
     if cfg.norm == "layer_norm":
-        mean = x.mean(axis=-1, keepdims=True)
-        xc = x - mean
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        invstd = 1.0 / np.sqrt(var + cfg.norm_eps)
-        xhat = xc * invstd
-        y = xhat * scale + params[f"{prefix}.offset"]
-        return y, (xhat, invstd)
-    r = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + cfg.norm_eps)
-    return x * r * scale, (x, r)
+        offset = params[f"{prefix}.offset"]
+        xhat = np.empty_like(x)
+
+        def block(b):
+            mean = x[b].mean(axis=-1, keepdims=True)
+            xc = x[b] - mean
+            var = (xc * xc).mean(axis=-1, keepdims=True)
+            np.divide(1.0, np.sqrt(var + eps), out=r[b])
+            np.multiply(xc, r[b], out=xhat[b])
+            np.multiply(xhat[b], scale, out=y[b])
+            y[b] += offset
+
+        _rowwise(block, x)
+        return y, (xhat, r)
+
+    def block(b):
+        xb = x[b]
+        np.divide(1.0, np.sqrt((xb * xb).mean(axis=-1, keepdims=True) + eps), out=r[b])
+        np.multiply(xb, r[b], out=y[b])
+        y[b] *= scale
+
+    _rowwise(block, x)
+    return y, (x, r)
 
 
 def _norm_backward(dy, cache, params, prefix, cfg, grads):
+    """d x of a norm; the scale and offset gradients sum per-block partials in block order."""
     scale = params[f"{prefix}.scale"]
-    if cfg.norm == "layer_norm":
-        xhat, invstd = cache
-        grads[f"{prefix}.scale"] += (dy * xhat).sum(axis=0)
-        grads[f"{prefix}.offset"] += dy.sum(axis=0)
-        dxhat = dy * scale
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return invstd * (dxhat - m1 - xhat * m2)
-    x, r = cache
-    grads[f"{prefix}.scale"] += (dy * x * r).sum(axis=0)
-    g = dy * scale
-    m = (g * x).mean(axis=-1, keepdims=True)
-    return r * g - x * (r ** 3) * m
+    xin, r = cache  # (xhat, 1 / std) for layer norm, (x, 1 / rms) for RMS norm
+    ln = cfg.norm == "layer_norm"
+    blocks = _rowwise_blocks(dy)
+    d_scale = np.empty((len(blocks), dy.shape[1]), dtype=dy.dtype)
+    d_offset = np.empty_like(d_scale) if ln else None
+    dx = np.empty(dy.shape, dtype=np.result_type(dy, scale, xin))
+
+    def block(task):
+        i, b = task
+        g, xb, rb = dy[b], xin[b], r[b]
+        if ln:
+            d_scale[i] = (g * xb).sum(axis=0)
+            d_offset[i] = g.sum(axis=0)
+            dxhat = g * scale
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xb).mean(axis=-1, keepdims=True)
+            np.multiply(rb, dxhat - m1 - xb * m2, out=dx[b])
+        else:
+            d_scale[i] = (g * xb * rb).sum(axis=0)
+            gs = g * scale
+            m = (gs * xb).mean(axis=-1, keepdims=True)
+            np.subtract(rb * gs, xb * (rb ** 3) * m, out=dx[b])
+
+    pool._run(block, list(enumerate(blocks)))
+    grads[f"{prefix}.scale"] += d_scale.sum(axis=0)
+    if ln:
+        grads[f"{prefix}.offset"] += d_offset.sum(axis=0)
+    return dx
 
 
 def _linear(x, params, name, extra):
-    y = x @ params[name]
+    y = _matmul(x, params[name])
     b = params.get(name + "_b")
     if b is not None:
         y = y + b
@@ -254,10 +361,10 @@ def _linear(x, params, name, extra):
 
 
 def _linear_backward(dy, x, params, name, grads):
-    grads[name] += x.T @ dy
+    grads[name] += _matmul_tn(x, dy)
     if name + "_b" in params:
         grads[name + "_b"] += dy.sum(axis=0)
-    return dy @ params[name].T
+    return _matmul(dy, params[name].T)
 
 
 # --- attention / ffn blocks --------------------------------------------------
@@ -317,18 +424,34 @@ def _ffn_forward(x, layer, params, cfg, extra):
     z = _linear(x, params, f"{p}.wu", extra)
     gate, value = z[:, : cfg.intermediate], z[:, cfg.intermediate:]
     act, s = act_forward(gate, cfg.activation)
-    out = _linear(act * value, params, f"{p}.wd", extra)
+    _rowwise(lambda r: np.multiply(act[r], value[r], out=act[r]), act)  # act * value
+    out = _linear(act, params, f"{p}.wd", extra)
     return out, (x, gate, value, s)
 
 
 def _ffn_backward(d_out, cache, layer, params, cfg, grads):
     x, gate, value, s = cache
     p = f"layers.{layer}.ffn"
-    act = gate * s
-    d_inner = _linear_backward(d_out, act * value, params, f"{p}.wd", grads)
-    d_gate = d_inner * value * act_grad(gate, s, cfg.activation)
-    d_value = d_inner * act
-    dz = np.concatenate([d_gate, d_value], axis=1)
+    act = np.empty_like(s)
+    inner = np.empty_like(s)
+
+    def products(r):
+        np.multiply(gate[r], s[r], out=act[r])
+        np.multiply(act[r], value[r], out=inner[r])
+
+    _rowwise(products, s)
+    d_inner = _linear_backward(d_out, inner, params, f"{p}.wd", grads)
+    d_act = act_grad(gate, s, cfg.activation)
+    f = s.shape[1]
+    dz = np.empty((s.shape[0], 2 * f), dtype=np.result_type(d_inner, value, d_act))
+
+    def gate_grads(r):
+        # [d_inner * value * d_act | d_inner * act]
+        np.multiply(d_inner[r], value[r], out=dz[r, :f])
+        dz[r, :f] *= d_act[r]
+        np.multiply(d_inner[r], act[r], out=dz[r, f:])
+
+    _rowwise(gate_grads, s)
     return _linear_backward(dz, x, params, f"{p}.wu", grads)
 
 
@@ -539,17 +662,17 @@ def forward_padded(
 
 def mlm_logits(hidden: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
     if is_tied(params):
-        return hidden @ params["tok_emb"].T
-    return hidden @ params["mlm_head.w"]
+        return _matmul(hidden, params["tok_emb"].T)
+    return _matmul(hidden, params["mlm_head.w"])
 
 
 def mlm_logits_vjp(d_logits, hidden, params, grads):
     """Backward of mlm_logits; returns d_hidden, accumulates weight grads."""
     if is_tied(params):
-        grads["tok_emb"] += d_logits.T @ hidden
-        return d_logits @ params["tok_emb"]
-    grads["mlm_head.w"] += hidden.T @ d_logits
-    return d_logits @ params["mlm_head.w"].T
+        grads["tok_emb"] += _matmul_tn(d_logits, hidden)
+        return _matmul(d_logits, params["tok_emb"])
+    grads["mlm_head.w"] += _matmul_tn(hidden, d_logits)
+    return _matmul(d_logits, params["mlm_head.w"].T)
 
 
 def span_logits(hidden: np.ndarray, params: dict[str, np.ndarray]):

@@ -14,8 +14,6 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DataError
 
 SPECIAL_PIECES = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
@@ -208,7 +206,3 @@ def toy_vocab(words, extra_pieces: tuple[str, ...] = ()) -> Vocab:
         if w not in seen:
             seen.append(w)
     return Vocab(pieces=tuple(seen))
-
-
-def ids_array(ids) -> np.ndarray:
-    return np.asarray(ids, dtype=np.int32)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from packbert import config, kernels
+from packbert import config, kernels, model, pool
 from packbert.packing import pack
 from packbert.tokenizer import toy_vocab
 
@@ -16,13 +16,15 @@ def tiny_cfg():
 
 
 @pytest.fixture
-def attn_workers(monkeypatch):
-    """Set the attention pool's worker count; calls of any size then use it."""
+def pool_workers(monkeypatch):
+    """Set the worker pool's size, with every pool threshold at 0: ops of any size use it."""
     monkeypatch.setattr(kernels, "PARALLEL_MIN_PAIRS", 0)
-    monkeypatch.setattr(kernels, "_pool", None)
-    yield lambda n: monkeypatch.setattr(kernels, "_workers", n)
-    if kernels._pool is not None:
-        kernels._pool[1].shutdown()
+    monkeypatch.setattr(model, "MATMUL_MIN_MACS", 0)
+    monkeypatch.setattr(model, "ROWWISE_MIN_ELEMS", 0)
+    monkeypatch.setattr(pool, "_pool", None)
+    yield lambda n: monkeypatch.setattr(pool, "_workers", n)
+    if pool._pool is not None:
+        pool._pool[1].shutdown()
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from packbert import kernels
+from packbert import kernels, pool
 from packbert.attention import attention, attention_padded, attention_vjp, padded_mask
 from packbert.packing import CAUSAL_SPEC, GLOBAL_SPEC, MaskSpec, mask_matrix, pack
 
@@ -148,14 +148,14 @@ def test_long_member_backward_matches_finite_differences(spec):
             assert abs(fd - grads[name][idx]) <= 1e-6 * max(1.0, abs(fd)), (name, pos)
 
 
-def test_global_memory_is_bounded_by_a_query_block(attn_workers):
+def test_global_memory_is_bounded_by_a_query_block(pool_workers):
     # One L x L float32 score matrix at L = 4096 is 64 MiB; each worker holds
     # only a 128-row block of it at a time.
     rng = np.random.default_rng(17)
     q, k, v = rand_qkv(rng, 1, 4096, 16)
     d_out = rng.normal(size=q.shape).astype(np.float32)
     for workers in (1, 2):
-        attn_workers(workers)
+        pool_workers(workers)
         tracemalloc.start()
         try:
             attention(q, k, v, GLOBAL_SPEC)
@@ -178,7 +178,7 @@ POOL_LAYOUTS = {
 @pytest.mark.parametrize("layout", POOL_LAYOUTS)
 @pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-def test_pool_matches_serial_bit_for_bit(spec, dtype, layout, attn_workers):
+def test_pool_matches_serial_bit_for_bit(spec, dtype, layout, pool_workers):
     lengths = POOL_LAYOUTS[layout]
     b = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     rng = np.random.default_rng(18)
@@ -189,17 +189,17 @@ def test_pool_matches_serial_bit_for_bit(spec, dtype, layout, attn_workers):
         out = kernels.attn_forward(q, k, v, b, spec.code, spec.window, 0.3)
         return (out, *kernels.attn_backward(q, k, v, d_out, b, spec.code, spec.window, 0.3))
 
-    attn_workers(1)
+    pool_workers(1)
     serial = run()
     for workers in (1, 2, 3):
-        attn_workers(workers)
+        pool_workers(workers)
         for name, got, want in zip(("out", "dq", "dk", "dv"), run(), serial):
             assert got.dtype == dtype
             assert np.array_equal(got, want), (workers, name)
-    assert kernels._pool[0] == 3  # the last calls ran on a pool of three
+    assert pool._pool[0] == 3  # the last calls ran on a pool of three
 
 
-def test_pool_stress_with_more_workers_than_cpus(attn_workers):
+def test_pool_stress_with_more_workers_than_cpus(pool_workers):
     # Many small members and a short switch interval: a lost update of a
     # shared dk/dv row, or two workers taking one task, changes the bits.
     rng = np.random.default_rng(21)
@@ -208,9 +208,9 @@ def test_pool_stress_with_more_workers_than_cpus(attn_workers):
     q, k, v = rand_qkv(rng, 2, int(b[-1]), 8)
     d_out = rng.normal(size=q.shape).astype(np.float32)
     spec = MaskSpec("sliding_window", window=16)
-    attn_workers(1)
+    pool_workers(1)
     want = kernels.attn_backward(q, k, v, d_out, b, spec.code, spec.window, 0.5)
-    attn_workers((os.cpu_count() or 1) + 2)
+    pool_workers((os.cpu_count() or 1) + 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -221,8 +221,8 @@ def test_pool_stress_with_more_workers_than_cpus(attn_workers):
         sys.setswitchinterval(interval)
 
 
-def test_worker_exception_surfaces_from_the_call(attn_workers, monkeypatch):
-    attn_workers(2)
+def test_worker_exception_surfaces_from_the_call(pool_workers, monkeypatch):
+    pool_workers(2)
     rng = np.random.default_rng(19)
     q, k, v = rand_qkv(rng, 2, 400, 8)
     b = np.array([0, 150, 400], dtype=np.int64)
@@ -252,8 +252,8 @@ def test_worker_count_is_usable_cpus_over_blas_threads(probed, cpus, want, monke
     monkeypatch.setattr(util, "blas_threads", lambda: probed)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
-    monkeypatch.setattr(kernels, "_workers", None)
-    assert kernels._worker_count() == want
+    monkeypatch.setattr(pool, "_workers", None)
+    assert pool._worker_count() == want
 
 
 def test_single_position_returns_v():

@@ -381,25 +381,34 @@ def _run_python(code, *args, env_extra=None):
 
 
 def test_small_attention_calls_start_no_thread():
-    # An mlm_short-sized call (16 members of 32 tokens) stays in the caller:
-    # no pool, no thread, no BLAS probe, no concurrent.futures import.  With
-    # one BLAS thread on this many CPUs a large call would use the pool.
+    # An mlm_short-sized attention call (16 members of 32 tokens) and a whole
+    # tiny_test training step over 16 members of 24-40 tokens stay in the
+    # caller: no pool, no thread, no BLAS probe, no concurrent.futures import.
+    # With one BLAS thread on this many CPUs a large call would use the pool.
     # (numpy itself imports ctypes, so the probe's import cannot be seen.)
     code = (
         "import json, sys, threading; sys.path.insert(0, sys.argv[1]);"
         "import numpy as np; before = threading.active_count();"
         "import packbert.cli, packbert.model, packbert.kernels, packbert.trainer, packbert.niah;"
-        "from packbert import kernels;"
+        "from packbert import config, kernels, model, pool, trainer;"
         "q = np.random.default_rng(0).normal(size=(1, 512, 64)).astype(np.float32);"
         "b = np.arange(0, 513, 32);"
         "kernels.attn_forward(q, q, q, b, 0, 0, 0.125);"
         "kernels.attn_backward(q, q, q, q, b, 0, 0, 0.125);"
-        "print(json.dumps({'futures': 'concurrent.futures' in sys.modules,"
+        "cfg = config.preset('tiny_test'); rng = np.random.default_rng(1);"
+        "data = [rng.integers(5, 256, size=n, dtype=np.int32) for n in rng.integers(24, 41, size=16)];"
+        "phase = config.TrainPhaseConfig(token_budget=sum(d.size for d in data),"
+        " batch_tokens_or_sequences=16, microbatch=16, schedule='constant',"
+        " warmup_tokens=0, decay_tokens=0, max_seq_len=64);"
+        "result = trainer.train_mlm(model.init_params(cfg), cfg, data, phase,"
+        " mask_id=4, special_ids={0, 1, 2, 3, 4});"
+        "print(json.dumps({'steps': len(result.metrics),"
+        " 'futures': 'concurrent.futures' in sys.modules,"
         " 'new_threads': threading.active_count() - before,"
-        " 'probed': kernels._workers is not None}))"
+        " 'probed': pool._workers is not None}))"
     )
     got = _run_python(code, env_extra={"OPENBLAS_NUM_THREADS": "1"})
-    assert got == {"futures": False, "new_threads": 0, "probed": False}
+    assert got == {"steps": 1, "futures": False, "new_threads": 0, "probed": False}
 
 
 @pytest.mark.parametrize("threads", (1, 2))

@@ -189,3 +189,39 @@ def test_ffn_matches_fd(tiny_cfg, activation):
             arr[idx] = orig
             fd = (up - down) / (2 * eps)
             assert abs(fd - g[idx]) <= 1e-6 * max(1.0, abs(fd)), (name, idx)
+
+
+@pytest.mark.parametrize("norm", ("layer_norm", "rms_norm"))
+def test_blocked_norm_matches_fd(tiny_cfg, norm, pool_workers):
+    # 4,099 rows run as four blocks on two workers; the scale and offset
+    # gradients are sums of per-block partials.
+    pool_workers(2)
+    cfg = dataclasses.replace(tiny_cfg, hidden=6, norm=norm)
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(4099, cfg.hidden)) * 2.0 + 0.5
+    w_out = rng.normal(size=x.shape)
+    params = {"n.scale": 1.0 + 0.2 * rng.normal(size=cfg.hidden)}
+    if norm == "layer_norm":
+        params["n.offset"] = 0.2 * rng.normal(size=cfg.hidden)
+    edges = [r.start for r in model._rowwise_blocks(x)]
+    assert edges == [0, 1025, 2050, 3075]
+
+    def loss(p, xs):
+        return float(np.sum(model._norm_forward(xs, p, "n", cfg)[0] * w_out))
+
+    _, cache = model._norm_forward(x, params, "n", cfg)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    dx = model._norm_backward(w_out, cache, params, "n", cfg, grads)
+    eps = 1e-6
+    checks = [(name, params[name], grads[name], [(j,) for j in range(cfg.hidden)]) for name in params]
+    checks.append(("x", x, dx, [(e + d, (e + d) % cfg.hidden) for e in edges[1:] for d in (-1, 0)]))
+    for name, arr, g, indices in checks:
+        for idx in indices:
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            up = loss(params, x)
+            arr[idx] = orig - eps
+            down = loss(params, x)
+            arr[idx] = orig
+            fd = (up - down) / (2 * eps)
+            assert abs(fd - g[idx]) <= 1e-6 * max(1.0, abs(fd)), (name, idx, fd, g[idx])

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from packbert import config, model
+from packbert import config, model, pool
 from packbert.objectives import IGNORE, mlm_loss
 from packbert.packing import pack
 
@@ -354,3 +356,80 @@ def test_erf_runs_once_per_layer_per_training_step(tiny_cfg, rand_batch, monkeyp
     d_hidden = model.mlm_logits_vjp(d_logits, out.hidden, params, grads)
     model.backward(params, tiny_cfg, out.cache, d_hidden, grads)
     assert calls == [(rand_batch.total_tokens, tiny_cfg.intermediate)] * tiny_cfg.n_layers
+
+
+# --- the layer stack on the worker pool ---
+
+POOL_ROWS = 4099  # four row blocks: three of 1,025 rows and a ragged 1,024
+
+
+def pooled_layer_ops(dtype, norm, activation):
+    """Every pooled layer op on POOL_ROWS rows; returns {name: array}.
+
+    Weight gradients split into two blocks of 100 rows (150 for the MLM
+    head), and the float32 erf into 25 chunks of 170 gate rows.
+    """
+    rng = np.random.default_rng(23)
+    cfg = dataclasses.replace(config.preset("tiny_test"), vocab_size=300, hidden=200,
+                              intermediate=96, norm=norm, activation=activation)
+    params = {k: v.astype(dtype) for k, v in model.init_params(cfg, seed=4, tied=False).items()}
+    params["layers.0.norm1.scale"] += rng.normal(size=cfg.hidden).astype(dtype) * 0.1
+    x = rng.normal(size=(POOL_ROWS, cfg.hidden)).astype(dtype)
+    dy = rng.normal(size=x.shape).astype(dtype)
+    grads = model.zeros_like_params(params)
+    got = {}
+    wq = "layers.0.attn.wq"
+    got["linear"] = model._linear(x, params, wq, None)
+    got["linear_dx"] = model._linear_backward(dy, x, params, wq, grads)
+    y, cache = model._norm_forward(x, params, "layers.0.norm1", cfg)
+    got["norm"] = y
+    got["norm_dx"] = model._norm_backward(dy, cache, params, "layers.0.norm1", cfg, grads)
+    f, cache = model._ffn_forward(x, 0, params, cfg, None)
+    got["ffn"] = f
+    got["ffn_dx"] = model._ffn_backward(dy, cache, 0, params, cfg, grads)
+    gate = (x[:, :2 * cfg.intermediate] * 3.0)[:, : cfg.intermediate]  # a column slice, as in the FFN
+    got["act"], s = model.act_forward(gate, activation)
+    got["act_grad"] = model.act_grad(gate, s, activation)
+    for tied in (True, False):
+        head = dict(params)
+        if tied:
+            del head["mlm_head.w"]
+        d_logits = rng.normal(size=(POOL_ROWS, cfg.vocab_size)).astype(dtype)
+        got[f"logits_tied={tied}"] = model.mlm_logits(x, head)
+        got[f"logits_dx_tied={tied}"] = model.mlm_logits_vjp(d_logits, x, head, grads)
+    got.update({f"grad {k}": v for k, v in grads.items() if v.any()})
+    return got
+
+
+@pytest.mark.parametrize("norm, activation", (("layer_norm", "gelu"), ("rms_norm", "silu")))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+def test_pool_matches_serial_bit_for_bit(dtype, norm, activation, pool_workers, monkeypatch):
+    pool_workers(1)
+    blocked = pooled_layer_ops(dtype, norm, activation)
+    assert [r.stop - r.start for r in model._rowwise_blocks(blocked["norm"])] == [1025] * 3 + [1024]
+    # More workers than CPUs and a short switch interval: two workers taking
+    # one block, or a lost partial, changes the bits.
+    many = (os.cpu_count() or 1) + 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, many):
+            pool_workers(workers)
+            got = pooled_layer_ops(dtype, norm, activation)
+            assert got.keys() == blocked.keys()
+            for name, want in blocked.items():
+                assert got[name].dtype == dtype, name
+                assert np.array_equal(got[name], want), (workers, name)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool._pool[0] == many  # the last ops ran on the largest pool
+    # Blocks change the summation order only: whole ops agree to rounding.
+    monkeypatch.setattr(model, "MATMUL_MIN_MACS", 1 << 62)
+    monkeypatch.setattr(model, "ROWWISE_MIN_ELEMS", 1 << 62)
+    whole = pooled_layer_ops(dtype, norm, activation)
+    assert len(model._rowwise_blocks(whole["norm"])) == 1
+    # Column sums over 4,099 rows cancel, so the bound scales with each array's largest entry.
+    rtol = 1e-4 if dtype == np.float32 else 1e-12
+    for name, want in whole.items():
+        atol = rtol * 0.1 * float(np.abs(want).max())
+        np.testing.assert_allclose(blocked[name], want, rtol=rtol, atol=atol, err_msg=name)

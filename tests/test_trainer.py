@@ -61,15 +61,17 @@ def test_rerun_is_bit_identical(tiny_cfg):
     assert r1.metrics == r2.metrics
 
 
-def test_attention_worker_count_leaves_weights_unchanged(tiny_cfg, attn_workers):
-    # Every attention call runs on the pool here, whatever its size.
-    data = toy_dataset()
-    phase = quick_phase(token_budget=600)
+def test_attention_worker_count_leaves_weights_unchanged(tiny_cfg, pool_workers):
+    # Every pooled op (attention, linears, MLM head, norms, gate) runs in
+    # blocks on the pool here, whatever its size; microbatches of two
+    # 300-500 token members span two or more 512-row blocks.
+    data = toy_dataset(n=8, lo=300, hi=500)
+    phase = quick_phase(token_budget=3000)
     digests = []
-    for workers in (1, 2):
-        attn_workers(workers)
+    for workers in (1, 2, 3):
+        pool_workers(workers)
         digests.append(util.params_digest(run_mlm(tiny_cfg, data, phase).checkpoint.params))
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1] == digests[2]
 
 
 def test_seed_changes_trajectory(tiny_cfg):
