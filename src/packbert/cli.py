@@ -379,7 +379,7 @@ def cmd_bench(args) -> int:
 
 def cmd_inspect(args) -> int:
     from .config import arch_to_pairs, format_pairs
-    from .trainer import ProvenanceLog, load_checkpoint
+    from .trainer import load_checkpoint
 
     ckpt = load_checkpoint(args.ckpt)
     print(f"phase_id={ckpt.phase_id} step={ckpt.step} tokens_seen={ckpt.tokens_seen}")
@@ -392,20 +392,15 @@ def cmd_inspect(args) -> int:
     if ckpt.extra:
         print(f"extra={json.dumps(ckpt.extra, sort_keys=True)}")
     print(format_pairs(arch_to_pairs(ckpt.cfg)).rstrip())
-    if args.provenance:
-        log = ProvenanceLog.load(args.provenance)
-        print(f"provenance: {len(log)} records")
-        if len(log):
-            first, last = log[0], log[len(log) - 1]
-            print(
-                f"  first: step={first.step} tokens={first.token_count} "
-                f"ids={list(first.sequence_ids)}"
-            )
-            print(
-                f"  last:  step={last.step} tokens={last.token_count} "
-                f"ids={list(last.sequence_ids)}"
-            )
-    return 0
+    log = ckpt.provenance
+    steps = f" steps {log[0].step}..{log[len(log) - 1].step}" if len(log) else ""
+    try:
+        log.verify(ckpt.phase.seed)
+        verdict = "ok"
+    except TrainingError as e:
+        verdict = f"FAILED ({e})"
+    print(f"provenance: {len(log)} records{steps} verify={verdict}")
+    return 0 if verdict == "ok" else 3
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +520,8 @@ def build_parser() -> _Parser:
     p.add_argument("--spread-as-variance", action="store_true",
                    help="read the spread figure as a variance, not a std")
 
-    p = add("inspect", cmd_inspect, "print checkpoint and provenance metadata")
+    p = add("inspect", cmd_inspect, "print checkpoint metadata and verify its provenance log")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--provenance", default=None)
 
     return parser
 

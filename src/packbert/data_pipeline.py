@@ -2,7 +2,7 @@
 
 Text comes in as plain files where one blank line separates paragraphs and
 two or more blank lines separate documents. Token sequences go out as a
-length-prefixed binary stream the trainer consumes directly.
+tensor_store container of flat tokens plus lengths, which the trainer reads.
 """
 
 from __future__ import annotations
@@ -10,13 +10,13 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .tensor_store import read_tensors, write_tensors
 from .tokenizer import Vocab, count_tokens, encode
 
 _DOC_SPLIT = re.compile(r"\n[ \t]*\n(?:[ \t]*\n)+")
@@ -195,38 +195,30 @@ def compose_report(dataset) -> dict:
 # ---------------------------------------------------------------------------
 # Token sequence files
 
-SEQ_MAGIC = b"PBSEQ001"
+SEQ_FORMAT = "packbert-sequences"
 
 
 def write_sequences(path, sequences) -> None:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "wb") as f:
-        f.write(SEQ_MAGIC)
-        for seq in sequences:
-            arr = np.ascontiguousarray(np.asarray(seq, dtype=np.int32))
-            if arr.ndim != 1:
-                raise DataError("sequences must be one-dimensional")
-            f.write(struct.pack("<I", arr.size))
-            f.write(arr.astype("<i4", copy=False).tobytes())
+    """Store sequences as one flat int32 token tensor plus their int32 lengths."""
+    arrs = [np.asarray(seq, dtype=np.int32) for seq in sequences]
+    if any(arr.ndim != 1 for arr in arrs):
+        raise DataError("sequences must be one-dimensional")
+    tokens = np.concatenate(arrs) if arrs else np.zeros(0, dtype=np.int32)
+    lengths = np.array([arr.size for arr in arrs], dtype=np.int32)
+    write_tensors(path, {"tokens": tokens, "lengths": lengths}, {"format": SEQ_FORMAT})
 
 
 def read_sequences(path) -> list[np.ndarray]:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read sequence file {path}: {e}") from e
-    if raw[: len(SEQ_MAGIC)] != SEQ_MAGIC:
-        raise DataError(f"{path} is not a sequence file (bad magic)")
-    off = len(SEQ_MAGIC)
-    out = []
-    while off < len(raw):
-        if off + 4 > len(raw):
-            raise DataError(f"{path} is truncated at a length prefix")
-        (n,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        if off + 4 * n > len(raw):
-            raise DataError(f"{path} is truncated inside a sequence")
-        out.append(np.frombuffer(raw, dtype="<i4", count=n, offset=off).copy())
-        off += 4 * n
-    return out
+    tensors, meta = read_tensors(path)
+    tokens, lengths = tensors.get("tokens"), tensors.get("lengths")
+    if (
+        meta.get("format") != SEQ_FORMAT
+        or sorted(tensors) != ["lengths", "tokens"]
+        or {tokens.dtype, lengths.dtype} != {np.dtype(np.int32)}
+        or (tokens.ndim, lengths.ndim) != (1, 1)
+        or (lengths.size and lengths.min() < 0)
+        or lengths.sum(dtype=np.int64) != tokens.size
+    ):
+        raise DataError(f"{path} is not a consistent sequence file")
+    ends = np.cumsum(lengths, dtype=np.int64).tolist()
+    return [tokens[end - n : end] for n, end in zip(lengths.tolist(), ends)]

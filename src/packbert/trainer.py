@@ -3,7 +3,9 @@
 One (seed, dataset) pair fixes the epoch shuffles, the batch membership,
 every mask draw and every dropout mask, and therefore every parameter bit.
 Each optimizer step appends a provenance record naming the sequences it
-consumed, so a checkpoint can be audited or replayed exactly.
+consumed. Every checkpoint stores the run's whole log beside the weights in
+one tensor_store container, so it can be audited or replayed exactly, and a
+resumed run continues its checkpoint's log.
 
 The same engine drives masked-token pretraining (MLM and its shifted
 variant), span extraction fine-tuning, and contrastive embedding
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,8 +86,6 @@ def _record_digest(seed: int, step: int, ids) -> str:
 class ProvenanceLog:
     """Append-only record of which sequences fed each optimizer step."""
 
-    MAGIC = b"PBLOG001"
-
     def __init__(self, records=()):
         self.records: list[ProvenanceRecord] = list(records)
 
@@ -111,52 +110,6 @@ class ProvenanceLog:
                     f"provenance digest mismatch at step {rec.step}; log does not replay"
                 )
 
-    def save(self, path) -> None:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "wb") as f:
-            f.write(self.MAGIC)
-            for rec in self.records:
-                ids = rec.sequence_ids
-                payload = struct.pack("<QQI", rec.step, rec.token_count, len(ids))
-                payload += struct.pack(f"<{len(ids)}Q", *ids) if ids else b""
-                payload += bytes.fromhex(rec.digest)
-                f.write(struct.pack("<I", len(payload)))
-                f.write(payload)
-
-    @classmethod
-    def load(cls, path) -> "ProvenanceLog":
-        try:
-            raw = Path(path).read_bytes()
-        except OSError as e:
-            raise DataError(f"cannot read provenance log {path}: {e}") from e
-        if raw[: len(cls.MAGIC)] != cls.MAGIC:
-            raise DataError(f"{path} is not a provenance log (bad magic)")
-        off = len(cls.MAGIC)
-        records = []
-        while off < len(raw):
-            if off + 4 > len(raw):
-                raise DataError(f"{path} is truncated at record boundary")
-            (plen,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            if off + plen > len(raw):
-                raise DataError(f"{path} is truncated inside a record")
-            step_no, token_count, n = struct.unpack_from("<QQI", raw, off)
-            ids = struct.unpack_from(f"<{n}Q", raw, off + 20)
-            digest = raw[off + 20 + 8 * n : off + plen].hex()
-            if len(digest) != 32:
-                raise DataError(f"{path} has a malformed digest at step {step_no}")
-            records.append(
-                ProvenanceRecord(
-                    step=step_no,
-                    token_count=token_count,
-                    sequence_ids=tuple(int(i) for i in ids),
-                    digest=digest,
-                )
-            )
-            off += plen
-        return cls(records)
-
 
 # ---------------------------------------------------------------------------
 # Checkpoints
@@ -175,16 +128,57 @@ class Checkpoint:
     pos_in_epoch: int  # sequences already drawn from the current epoch order
     consumed: int  # sequence instances consumed across all epochs
     dataset_digest: str
-    n_provenance: int
+    n_provenance: int  # must equal len(provenance)
     extra: dict = field(default_factory=dict)
+    provenance: ProvenanceLog = field(default_factory=ProvenanceLog)  # the run's full history
 
 
 def _copy_tensors(d: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in d.items()}
 
 
+_PROVENANCE_KEYS = ("step", "tokens", "n_ids", "ids", "digest")
+
+
+def _provenance_tensors(log: ProvenanceLog) -> dict[str, np.ndarray]:
+    """The log as int32/uint8 tensors; per-step token counts fit int32, running totals may not."""
+    recs = log.records
+    cumulative = np.array([r.token_count for r in recs], dtype=np.int64)
+    digests = b"".join(bytes.fromhex(r.digest) for r in recs)
+    return {
+        "provenance/step": np.array([r.step for r in recs], dtype=np.int32),
+        "provenance/tokens": np.diff(cumulative, prepend=0).astype(np.int32),
+        "provenance/n_ids": np.array([len(r.sequence_ids) for r in recs], dtype=np.int32),
+        "provenance/ids": np.array([i for r in recs for i in r.sequence_ids], dtype=np.int32),
+        "provenance/digest": np.frombuffer(digests, dtype=np.uint8).reshape(-1, 16),
+    }
+
+
+def _provenance_from_tensors(prov: dict[str, np.ndarray], path) -> ProvenanceLog:
+    if sorted(prov) != sorted(_PROVENANCE_KEYS):
+        raise DataError(f"{path} has provenance tensors {sorted(prov)}")
+    steps, tokens, n_ids, ids, digest = (prov[k] for k in _PROVENANCE_KEYS)
+    n, n_flat = steps.size, int(n_ids.sum(dtype=np.int64))
+    if (
+        {a.dtype for a in (steps, tokens, n_ids, ids)} != {np.dtype(np.int32)}
+        or digest.dtype != np.uint8
+        or (steps.shape, tokens.shape, n_ids.shape, digest.shape, ids.shape)
+        != ((n,), (n,), (n,), (n, 16), (n_flat,))
+        or (n and n_ids.min() < 0)
+    ):
+        raise DataError(f"{path} has an inconsistent provenance log")
+    ends = np.cumsum(n_ids, dtype=np.int64)
+    bounds = zip((ends - n_ids).tolist(), ends.tolist())
+    counts = np.cumsum(tokens, dtype=np.int64).tolist()
+    flat = ids.tolist()
+    return ProvenanceLog(
+        ProvenanceRecord(step, count, tuple(flat[lo:hi]), bytes(d).hex())
+        for step, count, (lo, hi), d in zip(steps.tolist(), counts, bounds, digest)
+    )
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    tensors: dict[str, np.ndarray] = {}
+    tensors = _provenance_tensors(ckpt.provenance)
     for name, arr in ckpt.params.items():
         tensors[f"params/{name}"] = arr
     for name, arr in ckpt.opt.m.items():
@@ -193,7 +187,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         tensors[f"opt.v/{name}"] = arr
     meta = {
         "format": "packbert-checkpoint",
-        "version": 1,
+        "version": 2,
         "phase_id": ckpt.phase_id,
         "arch": format_pairs(arch_to_pairs(ckpt.cfg)),
         "phase": format_pairs(phase_to_pairs(ckpt.phase)),
@@ -222,18 +216,18 @@ def load_checkpoint(path) -> Checkpoint:
     tensors, meta = read_tensors(path)
     if meta.get("format") != "packbert-checkpoint":
         raise DataError(f"{path} is not a checkpoint (format {meta.get('format')!r})")
-    params, m, v = {}, {}, {}
+    groups = {"params": {}, "opt.m": {}, "opt.v": {}, "provenance": {}}
     for name, arr in tensors.items():
         group, _, rest = name.partition("/")
-        if group == "params":
-            params[rest] = arr
-        elif group == "opt.m":
-            m[rest] = arr
-        elif group == "opt.v":
-            v[rest] = arr
-        else:
+        if group not in groups:
             raise DataError(f"{path} has unexpected tensor group {group!r}")
+        groups[group][rest] = arr
+    params, m, v = groups["params"], groups["opt.m"], groups["opt.v"]
+    provenance = _provenance_from_tensors(groups["provenance"], path)
     counters = meta["counters"]
+    if int(counters["n_provenance"]) != len(provenance):
+        raise DataError(f"{path} counts {counters['n_provenance']} provenance records, "
+                        f"holds {len(provenance)}")
     opt_meta = meta["opt"]
     opt = OptState(
         m=m,
@@ -255,8 +249,9 @@ def load_checkpoint(path) -> Checkpoint:
         pos_in_epoch=int(counters["pos_in_epoch"]),
         consumed=int(counters["consumed"]),
         dataset_digest=meta["dataset_digest"],
-        n_provenance=int(counters["n_provenance"]),
+        n_provenance=len(provenance),
         extra=meta.get("extra", {}),
+        provenance=provenance,
     )
 
 
@@ -295,7 +290,7 @@ class DirectView:
 class TrainResult:
     checkpoint: Checkpoint
     checkpoints: list[Checkpoint]
-    provenance: ProvenanceLog
+    provenance: ProvenanceLog  # this call's records only; a resume excludes the prior ones
     metrics: list[tuple[int, int, float, float]]  # (step, tokens, loss, lr)
     view: object = None
 
@@ -366,7 +361,8 @@ def _train_loop(
     next_mark = (tokens_seen // interval + 1) * interval if interval else None
     budget = phase.token_budget
     order = _epoch_order(phase.seed, epoch, n_items)
-    prov = ProvenanceLog()
+    prov = ProvenanceLog(resume_from.provenance.records if resume_from is not None else ())
+    prior = len(prov)  # a resume continues its checkpoint's log
     metrics: list[tuple[int, int, float, float]] = []
     snapshots: list[Checkpoint] = []
     out_path = Path(out_dir) if out_dir is not None else None
@@ -392,15 +388,14 @@ def _train_loop(
             pos_in_epoch=pos,
             consumed=consumed,
             dataset_digest=data_digest,
-            n_provenance=(resume_from.n_provenance if resume_from else 0) + len(prov),
+            n_provenance=len(prov),
             extra={**base_extra, **view.extra_meta()},
+            provenance=ProvenanceLog(prov.records),
         )
 
     def emit(ckpt: Checkpoint, name: str) -> None:
-        if out_path is None:
-            return
-        save_checkpoint(ckpt, out_path / name)
-        prov.save(out_path / "provenance.bin")
+        if out_path is not None:
+            save_checkpoint(ckpt, out_path / name)
 
     metrics_file = None
     if out_path is not None:
@@ -476,7 +471,7 @@ def _train_loop(
     return TrainResult(
         checkpoint=final,
         checkpoints=snapshots,
-        provenance=prov,
+        provenance=ProvenanceLog(prov.records[prior:]),
         metrics=metrics,
         view=view,
     )

@@ -45,13 +45,6 @@ def derived_seed(seed: int, purpose: int, index: int = 0) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def blake_hex(*chunks: bytes, digest_size: int = 16) -> str:
-    h = hashlib.blake2b(digest_size=digest_size)
-    for c in chunks:
-        h.update(c)
-    return h.hexdigest()
-
-
 def dataset_digest(sequences) -> str:
     """Order-sensitive fingerprint of a token dataset.
 

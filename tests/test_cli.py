@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, help, and end-to-end happy paths."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import packbert
 from packbert.cli import main
 from packbert.data_pipeline import read_sequences
 from packbert.tokenizer import save_vocab, toy_vocab
-from packbert.trainer import load_checkpoint
+from packbert.trainer import load_checkpoint, save_checkpoint
 
 SUBCOMMANDS = (
     "tokenize", "dedup", "filter", "split-long", "pretrain", "extend",
@@ -89,7 +90,6 @@ def trained(workspace):
     ckpt = out / "ckpt_final.pbt"
     assert ckpt.exists()
     assert (out / "metrics.txt").exists()
-    assert (out / "provenance.bin").exists()
     return {"out": out, "ckpt": ckpt, **workspace}
 
 
@@ -205,13 +205,25 @@ def test_pretrain_reports_progress(trained, capsys):
 
 
 def test_inspect_prints_metadata(trained, capsys):
-    rc = main(["inspect", "--ckpt", str(trained["ckpt"]),
-               "--provenance", str(trained["out"] / "provenance.bin")])
+    rc = main(["inspect", "--ckpt", str(trained["ckpt"])])
     out = capsys.readouterr().out
     assert rc == 0
     assert "phase_id=" in out
     assert "dataset_digest=" in out
-    assert "provenance:" in out
+    n = load_checkpoint(trained["ckpt"]).n_provenance
+    assert f"provenance: {n} records steps 1..{n} verify=ok" in out
+
+
+def test_inspect_reports_tampered_provenance(trained, capsys):
+    ckpt = load_checkpoint(trained["ckpt"])
+    first = ckpt.provenance.records[0]
+    ckpt.provenance.records[0] = dataclasses.replace(
+        first, sequence_ids=tuple(reversed(first.sequence_ids)))
+    path = trained["root"] / "tampered.pbt"
+    save_checkpoint(ckpt, path)
+    rc = main(["inspect", "--ckpt", str(path)])
+    assert rc == 3
+    assert "verify=FAILED" in capsys.readouterr().out
 
 
 def test_extend_rewrites_geometry_only(trained, capsys):

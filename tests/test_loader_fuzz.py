@@ -1,0 +1,83 @@
+"""Seeded fuzz of every loader: a damaged file is refused with DataError, never accepted."""
+
+import numpy as np
+import pytest
+
+from packbert import model
+from packbert.adapters import init_adapters, load_adapters, save_adapters
+from packbert.cli import main
+from packbert.data_pipeline import read_sequences, write_sequences
+from packbert.errors import DataError
+from packbert.trainer import load_checkpoint, train_mlm
+
+from conftest import quick_phase
+
+CASES = 400
+
+
+def _damaged(raw: bytes, rng) -> bytes:
+    """Half the cases truncate the file, half flip one byte somewhere in it."""
+    if rng.random() < 0.5:
+        return raw[: int(rng.integers(0, len(raw)))]
+    out = bytearray(raw)
+    out[int(rng.integers(0, len(raw)))] ^= int(rng.integers(1, 256))
+    return bytes(out)
+
+
+def _checkpoint(cfg, path):
+    rng = np.random.default_rng(3)
+    data = [rng.integers(5, 256, size=int(rng.integers(5, 20)), dtype=np.int32)
+            for _ in range(8)]
+    result = train_mlm(model.init_params(cfg, seed=0), cfg, data,
+                       quick_phase(token_budget=200), mask_id=4,
+                       special_ids=frozenset(range(5)), out_dir=path.parent)
+    assert len(result.provenance) > 0
+    return path.parent / "ckpt_final.pbt"
+
+
+def _adapters(cfg, path):
+    params = model.init_params(cfg, seed=0)
+    save_adapters(init_adapters(params, cfg, rank=2, alpha=4.0, seed=1), path)
+    return path
+
+
+def _sequences(cfg, path):
+    rng = np.random.default_rng(5)
+    write_sequences(path, [rng.integers(0, 256, size=int(rng.integers(1, 30)),
+                                        dtype=np.int32) for _ in range(40)])
+    return path
+
+
+@pytest.mark.parametrize("make, load", [
+    pytest.param(_checkpoint, load_checkpoint, id="checkpoint"),
+    pytest.param(_adapters, load_adapters, id="adapters"),
+    pytest.param(_sequences, read_sequences, id="sequences"),
+])
+def test_every_damaged_file_raises_data_error(tiny_cfg, tmp_path, make, load):
+    good = make(tiny_cfg, tmp_path / "src" / "file.pbt")
+    load(good)
+    raw = good.read_bytes()
+    rng = np.random.default_rng(2024)
+    target = tmp_path / "damaged.pbt"
+    accepted, other = [], []
+    for case in range(CASES):
+        target.write_bytes(_damaged(raw, rng))
+        try:
+            load(target)
+        except DataError:
+            continue
+        except Exception as e:  # any other exception type is a failure to report
+            other.append((case, repr(e)))
+        else:
+            accepted.append(case)
+    assert accepted == [] and other == []
+
+
+def test_inspect_exits_2_on_damaged_checkpoint(tiny_cfg, tmp_path, capsys):
+    good = _checkpoint(tiny_cfg, tmp_path / "src" / "file.pbt")
+    raw = bytearray(good.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    bad = tmp_path / "bad.pbt"
+    bad.write_bytes(bytes(raw))
+    assert main(["inspect", "--ckpt", str(bad)]) == 2
+    assert "data error" in capsys.readouterr().err

@@ -1,7 +1,9 @@
-"""Binary tensor container: round-trips and corruption detection."""
+"""Binary tensor container: round-trips, corruption detection, atomic writes."""
 
 import json
+import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ def test_roundtrip_mixed_tensors(tmp_path):
     tensors = {
         "weights/a": rng.normal(size=(3, 5)).astype(np.float32),
         "weights/b": rng.integers(-9, 9, size=7).astype(np.int32),
+        "digests": rng.integers(0, 256, size=(2, 16)).astype(np.uint8),
         "scalar": np.array([1.5], dtype=np.float32),
     }
     meta = {"kind": "test", "lr": 0.000125, "nested": {"x": 1}}
@@ -124,3 +127,74 @@ def test_non_contiguous_input_stored_correctly(tmp_path):
     write_tensors(path, {"v": view}, {})
     back, _ = read_tensors(path)
     np.testing.assert_array_equal(back["v"], view)
+
+
+def _rewrite_header(path, edit):
+    """Apply edit to the parsed header and re-seal the file with a valid checksum."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+    start = len(MAGIC) + 4
+    header = json.loads(raw[start : start + hlen])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    body = MAGIC + struct.pack("<I", len(new)) + new + raw[start + hlen : -4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _entry(i, **kw):
+    return lambda h: h["tensors"][i].update(kw)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda h: h.pop("tensors"), id="no-tensor-list"),
+    pytest.param(lambda h: h.update(tensors={"a": 1}), id="tensors-not-list"),
+    pytest.param(lambda h: h.update(meta=[]), id="meta-not-dict"),
+    pytest.param(lambda h: h["tensors"][0].pop("nbytes"), id="missing-key"),
+    pytest.param(_entry(1, name="a"), id="duplicate-name"),
+    pytest.param(lambda h: h["tensors"].pop(), id="trailing-data"),
+    pytest.param(lambda h: h.update(tensors=[5, 6]), id="entry-not-dict"),
+    pytest.param(_entry(0, dtype="<f8"), id="float64"),
+    pytest.param(_entry(0, dtype=["<f4"]), id="dtype-not-str"),
+    pytest.param(_entry(0, shape=[2, "3"]), id="shape-not-int"),
+    pytest.param(_entry(0, shape=[-4]), id="negative-dim"),
+    pytest.param(_entry(0, shape=7), id="shape-not-list"),
+    pytest.param(_entry(0, nbytes=12), id="nbytes-mismatch"),
+    pytest.param(_entry(1, offset=0), id="overlap"),
+    pytest.param(_entry(1, offset=20, nbytes=4, shape=[1]), id="past-end"),
+    pytest.param(_entry(0, name=3), id="name-not-str"),
+])
+def test_malformed_header_entries_rejected(tmp_path, edit):
+    path = tmp_path / "t.pbt"
+    write_tensors(path, {"a": np.ones(4, dtype=np.float32),
+                         "b": np.ones(2, dtype=np.int32)}, {})
+    _rewrite_header(path, edit)
+    with pytest.raises(DataError):
+        read_tensors(path)
+
+
+def test_checksum_covers_every_byte(tmp_path):
+    path = tmp_path / "t.pbt"
+    write_tensors(path, {"x": np.arange(6, dtype=np.float32)}, {"k": 1})
+    raw = path.read_bytes()
+    assert struct.unpack("<I", raw[-4:])[0] == zlib.crc32(raw[:-4])
+    for i in range(len(raw)):
+        flipped = bytearray(raw)
+        flipped[i] ^= 0x01
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(DataError):
+            read_tensors(path)
+
+
+def test_failed_write_keeps_old_file_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "t.pbt"
+    write_tensors(path, {"x": np.ones(3, dtype=np.float32)}, {"v": 1})
+    old = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("simulated crash")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        write_tensors(path, {"x": np.zeros(3, dtype=np.float32)}, {"v": 2})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["t.pbt"]

@@ -1,6 +1,8 @@
 """Training engine: determinism, provenance, resume, and the task heads."""
 
 import logging
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,22 +180,26 @@ def test_provenance_verify_and_tamper_detection(tiny_cfg):
         tampered.verify(phase.seed)
 
 
-def test_provenance_file_roundtrip(tiny_cfg, tmp_path):
+def test_checkpoint_provenance_roundtrip(tiny_cfg, tmp_path):
     result = run_mlm(tiny_cfg, toy_dataset(), quick_phase(token_budget=500))
-    path = tmp_path / "prov.bin"
-    result.provenance.save(path)
-    assert ProvenanceLog.load(path) == result.provenance
+    ck = result.checkpoint
+    assert ck.provenance == result.provenance
+    assert ck.n_provenance == len(result.provenance) > 0
+    path = tmp_path / "ck.pbt"
+    save_checkpoint(ck, path)
+    back = load_checkpoint(path)
+    assert back.provenance == result.provenance
+    assert back.n_provenance == len(result.provenance)
+    back.provenance.verify(ck.phase.seed)
 
 
-def test_provenance_load_rejects_garbage(tmp_path):
-    bad = tmp_path / "not_a_log.bin"
-    bad.write_bytes(b"GARBAGE!" + b"\x00" * 10)
+def test_checkpoint_provenance_count_must_match(tiny_cfg, tmp_path):
+    ck = run_mlm(tiny_cfg, toy_dataset(), quick_phase(token_budget=300)).checkpoint
+    ck.n_provenance += 1
+    path = tmp_path / "ck.pbt"
+    save_checkpoint(ck, path)
     with pytest.raises(DataError):
-        ProvenanceLog.load(bad)
-    trunc = tmp_path / "trunc.bin"
-    trunc.write_bytes(ProvenanceLog.MAGIC + b"\xff\xff\xff\x7f")
-    with pytest.raises(DataError):
-        ProvenanceLog.load(trunc)
+        load_checkpoint(path)
 
 
 # --- checkpoints ---
@@ -227,7 +233,7 @@ def test_output_dir_contents(tiny_cfg, tmp_path):
             out_dir=tmp_path, checkpoint_interval_tokens=300)
     names = {p.name for p in tmp_path.iterdir()}
     assert "ckpt_final.pbt" in names
-    assert "provenance.bin" in names
+    assert "provenance.bin" not in names  # the log lives inside each checkpoint
     assert "metrics.txt" in names
     assert any(n.startswith("ckpt_step") for n in names)
     lines = (tmp_path / "metrics.txt").read_text().strip().splitlines()
@@ -308,6 +314,51 @@ def test_resume_reproduces_uninterrupted_run(tiny_cfg, tmp_path):
     # uninterrupted history.
     stitched = list(half.provenance.records) + list(resumed.provenance.records)
     assert stitched == list(full.provenance.records)
+
+
+def _steps_phase(steps):
+    # toy_dataset(lo=10, hi=11) members are 10 tokens: 40 tokens per 4-member step.
+    return quick_phase(token_budget=40 * steps, batch_tokens_or_sequences=4)
+
+
+def test_resume_into_same_dir_keeps_full_provenance(tiny_cfg, tmp_path):
+    data = toy_dataset(n=8, lo=10, hi=11)
+    run_mlm(tiny_cfg, data, _steps_phase(12), out_dir=tmp_path)
+    half = load_checkpoint(tmp_path / "ckpt_final.pbt")
+    assert half.n_provenance == 12
+    half.phase = _steps_phase(24)
+    resumed = resume_masked(half, data, mask_id=MASK_ID, special_ids=SPECIALS,
+                            out_dir=tmp_path)
+    full = run_mlm(tiny_cfg, data, _steps_phase(24))
+    assert len(resumed.provenance) == 12
+    assert len(full.provenance) == 24
+    back = load_checkpoint(tmp_path / "ckpt_final.pbt")
+    assert back.n_provenance == 24
+    assert back.provenance == full.provenance
+    back.provenance.verify(back.phase.seed)
+
+
+def test_failed_checkpoint_write_leaves_previous_checkpoint(tiny_cfg, tmp_path, monkeypatch):
+    real_replace = os.replace
+    targets = []
+
+    def crash_on_second(src, dst):
+        targets.append(Path(dst).name)
+        if len(targets) == 2:
+            raise OSError("simulated crash before the rename")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_on_second)
+    with pytest.raises(OSError, match="simulated crash"):
+        run_mlm(tiny_cfg, toy_dataset(n=8, lo=10, hi=11), _steps_phase(12),
+                out_dir=tmp_path, checkpoint_interval_tokens=160)
+    first, second = targets
+    assert (first, second) == ("ckpt_step00000004.pbt", "ckpt_step00000008.pbt")
+    ck = load_checkpoint(tmp_path / first)
+    assert [r.step for r in ck.provenance.records] == [1, 2, 3, 4]
+    assert ck.n_provenance == 4
+    ck.provenance.verify(ck.phase.seed)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first, "metrics.txt"]
 
 
 def test_resume_refuses_different_dataset(tiny_cfg):
