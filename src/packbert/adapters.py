@@ -16,13 +16,13 @@ import numpy as np
 
 from .config import ArchConfig
 from .errors import ConfigError, DataError
-from .tensor_store import read_tensors, write_tensors
+from .tensor_store import meta_entry, read_tensors, write_tensors
 from .trainer import Checkpoint, TrainResult, _copy_tensors, train_masked
 
 logger = logging.getLogger("packbert.adapters")
 
-# Per-layer matrix roles an adapter may attach to.
-DEFAULT_TARGETS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ffn.wu", "ffn.wd")
+# Per-layer matrix roles an adapter attaches to.
+TARGETS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ffn.wu", "ffn.wd")
 
 
 @dataclass
@@ -38,9 +38,9 @@ class AdapterSet:
         return self.alpha / self.rank
 
 
-def target_names(cfg: ArchConfig, targets=DEFAULT_TARGETS) -> list[str]:
+def target_names(cfg: ArchConfig) -> list[str]:
     return [
-        f"layers.{layer}.{role}" for layer in range(cfg.n_layers) for role in targets
+        f"layers.{layer}.{role}" for layer in range(cfg.n_layers) for role in TARGETS
     ]
 
 
@@ -50,15 +50,13 @@ def init_adapters(
     *,
     rank: int = 16,
     alpha: float = 32.0,
-    targets=DEFAULT_TARGETS,
     phase_tag: str = "",
     seed: int = 0,
-    init_std: float = 0.02,
 ) -> AdapterSet:
-    """Fresh zero-delta adapter pairs for every targeted matrix."""
+    """Fresh zero-delta adapter pairs for every targeted matrix: A ~ N(0, 0.02), B = 0."""
     if rank < 1:
         raise ConfigError(f"rank must be >= 1, got {rank}")
-    names = target_names(cfg, targets)
+    names = target_names(cfg)
     missing = [n for n in names if n not in params]
     if missing:
         raise ConfigError(f"adapter targets missing from params: {missing[:3]}")
@@ -66,13 +64,13 @@ def init_adapters(
     tensors = {}
     for name in sorted(names):
         w = params[name]
-        a = rng.normal(0.0, init_std, size=(w.shape[0], rank)).astype(w.dtype)
+        a = rng.normal(0.0, 0.02, size=(w.shape[0], rank)).astype(w.dtype)
         b = np.zeros((rank, w.shape[1]), dtype=w.dtype)
         tensors[name] = (a, b)
     return AdapterSet(
         rank=rank,
         alpha=float(alpha),
-        targets=tuple(targets),
+        targets=TARGETS,
         phase_tag=phase_tag,
         tensors=tensors,
     )
@@ -178,7 +176,6 @@ def train_mntp_adapter(
     special_ids,
     rank: int = 16,
     alpha: float = 32.0,
-    targets=DEFAULT_TARGETS,
     phase_tag: str = "ext1",
     adapter_seed: int = 0,
     **kwargs,
@@ -197,7 +194,6 @@ def train_mntp_adapter(
         cfg,
         rank=rank,
         alpha=alpha,
-        targets=targets,
         phase_tag=phase_tag,
         seed=adapter_seed,
     )
@@ -249,11 +245,14 @@ def load_adapters(path) -> AdapterSet:
         if set(ab) != {"A", "B"}:
             raise DataError(f"{path} is missing half of the pair for {name}")
         tensors_out[name] = (ab["A"], ab["B"])
+    targets = meta_entry(meta, "targets", list, path)
+    if not all(isinstance(t, str) for t in targets):
+        raise DataError(f"{path} has non-string adapter targets")
     return AdapterSet(
-        rank=int(meta["rank"]),
-        alpha=float(meta["alpha"]),
-        targets=tuple(meta["targets"]),
-        phase_tag=meta.get("phase_tag", ""),
+        rank=meta_entry(meta, "rank", int, path),
+        alpha=float(meta_entry(meta, "alpha", float, path)),
+        targets=tuple(targets),
+        phase_tag=meta_entry(meta, "phase_tag", str, path),
         tensors=tensors_out,
     )
 

@@ -3,7 +3,8 @@
 Reports seconds per million tokens with dispersion over repetitions. The
 denominator is always the real token count; padding waste shows up as
 time, not as extra credited tokens. A correctness probe comparing both
-paths on one batch runs before any timing.
+paths on one batch runs before any timing. In a "normal:MEAN:SPREAD" spec
+the spread is the standard deviation of the document lengths.
 """
 
 from __future__ import annotations
@@ -27,19 +28,17 @@ class SyntheticSpec:
     kind: str  # fixed | normal
     length: int = 0  # fixed only
     mean: float = 0.0  # normal only
-    spread: float = 0.0  # std by default; variance when spread_is_std is off
-    spread_is_std: bool = True
+    spread: float = 0.0  # standard deviation, normal only
     n_docs: int = 8192
     seed: int = 0
 
     def describe(self) -> str:
         if self.kind == "fixed":
             return f"fixed:{self.length}"
-        tag = "std" if self.spread_is_std else "var"
-        return f"normal:{self.mean:g}:{self.spread:g}({tag})"
+        return f"normal:{self.mean:g}:{self.spread:g}(std)"
 
 
-def parse_spec(text: str, *, n_docs: int = 8192, seed: int = 0, spread_is_std=True):
+def parse_spec(text: str, *, n_docs: int = 8192, seed: int = 0):
     """Parse "fixed:512" or "normal:256:8" into a SyntheticSpec."""
     parts = text.split(":")
     try:
@@ -52,7 +51,6 @@ def parse_spec(text: str, *, n_docs: int = 8192, seed: int = 0, spread_is_std=Tr
                 kind="normal",
                 mean=float(parts[1]),
                 spread=float(parts[2]),
-                spread_is_std=spread_is_std,
                 n_docs=n_docs,
                 seed=seed,
             )
@@ -82,10 +80,9 @@ def gen_synthetic(
             )
         lengths = np.full(spec.n_docs, spec.length, dtype=np.int64)
     elif spec.kind == "normal":
-        std = spec.spread if spec.spread_is_std else float(np.sqrt(spec.spread))
-        if spec.mean < 1 or std < 0:
+        if spec.mean < 1 or spec.spread < 0:
             raise ConfigError(f"need mean >= 1 and spread >= 0, got {spec}")
-        draw = rng.normal(spec.mean, std, size=spec.n_docs)
+        draw = rng.normal(spec.mean, spec.spread, size=spec.n_docs)
         hi = max_len if max_len is not None else None
         lengths = np.rint(draw).astype(np.int64)
         lengths = np.clip(lengths, 1, hi)
@@ -214,7 +211,6 @@ def measure(
     reps: int = 10,
     model_id: str = "",
     spec_label: str = "",
-    spread_note: str | None = None,
     probe: bool = True,
 ) -> ThroughputReport:
     """Time one execution path over the full dataset, reps times plus warmup."""
@@ -226,8 +222,6 @@ def measure(
         raise ConfigError("cannot time an empty dataset")
     token_count = int(sum(len(s) for s in dataset))
     notes = {}
-    if spread_note:
-        notes["spread_reading"] = spread_note
 
     budget = batch_budget
     for _ in range(8):

@@ -219,10 +219,12 @@ def cmd_embed_train(args) -> int:
 
     ckpt = load_checkpoint(args.ckpt)
     vocab = load_vocab(args.vocab)
+    try:
+        lines = Path(args.data).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read triplets {args.data}: {e}") from e
     triplets = []
-    for lineno, line in enumerate(
-        Path(args.data).read_text(encoding="utf-8").splitlines(), 1
-    ):
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
@@ -346,12 +348,7 @@ def cmd_bench(args) -> int:
     paths = ("padded", "packed") if args.path == "both" else (args.path,)
     reports = []
     for spec_text in args.spec:
-        spec = parse_spec(
-            spec_text,
-            n_docs=args.n_docs,
-            seed=args.seed,
-            spread_is_std=not args.spread_as_variance,
-        )
+        spec = parse_spec(spec_text, n_docs=args.n_docs, seed=args.seed)
         dataset = gen_synthetic(
             spec,
             cfg.vocab_size,
@@ -368,7 +365,6 @@ def cmd_bench(args) -> int:
                 reps=args.reps,
                 model_id=model_id,
                 spec_label=spec.describe(),
-                spread_note="std" if spec.spread_is_std else "variance",
             )
             reports.append(rep)
             print(rep.to_line())
@@ -517,8 +513,6 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--n-docs", type=int, default=8192)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spread-as-variance", action="store_true",
-                   help="read the spread figure as a variance, not a std")
 
     p = add("inspect", cmd_inspect, "print checkpoint metadata and verify its provenance log")
     p.add_argument("--ckpt", required=True)

@@ -9,7 +9,9 @@ suite.
 
 Configs serialize to a flat ``key = value`` text format (UTF-8, ``#``
 comments).  Unknown keys are rejected so typos fail loudly.  Presets
-round-trip through the file format bit-exactly.
+round-trip through the format bit-exactly.  A job file holds both halves
+under ``preset``/``arch.*`` and ``train.*`` keys; ``read_job_config`` reads
+it.
 """
 
 from __future__ import annotations
@@ -410,26 +412,6 @@ def phase_from_pairs(pairs: dict[str, str]) -> TrainPhaseConfig:
     return phase
 
 
-def write_arch_config(cfg: ArchConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_pairs(arch_to_pairs(cfg)))
-
-
-def read_arch_config(path) -> ArchConfig:
-    with open(path, encoding="utf-8") as fh:
-        return arch_from_pairs(parse_kv_text(fh.read()))
-
-
-def write_phase_config(phase: TrainPhaseConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_pairs(phase_to_pairs(phase)))
-
-
-def read_phase_config(path) -> TrainPhaseConfig:
-    with open(path, encoding="utf-8") as fh:
-        return phase_from_pairs(parse_kv_text(fh.read()))
-
-
 def read_job_config(path) -> tuple[ArchConfig | None, TrainPhaseConfig | None]:
     """Read a combined job file.
 
@@ -438,8 +420,12 @@ def read_job_config(path) -> tuple[ArchConfig | None, TrainPhaseConfig | None]:
     for the phase.  Returns (arch, phase); each half is None when no keys of
     its kind are present.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = parse_kv_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
+    raw = parse_kv_text(text)
     arch_pairs: dict[str, str] = {}
     phase_pairs: dict[str, str] = {}
     preset_name: str | None = None

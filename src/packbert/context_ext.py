@@ -1,19 +1,17 @@
 """Long-context adaptation: swap the global rotation base, then keep training.
 
 Extension touches no learned tensor. It only changes how positions are
-rotated on global-attention layers and how long an input may be; the
-follow-up training phases do the actual adaptation work.
+rotated on global-attention layers and how long an input may be. The
+follow-up training phases do the actual adaptation work; they are ordinary
+``trainer`` runs on the extended config.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .config import ArchConfig, TrainPhaseConfig
+from .config import ArchConfig
 from .errors import ConfigError
-from .trainer import TrainResult, train_masked
-
-EXTENSION_PHASES = ("ext1", "ext2")
 
 
 def extend(
@@ -37,37 +35,3 @@ def extend(
         cfg, rope_theta_global=float(new_theta), max_seq_len=int(new_max_len)
     )
     return params, new_cfg
-
-
-def run_phase(
-    params: dict,
-    cfg: ArchConfig,
-    phase_id: str,
-    dataset,
-    phase: TrainPhaseConfig,
-    *,
-    mask_id: int,
-    special_ids,
-    **kwargs,
-) -> TrainResult:
-    """Continue masked-token training under an extension phase's settings.
-
-    The phase config carries the schedule split: the first phase runs at a
-    constant rate, the second decays by 1 - sqrt(fraction) over its final
-    decay_tokens. Both are plain trainer runs tagged with the phase id.
-    """
-    if phase_id not in EXTENSION_PHASES:
-        raise ConfigError(
-            f"unknown extension phase {phase_id!r}; expected one of {EXTENSION_PHASES}"
-        )
-    return train_masked(
-        params,
-        cfg,
-        dataset,
-        phase,
-        objective="mlm",
-        mask_id=mask_id,
-        special_ids=special_ids,
-        phase_id=phase_id,
-        **kwargs,
-    )

@@ -5,13 +5,13 @@ Parameters live in a flat ``dict[str, np.ndarray]`` keyed by dotted names
 PackedBatch and can retain per-layer caches; ``backward`` consumes those
 caches and returns a gradient dict with the same keys.  A separate padded
 path (``forward_padded``) executes conventional dense attention over
-(batch, max_len) tensors for the throughput benchmark and equivalence tests.
+(batch, max_len) tensors, PAD slots included, for the throughput benchmark
+and as the oracle of the packed≡padded equivalence tests.
 
 Architecture per ArchConfig: pre- or post-norm residual blocks, gated
 feed-forward (up-projection to 2x intermediate, split into gate/value,
 activation(gate) * value, down-projection), rotary positions with per-layer
 theta, alternating global/sliding-window attention, optional causal masking.
-Linear layers carry no biases unless bias tensors were created at init.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ArchConfig
-from .packing import MaskSpec, PackedBatch
+from .packing import MaskSpec, PackedBatch, mask_matrix
 from .rope import apply_rope, build_rope_table
 from . import kernels, pool
-from .attention import attention_padded
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -35,7 +34,7 @@ _PHILOX_STREAM = 0xD1B54A32D192ED03
 # --- parameter construction -------------------------------------------------
 
 
-def param_shapes(cfg: ArchConfig, tied: bool = True, linear_bias: bool = False) -> dict[str, tuple]:
+def param_shapes(cfg: ArchConfig, tied: bool = True) -> dict[str, tuple]:
     h, f, v = cfg.hidden, cfg.intermediate, cfg.vocab_size
     shapes: dict[str, tuple] = {"tok_emb": (v, h)}
     ln = cfg.norm == "layer_norm"
@@ -43,13 +42,8 @@ def param_shapes(cfg: ArchConfig, tied: bool = True, linear_bias: bool = False) 
         p = f"layers.{i}"
         for w in ("wq", "wk", "wv", "wo"):
             shapes[f"{p}.attn.{w}"] = (h, h)
-            if linear_bias:
-                shapes[f"{p}.attn.{w}_b"] = (h,)
         shapes[f"{p}.ffn.wu"] = (h, 2 * f)
         shapes[f"{p}.ffn.wd"] = (f, h)
-        if linear_bias:
-            shapes[f"{p}.ffn.wu_b"] = (2 * f,)
-            shapes[f"{p}.ffn.wd_b"] = (h,)
         for n in ("norm1", "norm2"):
             shapes[f"{p}.{n}.scale"] = (h,)
             if ln:
@@ -68,16 +62,15 @@ def init_params(
     seed: int = 0,
     tied: bool = True,
     dtype=np.float32,
-    linear_bias: bool = False,
 ) -> dict[str, np.ndarray]:
     """Scaled normal init: std 0.02, output projections shrunk by 1/sqrt(2L)."""
     rng = np.random.default_rng(seed)
     out_std = 0.02 / math.sqrt(2.0 * cfg.n_layers)
     params: dict[str, np.ndarray] = {}
-    for name, shape in sorted(param_shapes(cfg, tied, linear_bias).items()):
+    for name, shape in sorted(param_shapes(cfg, tied).items()):
         if name.endswith(".scale"):
             params[name] = np.ones(shape, dtype=dtype)
-        elif name.endswith((".offset", "_b")):
+        elif name.endswith(".offset"):
             params[name] = np.zeros(shape, dtype=dtype)
         else:
             std = out_std if name.endswith((".wo", ".wd")) else 0.02
@@ -96,9 +89,7 @@ def zeros_like_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 def validate_params(params: dict[str, np.ndarray], cfg: ArchConfig) -> list[str]:
     """Shape/finiteness check against the config; returns violations."""
     v: list[str] = []
-    tied = is_tied(params)
-    bias = any(k.endswith("_b") for k in params)
-    expected = param_shapes(cfg, tied=tied, linear_bias=bias)
+    expected = param_shapes(cfg, tied=is_tied(params))
     for name, shape in expected.items():
         if name not in params:
             v.append(f"missing tensor {name}")
@@ -351,9 +342,6 @@ def _norm_backward(dy, cache, params, prefix, cfg, grads):
 
 def _linear(x, params, name, extra):
     y = _matmul(x, params[name])
-    b = params.get(name + "_b")
-    if b is not None:
-        y = y + b
     if extra is not None and name in extra:
         a_mat, b_mat, s = extra[name]
         y = y + ((x @ a_mat) @ b_mat) * s
@@ -362,8 +350,6 @@ def _linear(x, params, name, extra):
 
 def _linear_backward(dy, x, params, name, grads):
     grads[name] += _matmul_tn(x, dy)
-    if name + "_b" in params:
-        grads[name + "_b"] += dy.sum(axis=0)
     return _matmul(dy, params[name].T)
 
 
@@ -594,6 +580,36 @@ def backward(
     return grads
 
 
+def padded_mask(max_len: int, lengths: np.ndarray, spec: MaskSpec) -> np.ndarray:
+    """(batch, max_len, max_len) boolean mask for the padded path.
+
+    A real query attends to allowed(i, j) among real keys.  PAD rows keep a
+    self-connection so their softmax stays finite; their outputs are never
+    read.
+    """
+    base = mask_matrix(max_len, spec)  # (L, L)
+    key_ok = np.arange(max_len)[None, :] < np.asarray(lengths)[:, None]  # (B, L)
+    mask = base[None, :, :] & key_ok[:, None, :]
+    diag = np.eye(max_len, dtype=bool)
+    return mask | diag[None, :, :]
+
+
+def attention_padded(q, k, v, lengths, spec: MaskSpec, scale: float):
+    """Dense attention over padded tensors: q, k, v are (batch, heads, L, D).
+
+    Every slot costs compute, PAD included; this is the conventional padded
+    execution model.
+    """
+    mask = padded_mask(q.shape[2], lengths, spec)[:, None, :, :]  # (B,1,L,L)
+    scores = (q @ np.swapaxes(k, 2, 3)) * scale
+    neg = np.array(-np.inf, dtype=scores.dtype)
+    scores = np.where(mask, scores, neg)
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs @ v
+
+
 def forward_padded(
     params: dict[str, np.ndarray],
     cfg: ArchConfig,
@@ -641,7 +657,7 @@ def forward_padded(
         q = apply_rope(q, positions, table)
         k = apply_rope(k, positions, table)
         spec = _layer_spec(cfg, i)
-        ctx = attention_padded(q, k, v, lengths, spec, scale=scale)
+        ctx = attention_padded(q, k, v, lengths, spec, scale)
         merged = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(bsz * max_len, cfg.hidden)
         a = _linear(merged, params, f"{p}.attn.wo", None)
         if pre:
@@ -684,15 +700,6 @@ def span_logits_vjp(d_start, d_end, hidden, params, grads):
     d_scores = np.stack([d_start, d_end], axis=1).astype(hidden.dtype)
     grads["span_head.w"] += hidden.T @ d_scores
     return d_scores @ params["span_head.w"].T
-
-
-def pool_mean(hidden: np.ndarray, valid_positions) -> np.ndarray:
-    """Mean of hidden rows at the given positions (boolean mask or indices)."""
-    valid = np.asarray(valid_positions)
-    rows = hidden[valid]
-    if rows.shape[0] == 0:
-        raise ValueError("pool_mean requires at least one valid position")
-    return rows.mean(axis=0)
 
 
 def pool_mean_packed(hidden: np.ndarray, boundaries: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ def build_haystack(
     if pool_lens is None:
         pool_lens = [len(encode(p, vocab, add_specials=False)) for p in pool]
     total = len(needle_ids)
-    chosen = []
+    chosen, chosen_lens = [], []
     if want and len(pool):
         for idx in rng.permutation(len(pool)):
             if len(chosen) == want:
@@ -135,15 +135,15 @@ def build_haystack(
             if total + pool_lens[int(idx)] > token_cap:
                 break
             chosen.append(cand)
+            chosen_lens.append(pool_lens[int(idx)])
             total += pool_lens[int(idx)]
 
     paras = [pair.needle] + chosen
+    lens = [len(needle_ids)] + chosen_lens
     order = rng.permutation(len(paras))
     arranged = tuple(paras[int(i)] for i in order)
     needle_index = int(np.flatnonzero(order == 0)[0])
-    offset = sum(
-        len(encode(p, vocab, add_specials=False)) for p in arranged[:needle_index]
-    )
+    offset = sum(lens[int(i)] for i in order[:needle_index])
     return HaystackExample(
         question=pair.question,
         paragraphs=arranged,

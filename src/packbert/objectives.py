@@ -1,5 +1,8 @@
 """Training objectives: MLM masking and loss, MNTP targets, InfoNCE.
 
+``info_nce`` scores each query against in-batch negatives: every other
+query's positive, plus any explicit negatives.
+
 Loss functions return analytic gradients alongside the scalar so training
 never needs a general autodiff graph.
 """
@@ -128,14 +131,12 @@ def info_nce(
     positive_vecs: np.ndarray,
     negative_vecs: np.ndarray | None = None,
     temperature: float = 0.05,
-    in_batch_negatives: bool = True,
     with_grads: bool = False,
 ):
     """Contrastive loss: each query against its positive vs the other candidates.
 
     Candidates per query: all in-batch positives (own positive is the target
-    class) plus all explicit negatives.  With in_batch_negatives=False only
-    the query's own positive and the explicit negatives participate.
+    class) plus all explicit negatives, as in LLM2Vec's contrastive step.
     Similarities are cosine divided by ``temperature``; loss is the mean
     cross-entropy.  With with_grads=True returns
     (loss, d_query, d_positive, d_negative).
@@ -161,48 +162,24 @@ def info_nce(
     if n is not None:
         nh, nn = _normalize_rows(n, "negatives")
 
-    if in_batch_negatives:
-        cand = np.concatenate([ph, nh]) if n is not None else ph
-        gold = np.arange(b)
-    else:
-        # candidate 0 is the own positive, the rest are explicit negatives
-        if n is None:
-            raise ValueError("need explicit negatives when in_batch_negatives=False")
-        cand = None
-        gold = np.zeros(b, dtype=np.int64)
-
-    if in_batch_negatives:
-        sims = (qh @ cand.T) / temperature
-        logp = _log_softmax(sims)
-        loss = -logp[np.arange(b), gold].mean()
-        if not with_grads:
-            return float(loss)
-        soft = np.exp(logp)
-        soft[np.arange(b), gold] -= 1.0
-        soft /= b
-        d_qh = (soft @ cand) / temperature
-        d_cand = (soft.T @ qh) / temperature
-        d_ph = d_cand[:b]
-        d_nh = d_cand[b:] if n is not None else None
-    else:
-        own = (qh * ph).sum(axis=1, keepdims=True)
-        sims = np.concatenate([own, qh @ nh.T], axis=1) / temperature
-        logp = _log_softmax(sims)
-        loss = -logp[:, 0].mean()
-        if not with_grads:
-            return float(loss)
-        soft = np.exp(logp)
-        soft[:, 0] -= 1.0
-        soft /= b
-        d_qh = (soft[:, :1] * ph + soft[:, 1:] @ nh) / temperature
-        d_ph = soft[:, :1] * qh / temperature
-        d_nh = (soft[:, 1:].T @ qh) / temperature
+    cand = np.concatenate([ph, nh]) if n is not None else ph
+    gold = np.arange(b)
+    sims = (qh @ cand.T) / temperature
+    logp = _log_softmax(sims)
+    loss = -logp[gold, gold].mean()
+    if not with_grads:
+        return float(loss)
+    soft = np.exp(logp)
+    soft[gold, gold] -= 1.0
+    soft /= b
+    d_qh = (soft @ cand) / temperature
+    d_cand = (soft.T @ qh) / temperature
 
     def back_through_norm(d_hat, x_hat, norm):
         inner = (d_hat * x_hat).sum(axis=-1, keepdims=True)
         return (d_hat - x_hat * inner) / norm
 
     d_q = back_through_norm(d_qh, qh, qn)
-    d_p = back_through_norm(d_ph, ph, pn)
-    d_n = back_through_norm(d_nh, nh, nn) if n is not None else None
+    d_p = back_through_norm(d_cand[:b], ph, pn)
+    d_n = back_through_norm(d_cand[b:], nh, nn) if n is not None else None
     return float(loss), d_q, d_p, d_n

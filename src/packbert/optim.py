@@ -49,20 +49,18 @@ def step(
     state: OptState,
     lr: float,
     clipping: bool = True,
-    param_filter=None,
 ) -> tuple[dict[str, np.ndarray], OptState]:
-    """One optimizer step, in place.  ``param_filter`` limits which tensors move."""
+    """One optimizer step over every tensor in ``params``, in place."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
-    names = [k for k in params if param_filter is None or param_filter(k)]
-    for k in names:
+    for k in params:
         if not np.all(np.isfinite(grads[k])):
             raise TrainingError(f"non-finite gradient for {k!r}; step refused")
     b1, b2 = state.betas
     state.t += 1
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for k in names:
+    for k in params:
         g = grads[k]
         m = state.m[k]
         v = state.v[k]

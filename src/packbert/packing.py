@@ -62,13 +62,12 @@ def allowed(i: int, j: int, spec: MaskSpec) -> bool:
     return j <= i
 
 
-def mask_matrix(n: int, spec: MaskSpec, n_queries: int | None = None) -> np.ndarray:
-    """Boolean (n_queries, n) matrix of allowed(i, j); True = attend."""
-    nq = n if n_queries is None else n_queries
-    i = np.arange(nq)[:, None]
+def mask_matrix(n: int, spec: MaskSpec) -> np.ndarray:
+    """Boolean (n, n) matrix of allowed(i, j); True = attend."""
+    i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     if spec.kind == "global_bidirectional":
-        return np.ones((nq, n), dtype=bool)
+        return np.ones((n, n), dtype=bool)
     if spec.kind == "sliding_window":
         return np.abs(i - j) <= spec.window // 2
     return j <= i

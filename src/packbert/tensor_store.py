@@ -6,7 +6,10 @@ the data region), the raw tensor bytes, then a little-endian u32 CRC-32 of
 every byte before it. Checkpoints with their provenance log, adapter files
 and token sequence files all use it. Writes go to a temporary file that is
 fsynced and then renamed over the target, so readers see the old file or
-the whole new one; a bad magic, checksum or header raises DataError.
+the whole new one; the directory is fsynced after the rename, so the new
+file survives a power loss. A bad magic, checksum or header raises
+DataError, and so does a missing or mistyped metadata entry read through
+``meta_entry``.
 """
 
 from __future__ import annotations
@@ -60,6 +63,12 @@ def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    # The rename lives in the directory: sync it too, or a power loss may undo it.
+    fd = os.open(out.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def read_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -76,6 +85,19 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         return _parse(raw, end)
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path} has a malformed header: {e!r}") from e
+
+
+def meta_entry(meta: dict, key: str, kind: type, path):
+    """``meta[key]`` if it is a ``kind`` (an int counts as a float, a bool as
+    neither); else DataError naming the entry."""
+    value = meta.get(key)
+    kinds = (int, float) if kind is float else kind
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise DataError(
+            f"{path} has a missing or malformed {key!r} entry (want {kind.__name__}, "
+            f"got {type(value).__name__})"
+        )
+    return value
 
 
 def _parse(raw: bytes, end: int) -> tuple[dict[str, np.ndarray], dict]:

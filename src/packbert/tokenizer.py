@@ -2,7 +2,7 @@
 
 Text is split on whitespace; each word is consumed left to right by the
 longest vocabulary piece that matches, where pieces after the first must
-carry the continuation prefix ("##" by default).  A word with no full
+carry the continuation prefix "##".  A word with no full
 decomposition becomes a single UNK.  Each ``Vocab`` memoises the pieces of
 the words it has seen, so a repeated word is matched once.  All token
 counting in the data pipeline and dataset builders goes through this module.
@@ -11,12 +11,13 @@ counting in the data pipeline and dataset builders goes through this module.
 from __future__ import annotations
 
 import re
-import unicodedata
 from dataclasses import dataclass, field
 
 from .errors import DataError
 
 SPECIAL_PIECES = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
+# Marks a piece that continues a word rather than starting one.
+CONTINUATION = "##"
 # \s is str.isspace() for str patterns, so words split where the text splits.
 _WORD = re.compile(r"\S+")
 # Words a Vocab memoises at most; later new words are matched every time.
@@ -28,9 +29,6 @@ class Vocab:
     """Immutable piece table.  Ids are dense: id = line number in vocab.txt."""
 
     pieces: tuple[str, ...]
-    continuation_prefix: str = "##"
-    normalize_nfc: bool = False
-    lowercase: bool = False
     piece_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     # word -> (token ids, characters each token covers)
     memo: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = field(
@@ -78,15 +76,18 @@ class Vocab:
         return frozenset(self.piece_to_id[s] for s in SPECIAL_PIECES)
 
 
-def load_vocab(path, **kwargs) -> Vocab:
+def load_vocab(path) -> Vocab:
     """Read a newline-delimited vocab file (UTF-8); line number = id."""
-    with open(path, encoding="utf-8") as fh:
-        pieces = tuple(line.rstrip("\n") for line in fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            pieces = tuple(line.rstrip("\n") for line in fh)
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read vocab {path}: {e}") from e
     while pieces and pieces[-1] == "":
         pieces = pieces[:-1]
     if not pieces:
         raise DataError(f"empty vocab file: {path}")
-    return Vocab(pieces=pieces, **kwargs)
+    return Vocab(pieces=pieces)
 
 
 def save_vocab(vocab: Vocab, path) -> None:
@@ -95,19 +96,10 @@ def save_vocab(vocab: Vocab, path) -> None:
             fh.write(piece + "\n")
 
 
-def _normalize(text: str, vocab: Vocab) -> str:
-    if vocab.normalize_nfc:
-        text = unicodedata.normalize("NFC", text)
-    if vocab.lowercase:
-        text = text.lower()
-    return text
-
-
 def _match_word(word: str, vocab: Vocab) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Greedy longest-match decomposition of one word, as (ids, characters
     each piece covers), or None if stuck."""
     table = vocab.piece_to_id
-    prefix = vocab.continuation_prefix
     ids: list[int] = []
     lengths: list[int] = []
     pos = 0
@@ -118,7 +110,7 @@ def _match_word(word: str, vocab: Vocab) -> tuple[tuple[int, ...], tuple[int, ..
         while end > pos:
             candidate = word[pos:end]
             if pos > 0:
-                candidate = prefix + candidate
+                candidate = CONTINUATION + candidate
             hit = table.get(candidate)
             if hit is not None:
                 found = hit
@@ -149,16 +141,13 @@ def encode_with_offsets(
 
     Spans index into the original text; special tokens get empty spans.
     A word that falls back to UNK contributes one token spanning the word.
-    Offsets are computed before normalization, so they are only exact when
-    normalization is off (the default).
     """
-    norm = _normalize(text, vocab)
     ids: list[int] = []
     spans: list[tuple[int, int]] = []
     if add_specials:
         ids.append(vocab.cls_id)
         spans.append((0, 0))
-    for m in _WORD.finditer(norm):
+    for m in _WORD.finditer(text):
         word_ids, lengths = _word_pieces(m.group(), vocab)
         ids.extend(word_ids)
         cursor = m.start()
@@ -167,7 +156,7 @@ def encode_with_offsets(
             cursor += length
     if add_specials:
         ids.append(vocab.sep_id)
-        spans.append((len(norm), len(norm)))
+        spans.append((len(text), len(text)))
     return ids, spans
 
 
@@ -184,7 +173,6 @@ def decode(ids, vocab: Vocab, skip_specials: bool = True) -> str:
     """Reconstruct text: pieces joined by spaces, continuations attached."""
     words: list[str] = []
     specials = vocab.special_ids
-    prefix = vocab.continuation_prefix
     for raw in ids:
         i = int(raw)
         if i < 0 or i >= vocab.size:
@@ -192,8 +180,8 @@ def decode(ids, vocab: Vocab, skip_specials: bool = True) -> str:
         if skip_specials and i in specials:
             continue
         piece = vocab.pieces[i]
-        if piece.startswith(prefix) and words:
-            words[-1] += piece[len(prefix):]
+        if piece.startswith(CONTINUATION) and words:
+            words[-1] += piece[len(CONTINUATION):]
         else:
             words.append(piece)
     return " ".join(words)

@@ -47,7 +47,7 @@ from .model import (
 from .objectives import info_nce, mlm_loss, mlm_mask, mntp_targets, _log_softmax
 from .optim import OptState, lr_at, step as opt_step
 from .packing import pack
-from .tensor_store import read_tensors, write_tensors
+from .tensor_store import meta_entry, read_tensors, write_tensors
 from .util import (
     PURPOSE_DROP,
     PURPOSE_MASK,
@@ -177,6 +177,9 @@ def _provenance_from_tensors(prov: dict[str, np.ndarray], path) -> ProvenanceLog
     )
 
 
+_COUNTER_KEYS = ("step", "tokens_seen", "epoch", "pos_in_epoch", "consumed", "n_provenance")
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     tensors = _provenance_tensors(ckpt.provenance)
     for name, arr in ckpt.params.items():
@@ -224,33 +227,42 @@ def load_checkpoint(path) -> Checkpoint:
         groups[group][rest] = arr
     params, m, v = groups["params"], groups["opt.m"], groups["opt.v"]
     provenance = _provenance_from_tensors(groups["provenance"], path)
-    counters = meta["counters"]
-    if int(counters["n_provenance"]) != len(provenance):
-        raise DataError(f"{path} counts {counters['n_provenance']} provenance records, "
+    counters = meta_entry(meta, "counters", dict, path)
+    count = {k: meta_entry(counters, k, int, path) for k in _COUNTER_KEYS}
+    if count["n_provenance"] != len(provenance):
+        raise DataError(f"{path} counts {count['n_provenance']} provenance records, "
                         f"holds {len(provenance)}")
-    opt_meta = meta["opt"]
+    opt_meta = meta_entry(meta, "opt", dict, path)
+    beta1, beta2, eps, weight_decay = (
+        float(meta_entry(opt_meta, k, float, path)) for k in ("beta1", "beta2", "eps", "weight_decay")
+    )
     opt = OptState(
         m=m,
         v=v,
-        t=int(opt_meta["t"]),
-        betas=(float(opt_meta["beta1"]), float(opt_meta["beta2"])),
-        eps=float(opt_meta["eps"]),
-        weight_decay=float(opt_meta["weight_decay"]),
+        t=meta_entry(opt_meta, "t", int, path),
+        betas=(beta1, beta2),
+        eps=eps,
+        weight_decay=weight_decay,
     )
+    try:
+        cfg = arch_from_pairs(parse_kv_text(meta_entry(meta, "arch", str, path)))
+        phase = phase_from_pairs(parse_kv_text(meta_entry(meta, "phase", str, path)))
+    except ConfigError as e:
+        raise DataError(f"{path} holds an invalid configuration: {e}") from e
     return Checkpoint(
         params=params,
         opt=opt,
-        cfg=arch_from_pairs(parse_kv_text(meta["arch"])),
-        phase=phase_from_pairs(parse_kv_text(meta["phase"])),
-        phase_id=meta["phase_id"],
-        step=int(counters["step"]),
-        tokens_seen=int(counters["tokens_seen"]),
-        epoch=int(counters["epoch"]),
-        pos_in_epoch=int(counters["pos_in_epoch"]),
-        consumed=int(counters["consumed"]),
-        dataset_digest=meta["dataset_digest"],
+        cfg=cfg,
+        phase=phase,
+        phase_id=meta_entry(meta, "phase_id", str, path),
+        step=count["step"],
+        tokens_seen=count["tokens_seen"],
+        epoch=count["epoch"],
+        pos_in_epoch=count["pos_in_epoch"],
+        consumed=count["consumed"],
+        dataset_digest=meta_entry(meta, "dataset_digest", str, path),
         n_provenance=len(provenance),
-        extra=meta.get("extra", {}),
+        extra=meta_entry(meta, "extra", dict, path),
         provenance=provenance,
     )
 
@@ -617,10 +629,6 @@ def train_mlm(params, cfg, dataset, phase, **kwargs) -> TrainResult:
     return train_masked(params, cfg, dataset, phase, objective="mlm", **kwargs)
 
 
-def train_mntp(params, cfg, dataset, phase, **kwargs) -> TrainResult:
-    return train_masked(params, cfg, dataset, phase, objective="mntp", **kwargs)
-
-
 def resume_masked(
     checkpoint: Checkpoint,
     dataset,
@@ -705,12 +713,8 @@ def train_span_qa(
     examples,
     phase: TrainPhaseConfig,
     *,
-    dropout_rate: float = 0.0,
-    phase_id: str = "span_qa",
-    checkpoint_interval_tokens: int = 0,
     max_epochs: int = 0,
     out_dir=None,
-    resume_from: Checkpoint | None = None,
 ) -> TrainResult:
     """Fine-tune start/end span extraction with per-document cross-entropy."""
     if len(examples) == 0:
@@ -734,16 +738,7 @@ def train_span_qa(
         for lo in range(0, len(items), micro):
             part = items[lo : lo + micro]
             packed = pack([exs[g].ids for g, _ in part])
-            seeds = [derived_seed(phase.seed, PURPOSE_DROP, inst) for _, inst in part]
-            out = forward(
-                live,
-                cfg,
-                packed,
-                train=True,
-                dropout_rate=dropout_rate,
-                seq_seeds=seeds,
-                want_cache=True,
-            )
+            out = forward(live, cfg, packed, want_cache=True)
             start_sc, end_sc = span_logits(out.hidden, live)
             golds = [(exs[g].start, exs[g].end) for g, _ in part]
             part_loss, d_start, d_end = span_batch_loss(
@@ -763,12 +758,10 @@ def train_span_qa(
         phase,
         lengths=[e.ids.size for e in exs],
         compute=compute,
-        phase_id=phase_id,
+        phase_id="span_qa",
         data_digest=digest,
-        checkpoint_interval_tokens=checkpoint_interval_tokens,
         max_epochs=max_epochs,
         out_dir=out_dir,
-        resume_from=resume_from,
         extra_meta={"objective": "span_qa"},
     )
 
@@ -844,12 +837,8 @@ def train_embedder(
     phase: TrainPhaseConfig,
     *,
     temperature: float = 0.05,
-    phase_id: str = "embed",
-    checkpoint_interval_tokens: int = 0,
     max_epochs: int = 0,
     out_dir=None,
-    resume_from: Checkpoint | None = None,
-    view=None,
 ) -> TrainResult:
     """Contrastive fine-tune over mean-pooled embeddings.
 
@@ -858,8 +847,7 @@ def train_embedder(
     splitting would change the candidate set, so it is not applied here.
     """
     trips = _check_triplets(triplets, cfg, phase)
-    if view is None:
-        view = DirectView(_copy_tensors(params))
+    view = DirectView(_copy_tensors(params))
     live = view.model_params
 
     def compute(items, grads):
@@ -872,7 +860,6 @@ def train_embedder(
             p,
             negs if negs.shape[0] else None,
             temperature=temperature,
-            in_batch_negatives=True,
             with_grads=True,
         )
         parts = [d_q, d_p]
@@ -891,12 +878,10 @@ def train_embedder(
         phase,
         lengths=[_triplet_tokens(t) for t in trips],
         compute=compute,
-        phase_id=phase_id,
+        phase_id="embed",
         data_digest=_triplet_digest(trips),
-        checkpoint_interval_tokens=checkpoint_interval_tokens,
         max_epochs=max_epochs,
         out_dir=out_dir,
-        resume_from=resume_from,
         extra_meta={"objective": "embed", "temperature": temperature},
     )
 

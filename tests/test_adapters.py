@@ -7,7 +7,7 @@ import pytest
 
 from packbert import config, model
 from packbert.adapters import (
-    DEFAULT_TARGETS,
+    TARGETS,
     AdapterSet,
     AdapterView,
     adapter_delta,
@@ -40,7 +40,7 @@ def toy_dataset(n=8, seed=0):
 
 def test_target_names_cover_all_layers(tiny_cfg):
     names = target_names(tiny_cfg)
-    assert len(names) == tiny_cfg.n_layers * len(DEFAULT_TARGETS)
+    assert len(names) == tiny_cfg.n_layers * len(TARGETS)
     assert "layers.0.attn.wq" in names
     assert f"layers.{tiny_cfg.n_layers - 1}.ffn.wd" in names
 

@@ -1,5 +1,5 @@
 """Attention kernels: dense oracles, block edges, worker pool, isolation,
-causal witnesses."""
+causal witnesses, and the padded path's dense attention."""
 
 import os
 import sys
@@ -10,11 +10,24 @@ import numpy as np
 import pytest
 
 from packbert import kernels, pool
-from packbert.attention import attention, attention_padded, attention_vjp, padded_mask
-from packbert.packing import CAUSAL_SPEC, GLOBAL_SPEC, MaskSpec, mask_matrix, pack
+from packbert.model import attention_padded, padded_mask
+from packbert.packing import CAUSAL_SPEC, GLOBAL_SPEC, MaskSpec, mask_matrix
 
 WINDOW_SPEC = MaskSpec("sliding_window", window=8)
 ALL_SPECS = (GLOBAL_SPEC, WINDOW_SPEC, CAUSAL_SPEC)
+
+
+def attn(q, k, v, spec, boundaries, scale):
+    return kernels.attn_forward(q, k, v, boundaries, spec.code, spec.window, scale)
+
+
+def attn_vjp(q, k, v, d_out, spec, boundaries, scale):
+    return kernels.attn_backward(q, k, v, d_out, boundaries, spec.code, spec.window, scale)
+
+
+def whole(total):
+    """Boundaries of a single member of ``total`` tokens."""
+    return np.array([0, total], dtype=np.int64)
 
 
 def rand_qkv(rng, heads, total, dim, dtype=np.float32):
@@ -72,7 +85,7 @@ def test_forward_matches_brute_force(spec, boundaries):
     rng = np.random.default_rng(0)
     q, k, v = rand_qkv(rng, 2, 30, 16)
     scale = 1.0 / 4.0
-    got = attention(q, k, v, spec, boundaries, scale=scale)
+    got = attn(q, k, v, spec, boundaries, scale)
     want = brute_force(q, k, v, spec, boundaries, scale)
     np.testing.assert_allclose(got, want, atol=2e-6)
 
@@ -106,7 +119,7 @@ def edge_boundaries():
 def test_block_edges_forward_matches_brute_force(spec, dtype, edge_boundaries):
     rng = np.random.default_rng(14)
     q, k, v = rand_qkv(rng, 2, int(edge_boundaries[-1]), 16, dtype=dtype)
-    got = attention(q, k, v, spec, edge_boundaries, scale=0.25)
+    got = attn(q, k, v, spec, edge_boundaries, 0.25)
     assert got.dtype == dtype
     want = brute_force(q, k, v, spec, edge_boundaries, 0.25)
     np.testing.assert_allclose(got, want, rtol=0, atol=EDGE_TOL[dtype][0])
@@ -118,7 +131,7 @@ def test_block_edges_backward_matches_brute_force(spec, dtype, edge_boundaries):
     rng = np.random.default_rng(15)
     q, k, v = rand_qkv(rng, 2, int(edge_boundaries[-1]), 16, dtype=dtype)
     d_out = rng.normal(size=q.shape).astype(dtype)
-    got = attention_vjp(q, k, v, d_out, spec, edge_boundaries, scale=0.25)
+    got = attn_vjp(q, k, v, d_out, spec, edge_boundaries, 0.25)
     want = brute_force_vjp(q, k, v, d_out, spec, edge_boundaries, 0.25)
     for name, g, w in zip("qkv", got, want):
         assert g.dtype == dtype, name
@@ -132,7 +145,8 @@ def test_long_member_backward_matches_finite_differences(spec):
     h, t, d = 1, 300, 4
     q, k, v = (rng.normal(size=(h, t, d)) for _ in range(3))
     d_out = rng.normal(size=(h, t, d))
-    grads = dict(zip("qkv", attention_vjp(q, k, v, d_out, spec)))
+    b, scale = whole(t), 0.5
+    grads = dict(zip("qkv", attn_vjp(q, k, v, d_out, spec, b, scale)))
     eps = 1e-6
     for name in "qkv":
         for pos in (0, 127, 128, 200, 299):
@@ -143,7 +157,7 @@ def test_long_member_backward_matches_finite_differences(spec):
                 moved = inputs[name].copy()
                 moved[idx] += sign * eps
                 args = {**inputs, name: moved}
-                sides.append(float(np.sum(attention(args["q"], args["k"], args["v"], spec) * d_out)))
+                sides.append(float(np.sum(attn(args["q"], args["k"], args["v"], spec, b, scale) * d_out)))
             fd = (sides[0] - sides[1]) / (2 * eps)
             assert abs(fd - grads[name][idx]) <= 1e-6 * max(1.0, abs(fd)), (name, pos)
 
@@ -158,8 +172,8 @@ def test_global_memory_is_bounded_by_a_query_block(pool_workers):
         pool_workers(workers)
         tracemalloc.start()
         try:
-            attention(q, k, v, GLOBAL_SPEC)
-            attention_vjp(q, k, v, d_out, GLOBAL_SPEC)
+            attn(q, k, v, GLOBAL_SPEC, whole(4096), 0.25)
+            attn_vjp(q, k, v, d_out, GLOBAL_SPEC, whole(4096), 0.25)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -261,7 +275,7 @@ def test_single_position_returns_v():
     k = np.full((1, 1, 4), -2.0, dtype=np.float32)
     v = np.arange(4, dtype=np.float32).reshape(1, 1, 4)
     for spec in ALL_SPECS:
-        out = attention(q, k, v, spec)
+        out = attn(q, k, v, spec, whole(1), 0.5)
         np.testing.assert_allclose(out, v, atol=1e-7)
 
 
@@ -269,13 +283,13 @@ def test_member_isolation_witness(boundaries):
     # Perturbing every token of one member leaves the others bit-identical.
     rng = np.random.default_rng(3)
     q, k, v = rand_qkv(rng, 2, 30, 16)
-    base = attention(q, k, v, GLOBAL_SPEC, boundaries)
+    base = attn(q, k, v, GLOBAL_SPEC, boundaries, 0.25)
     q2, k2, v2 = q.copy(), k.copy(), v.copy()
     lo, hi = 7, 12  # member 1
     q2[:, lo:hi] += rng.normal(size=(2, hi - lo, 16)).astype(np.float32)
     k2[:, lo:hi] += rng.normal(size=(2, hi - lo, 16)).astype(np.float32)
     v2[:, lo:hi] += rng.normal(size=(2, hi - lo, 16)).astype(np.float32)
-    pert = attention(q2, k2, v2, GLOBAL_SPEC, boundaries)
+    pert = attn(q2, k2, v2, GLOBAL_SPEC, boundaries, 0.25)
     np.testing.assert_array_equal(base[:, :7], pert[:, :7])
     np.testing.assert_array_equal(base[:, 12:], pert[:, 12:])
     assert not np.array_equal(base[:, lo:hi], pert[:, lo:hi])
@@ -285,12 +299,13 @@ def test_causal_prefix_invariance_witness():
     # Output at i never changes when any j > i changes.
     rng = np.random.default_rng(4)
     q, k, v = rand_qkv(rng, 1, 12, 8)
-    base = attention(q, k, v, CAUSAL_SPEC)
+    b, scale = whole(12), 8 ** -0.5
+    base = attn(q, k, v, CAUSAL_SPEC, b, scale)
     for j in (5, 11):
         k2, v2 = k.copy(), v.copy()
         k2[:, j] += 1.0
         v2[:, j] -= 3.0
-        pert = attention(q, k2, v2, CAUSAL_SPEC)
+        pert = attn(q, k2, v2, CAUSAL_SPEC, b, scale)
         np.testing.assert_array_equal(base[:, :j], pert[:, :j])
         assert not np.array_equal(base[:, j:], pert[:, j:])
 
@@ -298,10 +313,11 @@ def test_causal_prefix_invariance_witness():
 def test_bidirectional_fails_prefix_invariance():
     rng = np.random.default_rng(5)
     q, k, v = rand_qkv(rng, 1, 12, 8)
-    base = attention(q, k, v, GLOBAL_SPEC)
+    b, scale = whole(12), 8 ** -0.5
+    base = attn(q, k, v, GLOBAL_SPEC, b, scale)
     k2 = k.copy()
     k2[:, 11] += 1.0
-    pert = attention(q, k2, v, GLOBAL_SPEC)
+    pert = attn(q, k2, v, GLOBAL_SPEC, b, scale)
     assert not np.array_equal(base[:, :11], pert[:, :11])
 
 
@@ -309,10 +325,11 @@ def test_sliding_window_boundary_inclusive():
     # window=8 means |i-j| <= 4; position 0 and 4 interact, 0 and 5 do not.
     rng = np.random.default_rng(6)
     q, k, v = rand_qkv(rng, 1, 10, 8)
-    base = attention(q, k, v, WINDOW_SPEC)
+    b, scale = whole(10), 8 ** -0.5
+    base = attn(q, k, v, WINDOW_SPEC, b, scale)
     v2 = v.copy()
     v2[:, 5] += 10.0
-    pert = attention(q, k, v2, WINDOW_SPEC)
+    pert = attn(q, k, v2, WINDOW_SPEC, b, scale)
     np.testing.assert_array_equal(base[:, 0], pert[:, 0])  # 5 out of range of 0
     assert not np.array_equal(base[:, 1], pert[:, 1])  # |1-5| = 4 in range
 
@@ -324,11 +341,12 @@ def test_backward_matches_finite_differences():
     b = np.array([0, 4, 9], dtype=np.int64)
     d_out = rng.normal(size=(h, t, d))
     spec = MaskSpec("sliding_window", window=4)
-    dq, dk, dv = attention_vjp(q, k, v, d_out, spec, b)
+    scale = 6 ** -0.5
+    dq, dk, dv = attn_vjp(q, k, v, d_out, spec, b, scale)
     eps = 1e-6
 
     def loss(q_, k_, v_):
-        return float(np.sum(attention(q_, k_, v_, spec, b) * d_out))
+        return float(np.sum(attn(q_, k_, v_, spec, b, scale) * d_out))
 
     for arr, grad, name in ((q, dq, "q"), (k, dk, "k"), (v, dv, "v")):
         idx = (0, int(rng.integers(t)), int(rng.integers(d)))
@@ -344,7 +362,7 @@ def test_backward_matches_finite_differences():
 def test_float64_stays_float64():
     rng = np.random.default_rng(8)
     q, k, v = rand_qkv(rng, 1, 6, 4, dtype=np.float64)
-    out = attention(q, k, v, GLOBAL_SPEC)
+    out = attn(q, k, v, GLOBAL_SPEC, whole(6), 0.5)
     assert out.dtype == np.float64
 
 
@@ -355,40 +373,6 @@ def test_unknown_kind_code_rejected():
         kernels.attn_forward(q, q, q, b, 7, 0, 1.0)
     with pytest.raises(ValueError):
         kernels.attn_backward(q, q, q, q, b, 7, 0, 1.0)
-
-
-def test_2d_inputs_squeeze():
-    rng = np.random.default_rng(9)
-    q, k, v = (rng.normal(size=(5, 4)).astype(np.float32) for _ in range(3))
-    out2 = attention(q, k, v, GLOBAL_SPEC)
-    out3 = attention(q[None], k[None], v[None], GLOBAL_SPEC)
-    assert out2.shape == (5, 4)
-    np.testing.assert_array_equal(out2, out3[0])
-
-
-def test_default_scale_is_inverse_sqrt_dim():
-    rng = np.random.default_rng(10)
-    q, k, v = rand_qkv(rng, 1, 7, 16)
-    a = attention(q, k, v, GLOBAL_SPEC)
-    b = attention(q, k, v, GLOBAL_SPEC, scale=0.25)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_bad_boundaries_rejected():
-    rng = np.random.default_rng(11)
-    q, k, v = rand_qkv(rng, 1, 6, 4)
-    for bad in ([0, 3], [1, 6], [0, 4, 3, 6], [0, 6, 6]):
-        with pytest.raises(ValueError):
-            attention(q, k, v, GLOBAL_SPEC, np.array(bad, dtype=np.int64))
-
-
-def test_mismatched_shapes_rejected():
-    q = np.zeros((1, 4, 8), dtype=np.float32)
-    k = np.zeros((1, 5, 8), dtype=np.float32)
-    with pytest.raises(ValueError):
-        attention(q, k, q.copy(), GLOBAL_SPEC)
-    with pytest.raises(ValueError):
-        attention(q, k[:, :4], np.zeros((1, 4, 6), dtype=np.float32), GLOBAL_SPEC)
 
 
 # --- packed vs padded equivalence ---
@@ -412,9 +396,10 @@ def test_packed_equals_padded(spec):
     total = sum(lengths)
     b = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     q, k, v = rand_qkv(rng, 2, total, 8)
-    packed = attention(q, k, v, spec, b)
+    scale = 8 ** -0.5
+    packed = attn(q, k, v, spec, b, scale)
     qp, kp, vp = (member_views(x, lengths) for x in (q, k, v))
-    padded = attention_padded(qp, kp, vp, np.array(lengths), spec)
+    padded = attention_padded(qp, kp, vp, np.array(lengths), spec, scale)
     lo = 0
     for i, n in enumerate(lengths):
         np.testing.assert_allclose(
@@ -439,6 +424,6 @@ def test_padded_pad_rows_produce_no_nan():
     rng = np.random.default_rng(13)
     lengths = [2, 5]
     qp = rng.normal(size=(2, 1, 5, 4)).astype(np.float32)
-    out = attention_padded(qp, qp, qp, np.array(lengths), GLOBAL_SPEC)
+    out = attention_padded(qp, qp, qp, np.array(lengths), GLOBAL_SPEC, 0.5)
     assert np.all(np.isfinite(out[0, :, :2]))
     assert np.all(np.isfinite(out))

@@ -33,11 +33,7 @@ def test_parse_normal_spec():
     assert spec.kind == "normal"
     assert spec.mean == 256.0
     assert spec.spread == 8.0
-    assert spec.spread_is_std
     assert spec.describe() == "normal:256:8(std)"
-    var = parse_spec("normal:256:64", spread_is_std=False)
-    assert not var.spread_is_std
-    assert var.describe() == "normal:256:64(var)"
 
 
 @pytest.mark.parametrize(
@@ -88,21 +84,6 @@ def test_gen_normal_length_laws():
     assert lens.max() <= 64
     # Truncation at 64 pulls the mean below 48; it should stay in range.
     assert 40 < lens.mean() < 50
-
-
-def test_gen_variance_reading_matches_std_reading():
-    a = gen_synthetic(
-        SyntheticSpec(kind="normal", mean=40.0, spread=5.0, n_docs=128, seed=2),
-        256,
-    )
-    b = gen_synthetic(
-        SyntheticSpec(
-            kind="normal", mean=40.0, spread=25.0, spread_is_std=False,
-            n_docs=128, seed=2,
-        ),
-        256,
-    )
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_gen_rejects_bad_specs():
@@ -229,14 +210,13 @@ def test_report_line_format(tiny_cfg):
     rep = measure(
         params, tiny_cfg, docs, "packed", reps=2,
         model_id="tiny_test", spec_label="fixed:8",
-        spread_note="std",
     )
     line = rep.to_line()
     assert line.startswith("model=tiny_test spec=fixed:8 path=packed tokens=16 ")
     assert "positions=16" in line
     assert "reps=2" in line
     assert "spmt_mean=" in line and "spmt_std=" in line
-    assert line.endswith("spread_reading=std")
+    assert line.endswith(f"spmt_std={rep.seconds_per_million_std:.6f}")
 
 
 def test_render_table_shape(tiny_cfg):

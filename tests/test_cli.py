@@ -123,6 +123,16 @@ def test_kernel_choice_option_is_rejected_before_output(workspace, capsys):
     assert not out.exists()
 
 
+def test_spread_reading_option_is_rejected_before_output(capsys):
+    # The spread of a normal:MEAN:SPREAD spec is always a standard deviation.
+    rc = main(["bench", "--spec", "normal:16:4", "--n-docs", "2", "--reps", "1",
+               "--spread-as-variance"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert "unrecognized arguments" in out.err
+    assert out.out == ""
+
+
 def test_config_error_maps_to_one():
     assert main(["bench", "--spec", "nope:12", "--reps", "1"]) == 1
 
@@ -134,6 +144,38 @@ def test_data_error_maps_to_two(workspace):
          "--out", str(workspace["root"] / "x.pbseq")]
     )
     assert rc == 2
+
+
+def _run_cli(*args):
+    """``python -m packbert.cli ARGS`` in a fresh process; (exit code, stderr)."""
+    src = str(Path(packbert.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "packbert.cli", *map(str, args)],
+                         capture_output=True, text=True, timeout=120, env=env)
+    return out.returncode, out.stderr
+
+
+@pytest.mark.parametrize("command, missing, code", [
+    ("tokenize", "--vocab", 2),
+    ("pretrain", "--config", 1),
+    ("niah-gen", "--vocab", 2),
+    ("embed-train", "--data", 2),
+])
+def test_missing_input_file_gives_a_message(trained, tmp_path, command, missing, code):
+    present = {
+        "tokenize": {"--input": trained["corpus"], "--out": tmp_path / "x.pbseq"},
+        "pretrain": {"--vocab": trained["vocab"], "--data": trained["data"],
+                     "--out": tmp_path / "run"},
+        "niah-gen": {"--pairs": _write_pairs(tmp_path / "pairs.jsonl"), "--split": "test",
+                     "--out": tmp_path / "niah.jsonl"},
+        "embed-train": {"--ckpt": trained["ckpt"], "--vocab": trained["vocab"],
+                        "--out": tmp_path / "embed"},
+    }[command]
+    args = {**present, missing: tmp_path / "nope.txt"}
+    rc, err = _run_cli(command, *(x for pair in args.items() for x in pair))
+    assert rc == code, err
+    assert "Traceback" not in err
+    assert "nope.txt" in err
 
 
 def test_training_error_maps_to_three(workspace):

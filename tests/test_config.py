@@ -78,11 +78,16 @@ def test_arch_roundtrip_bit_exact():
         assert back == cfg, name
 
 
+def job_text(namespace, pairs):
+    """Job-file text with every key of ``pairs`` under ``namespace.``."""
+    return "".join(f"{namespace}.{line}\n" for line in config.format_pairs(pairs).splitlines())
+
+
 def test_arch_roundtrip_through_file(tmp_path):
     cfg = config.preset("moderngbert_134m")
     path = tmp_path / "arch.cfg"
-    config.write_arch_config(cfg, path)
-    assert config.read_arch_config(path) == cfg
+    path.write_text(job_text("arch", config.arch_to_pairs(cfg)), encoding="utf-8")
+    assert config.read_job_config(path) == (cfg, None)
 
 
 def test_phase_roundtrip_bit_exact():
@@ -106,15 +111,17 @@ def test_phase_roundtrip_bit_exact():
 def test_phase_roundtrip_through_file(tmp_path):
     phase = config.TrainPhaseConfig(token_budget=4096, max_seq_len=8192)
     path = tmp_path / "phase.cfg"
-    config.write_phase_config(phase, path)
-    assert config.read_phase_config(path) == phase
+    path.write_text(job_text("train", config.phase_to_pairs(phase)), encoding="utf-8")
+    assert config.read_job_config(path) == (None, phase)
 
 
 def test_phase_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "phase.cfg"
-    path.write_text("token_budget = 4096\nrope_theta_override = 160000.0\n", encoding="utf-8")
+    path.write_text(
+        "train.token_budget = 4096\ntrain.rope_theta_override = 160000.0\n", encoding="utf-8"
+    )
     with pytest.raises(ConfigError, match="rope_theta_override"):
-        config.read_phase_config(path)
+        config.read_job_config(path)
 
 
 def test_parse_kv_rejects_garbage():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from packbert import config, model
-from packbert.context_ext import EXTENSION_PHASES, extend, run_phase
+from packbert.context_ext import extend
 from packbert.errors import ConfigError
 from packbert.packing import pack
+from packbert.trainer import train_masked
 from packbert.util import params_digest
 
 from conftest import quick_phase
@@ -97,22 +98,13 @@ def test_short_input_still_works_after_extension(short_cfg):
     assert np.all(np.isfinite(out))
 
 
-def test_run_phase_validates_phase_id(short_cfg):
-    params = model.init_params(short_cfg, seed=0)
-    with pytest.raises(ConfigError):
-        run_phase(params, short_cfg, "ext9", [], quick_phase(),
-                  mask_id=MASK_ID, special_ids=SPECIALS)
-
-
-def test_run_phase_trains_and_tags(short_cfg):
-    assert EXTENSION_PHASES == ("ext1", "ext2")
+def test_extension_phase_trains_and_tags(short_cfg):
     rng = np.random.default_rng(3)
     data = [rng.integers(5, 256, size=rng.integers(6, 14), dtype=np.int32)
             for _ in range(8)]
     params = model.init_params(short_cfg, seed=0)
     _, ext_cfg = extend(params, short_cfg, 160_000.0, 8192)
-    result = run_phase(params, ext_cfg, "ext1", data,
-                       quick_phase(token_budget=200),
-                       mask_id=MASK_ID, special_ids=SPECIALS)
+    result = train_masked(params, ext_cfg, data, quick_phase(token_budget=200),
+                          mask_id=MASK_ID, special_ids=SPECIALS, phase_id="ext1")
     assert result.checkpoint.phase_id == "ext1"
     assert result.checkpoint.step >= 1

@@ -1,4 +1,6 @@
-"""Seeded fuzz of every loader: a damaged file is refused with DataError, never accepted."""
+"""Seeded fuzz of every loader: a damaged file is refused with DataError, never accepted.
+
+So is an intact, checksum-valid file whose metadata lacks or mistypes an entry."""
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from packbert.adapters import init_adapters, load_adapters, save_adapters
 from packbert.cli import main
 from packbert.data_pipeline import read_sequences, write_sequences
 from packbert.errors import DataError
+from packbert.tensor_store import read_tensors, write_tensors
 from packbert.trainer import load_checkpoint, train_mlm
 
 from conftest import quick_phase
@@ -80,4 +83,34 @@ def test_inspect_exits_2_on_damaged_checkpoint(tiny_cfg, tmp_path, capsys):
     bad = tmp_path / "bad.pbt"
     bad.write_bytes(bytes(raw))
     assert main(["inspect", "--ckpt", str(bad)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+# name -> (file kind, edit of its metadata)
+MALFORMED_META = {
+    "checkpoint_without_counters": ("checkpoint", lambda meta: meta.pop("counters")),
+    "checkpoint_opt_is_a_string": ("checkpoint", lambda meta: meta.update(opt="adamw")),
+    "adapters_without_rank": ("adapters", lambda meta: meta.pop("rank")),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_META)
+def test_malformed_meta_is_a_data_error(tiny_cfg, tmp_path, capsys, case):
+    kind, edit = MALFORMED_META[case]
+    ckpt = _checkpoint(tiny_cfg, tmp_path / "src" / "file.pbt")
+    good = ckpt if kind == "checkpoint" else _adapters(tiny_cfg, tmp_path / "adapters.pbt")
+    tensors, meta = read_tensors(good)
+    edit(meta)
+    bad = tmp_path / "bad.pbt"
+    write_tensors(bad, tensors, meta)  # a fresh checksum: only the metadata is wrong
+    if kind == "checkpoint":
+        with pytest.raises(DataError):
+            load_checkpoint(bad)
+        argv = ["inspect", "--ckpt", bad]
+    else:
+        with pytest.raises(DataError):
+            load_adapters(bad)
+        argv = ["merge-adapters", "--ckpt", ckpt, "--adapters", bad,
+                "--out", tmp_path / "merged.pbt"]
+    assert main([str(a) for a in argv]) == 2
     assert "data error" in capsys.readouterr().err

@@ -218,13 +218,6 @@ def test_span_logits_shapes(tiny_cfg, rand_batch):
 # --- pooling ---
 
 
-def test_pool_mean_hand_computed():
-    rng = np.random.default_rng(3)
-    h = rng.normal(size=(3, 4))
-    got = model.pool_mean(h, np.array([0, 2]))
-    np.testing.assert_allclose(got, (h[0] + h[2]) / 2, atol=1e-7)
-
-
 def test_pool_mean_packed_per_member():
     rng = np.random.default_rng(4)
     h = rng.normal(size=(7, 4))

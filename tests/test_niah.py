@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from packbert import niah
 from packbert.errors import ConfigError, DataError
 from packbert.niah import (
     BUCKET_EDGES,
@@ -143,6 +144,28 @@ def test_needle_slot_is_uniform(vocab, pair, pool):
     assert counts.sum() == n
     # 5 sigma on a binomial(1000, 0.25) is ~68.
     assert np.all(np.abs(counts - n / 4) < 70)
+
+
+def test_build_given_pool_lens_encodes_only_the_needle(vocab, pair, pool, monkeypatch):
+    # The needle's token offset comes from lengths already known, not from
+    # re-encoding the paragraphs ahead of it.
+    lens = [count_tokens(p, vocab) for p in pool]
+    calls = []
+
+    def counting_encode(text, vocab, add_specials=False):
+        calls.append(text)
+        return encode(text, vocab, add_specials)
+
+    monkeypatch.setattr(niah, "encode", counting_encode)
+    late = 0
+    for i in range(20):
+        calls.clear()
+        ex = build_haystack(pair, pool, 4, 10_000, np.random.default_rng(i),
+                            vocab=vocab, distractor_count=4, pool_lens=lens)
+        assert calls == [pair.needle]
+        assert span_text(ex, vocab, ex.gold_start, ex.gold_end) == pair.answer
+        late += ex.needle_index > 0
+    assert late >= 10
 
 
 def test_zero_distractors_means_needle_only(vocab, pair, pool):

@@ -130,16 +130,6 @@ def test_negative_lr_rejected():
         step(params, {"w": np.ones(2)}, state, -1e-3)
 
 
-def test_param_filter_freezes_excluded_tensors():
-    params = {"a": np.ones(3), "b": np.ones(3)}
-    grads = {"a": np.ones(3), "b": np.ones(3)}
-    state = fresh(params)
-    step(params, grads, state, 1e-2, param_filter=lambda k: k == "a")
-    assert not np.array_equal(params["a"], np.ones(3))
-    np.testing.assert_array_equal(params["b"], np.ones(3))
-    assert np.all(state.m["b"] == 0.0)
-
-
 def test_state_init_shapes():
     params = {"a": np.zeros((2, 3)), "b": np.zeros(5)}
     state = fresh(params)

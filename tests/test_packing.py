@@ -11,6 +11,7 @@ from packbert.packing import (
     KIND_GLOBAL,
     KIND_WINDOW,
     MaskSpec,
+    PackedBatch,
     allowed,
     local_positions,
     mask_matrix,
@@ -86,6 +87,14 @@ def test_pack_rejects_negative_ids():
         pack([np.array([1, -2], dtype=np.int32)])
 
 
+def test_bad_boundaries_rejected():
+    # The packed path's one check on boundaries: attention kernels trust them.
+    tokens = np.zeros(6, dtype=np.int32)
+    for bad in ([0, 3], [1, 6], [0, 4, 3, 6], [0, 6, 6]):
+        with pytest.raises(ValueError):
+            PackedBatch(tokens=tokens, boundaries=np.array(bad, dtype=np.int64), max_member_len=6)
+
+
 def test_lengths_property():
     seqs = [np.zeros(n, dtype=np.int32) for n in (2, 6, 3)]
     np.testing.assert_array_equal(pack(seqs).lengths, [2, 6, 3])
@@ -148,7 +157,7 @@ def test_mask_matrix_matches_allowed():
 
 
 def test_mask_matrix_partial_queries():
-    m = mask_matrix(5, CAUSAL_SPEC, n_queries=2)
+    m = mask_matrix(5, CAUSAL_SPEC)[:2]
     assert m.shape == (2, 5)
     expect = np.array([[1, 0, 0, 0, 0], [1, 1, 0, 0, 0]], dtype=bool)
     np.testing.assert_array_equal(m, expect)

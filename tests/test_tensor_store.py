@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import struct
 import zlib
 
@@ -198,3 +199,30 @@ def test_failed_write_keeps_old_file_and_no_temporary(tmp_path, monkeypatch):
         write_tensors(path, {"x": np.zeros(3, dtype=np.float32)}, {"v": 2})
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["t.pbt"]
+
+
+def test_directory_is_fsynced_after_the_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):
+            events.append(("fsync dir", st.st_ino))
+        else:
+            events.append(("fsync file", None))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", None))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = tmp_path / "sub" / "t.pbt"
+    write_tensors(path, {"x": np.ones(3, dtype=np.float32)})
+    assert events == [
+        ("fsync file", None),
+        ("replace", None),
+        ("fsync dir", os.stat(path.parent).st_ino),
+    ]

@@ -7,6 +7,7 @@ import pytest
 
 from packbert.errors import DataError
 from packbert.tokenizer import (
+    CONTINUATION,
     SPECIAL_PIECES,
     Vocab,
     count_tokens,
@@ -181,7 +182,7 @@ SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
 def char_loop_encode(text, vocab, add_specials=False):
     """The tokenizer as a plain character loop, matching every word afresh."""
-    table, prefix = vocab.piece_to_id, vocab.continuation_prefix
+    table, prefix = vocab.piece_to_id, CONTINUATION
     ids, spans = ([vocab.cls_id], [(0, 0)]) if add_specials else ([], [])
     pos, n = 0, len(text)
     while pos < n:

@@ -21,8 +21,8 @@ from packbert.trainer import (
     save_checkpoint,
     span_batch_loss,
     train_embedder,
+    train_masked,
     train_mlm,
-    train_mntp,
     train_span_qa,
 )
 
@@ -373,12 +373,12 @@ def test_resume_refuses_different_dataset(tiny_cfg):
 def test_resume_reads_objective_from_checkpoint(tiny_cfg):
     data = toy_dataset(n=6)
     params = model.init_params(tiny_cfg, seed=0)
-    half = train_mntp(params, tiny_cfg, data, quick_phase(token_budget=300),
-                      mask_id=MASK_ID, special_ids=SPECIALS)
+    half = train_masked(params, tiny_cfg, data, quick_phase(token_budget=300),
+                        objective="mntp", mask_id=MASK_ID, special_ids=SPECIALS)
     assert half.checkpoint.extra["objective"] == "mntp"
-    full = train_mntp(model.init_params(tiny_cfg, seed=0), tiny_cfg, data,
-                      quick_phase(token_budget=600),
-                      mask_id=MASK_ID, special_ids=SPECIALS)
+    full = train_masked(model.init_params(tiny_cfg, seed=0), tiny_cfg, data,
+                        quick_phase(token_budget=600),
+                        objective="mntp", mask_id=MASK_ID, special_ids=SPECIALS)
     half.checkpoint.phase = quick_phase(token_budget=600)
     resumed = resume_masked(half.checkpoint, data,
                             mask_id=MASK_ID, special_ids=SPECIALS)
@@ -393,8 +393,8 @@ def test_mlm_and_mntp_diverge(tiny_cfg):
     phase = quick_phase(token_budget=400)
     a = run_mlm(tiny_cfg, data, phase)
     params = model.init_params(tiny_cfg, seed=0)
-    b = train_mntp(params, tiny_cfg, data, phase,
-                   mask_id=MASK_ID, special_ids=SPECIALS)
+    b = train_masked(params, tiny_cfg, data, phase,
+                     objective="mntp", mask_id=MASK_ID, special_ids=SPECIALS)
     assert not np.array_equal(a.checkpoint.params["tok_emb"],
                               b.checkpoint.params["tok_emb"])
 
