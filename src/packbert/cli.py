@@ -67,7 +67,9 @@ def cmd_dedup(args) -> int:
     expected = args.expected or max(n_paras, 1)
     bloom = BloomFilter.sized_for(expected, args.fp_rate, seed=args.seed)
     kept, stats = dedup_documents(docs, bloom)
-    Path(args.out).write_text(join_documents(kept), encoding="utf-8")
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(join_documents(kept), encoding="utf-8")
     print(
         f"paragraphs seen={stats.seen} survivors={stats.survivors} "
         f"dropped={stats.dropped} (bloom m={bloom.m} k={bloom.k})"
@@ -82,7 +84,9 @@ def cmd_filter(args) -> int:
     vocab = load_vocab(args.vocab)
     docs = read_documents(args.input)
     kept = [d for d in docs if ratio_filter(_doc_text(d), vocab, args.threshold)]
-    Path(args.out).write_text(join_documents(kept), encoding="utf-8")
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(join_documents(kept), encoding="utf-8")
     print(
         f"documents kept={len(kept)} dropped={len(docs) - len(kept)} "
         f"threshold={args.threshold}"

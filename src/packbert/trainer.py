@@ -7,6 +7,12 @@ consumed. Every checkpoint stores the run's whole log beside the weights in
 one tensor_store container, so it can be audited or replayed exactly, and a
 resumed run continues its checkpoint's log.
 
+A run holds one copy of its state. Given an ``out_dir``, it writes
+``ckpt_stepNNNNNNNN.pbt`` at each ``checkpoint_interval_tokens`` mark and
+``ckpt_final.pbt`` at the end; interval checkpoints live on disk only. The
+returned TrainResult holds the final checkpoint, this call's provenance
+records and its per-step metrics.
+
 The same engine drives masked-token pretraining (MLM and its shifted
 variant), span extraction fine-tuning, and contrastive embedding
 fine-tuning; objectives differ only in how a batch turns into gradients.
@@ -14,6 +20,7 @@ fine-tuning; objectives differ only in how a batch turns into gradients.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import logging
 from dataclasses import dataclass, field
@@ -42,9 +49,10 @@ from .model import (
     pool_mean_packed_vjp,
     span_logits,
     span_logits_vjp,
+    validate_params,
     zeros_like_params,
 )
-from .objectives import info_nce, mlm_loss, mlm_mask, mntp_targets, _log_softmax
+from .objectives import MASK_POLICIES, info_nce, mlm_loss, mlm_mask, mntp_targets, _log_softmax
 from .optim import OptState, lr_at, step as opt_step
 from .packing import pack
 from .tensor_store import meta_entry, read_tensors, write_tensors
@@ -249,6 +257,11 @@ def load_checkpoint(path) -> Checkpoint:
         phase = phase_from_pairs(parse_kv_text(meta_entry(meta, "phase", str, path)))
     except ConfigError as e:
         raise DataError(f"{path} holds an invalid configuration: {e}") from e
+    problems = validate_params(params, cfg)
+    if sorted(m) != sorted(v) or any(m[k].shape != v[k].shape for k in m):
+        problems.append("optimizer moments m and v differ in names or shapes")
+    if problems:
+        raise DataError(f"{path} does not fit its config: {'; '.join(problems)}")
     return Checkpoint(
         params=params,
         opt=opt,
@@ -292,7 +305,7 @@ class DirectView:
         pass
 
     def snapshot_params(self):
-        return _copy_tensors(self.params)
+        return self.params
 
     def extra_meta(self) -> dict:
         return {}
@@ -300,11 +313,9 @@ class DirectView:
 
 @dataclass
 class TrainResult:
-    checkpoint: Checkpoint
-    checkpoints: list[Checkpoint]
+    checkpoint: Checkpoint  # the final state
     provenance: ProvenanceLog  # this call's records only; a resume excludes the prior ones
     metrics: list[tuple[int, int, float, float]]  # (step, tokens, loss, lr)
-    view: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +326,23 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return derived_rng(seed, PURPOSE_ORDER, epoch).permutation(n)
 
 
-def _chunks(seq, size):
-    for i in range(0, len(seq), size):
-        yield seq[i : i + size]
+def _id_arrays(items, limit: int, kind: str) -> list[list[np.ndarray]]:
+    """Each item's member id lists as 1-D int32 arrays.
+
+    An empty, non-1-D or over-limit member is a DataError naming its item.
+    """
+    out = []
+    for i, members in enumerate(items):
+        arrs = [np.asarray(m, dtype=np.int32) for m in members]
+        for arr in arrs:
+            if arr.ndim != 1 or arr.size == 0:
+                raise DataError(f"{kind} {i} holds an empty or non-1-D sequence")
+            if arr.size > limit:
+                raise DataError(
+                    f"{kind} {i} holds {arr.size} tokens, over the {limit}-token limit"
+                )
+        out.append(arrs)
+    return out
 
 
 def _train_loop(
@@ -357,40 +382,32 @@ def _train_loop(
         epoch = resume_from.epoch
         pos = resume_from.pos_in_epoch
         consumed = resume_from.consumed
-        state = OptState(
+        # Copies, so one checkpoint can seed several resumes.
+        state = dataclasses.replace(
+            resume_from.opt,
             m=_copy_tensors(resume_from.opt.m),
             v=_copy_tensors(resume_from.opt.v),
-            t=resume_from.opt.t,
-            betas=resume_from.opt.betas,
-            eps=resume_from.opt.eps,
-            weight_decay=resume_from.opt.weight_decay,
         )
     else:
         step_no = tokens_seen = epoch = pos = consumed = 0
         state = OptState.init(view.opt_params, phase)
 
-    interval = checkpoint_interval_tokens
+    out_path = Path(out_dir) if out_dir is not None else None
+    interval = checkpoint_interval_tokens if out_path is not None else 0
     next_mark = (tokens_seen // interval + 1) * interval if interval else None
     budget = phase.token_budget
     order = _epoch_order(phase.seed, epoch, n_items)
     prov = ProvenanceLog(resume_from.provenance.records if resume_from is not None else ())
     prior = len(prov)  # a resume continues its checkpoint's log
     metrics: list[tuple[int, int, float, float]] = []
-    snapshots: list[Checkpoint] = []
-    out_path = Path(out_dir) if out_dir is not None else None
     base_extra = dict(extra_meta or {})
 
+    # The live arrays, not copies: an interval checkpoint is written before
+    # the next step moves them, and nothing moves them after the loop.
     def snapshot() -> Checkpoint:
         return Checkpoint(
             params=view.snapshot_params(),
-            opt=OptState(
-                m=_copy_tensors(state.m),
-                v=_copy_tensors(state.v),
-                t=state.t,
-                betas=state.betas,
-                eps=state.eps,
-                weight_decay=state.weight_decay,
-            ),
+            opt=state,
             cfg=cfg,
             phase=phase,
             phase_id=phase_id,
@@ -402,12 +419,8 @@ def _train_loop(
             dataset_digest=data_digest,
             n_provenance=len(prov),
             extra={**base_extra, **view.extra_meta()},
-            provenance=ProvenanceLog(prov.records),
+            provenance=prov,
         )
-
-    def emit(ckpt: Checkpoint, name: str) -> None:
-        if out_path is not None:
-            save_checkpoint(ckpt, out_path / name)
 
     metrics_file = None
     if out_path is not None:
@@ -466,26 +479,19 @@ def _train_loop(
                 metrics_file.flush()
 
             if interval and tokens_seen >= next_mark:
-                ckpt = snapshot()
-                snapshots.append(ckpt)
-                emit(ckpt, f"ckpt_step{step_no:08d}.pbt")
+                save_checkpoint(snapshot(), out_path / f"ckpt_step{step_no:08d}.pbt")
                 next_mark = (tokens_seen // interval + 1) * interval
     finally:
         if metrics_file is not None:
             metrics_file.close()
 
     final = snapshot()
-    if not (snapshots and snapshots[-1].step == final.step):
-        snapshots.append(final)
-    else:
-        final = snapshots[-1]
-    emit(final, "ckpt_final.pbt")
+    if out_path is not None:
+        save_checkpoint(final, out_path / "ckpt_final.pbt")
     return TrainResult(
         checkpoint=final,
-        checkpoints=snapshots,
         provenance=ProvenanceLog(prov.records[prior:]),
         metrics=metrics,
-        view=view,
     )
 
 
@@ -493,23 +499,6 @@ def _train_loop(
 # Masked-token objectives (MLM and the shifted MNTP variant)
 
 MASKED_OBJECTIVES = ("mlm", "mntp")
-
-
-def _check_sequences(dataset, cfg: ArchConfig, phase: TrainPhaseConfig):
-    if len(dataset) == 0:
-        raise DataError("empty dataset")
-    limit = min(cfg.max_seq_len, phase.max_seq_len)
-    seqs = []
-    for i, s in enumerate(dataset):
-        arr = np.asarray(s, dtype=np.int32)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DataError(f"sequence {i} is empty or not one-dimensional")
-        if arr.size > limit:
-            raise DataError(
-                f"sequence {i} has {arr.size} tokens, over the {limit}-token limit"
-            )
-        seqs.append(arr)
-    return seqs
 
 
 def train_masked(
@@ -538,7 +527,12 @@ def train_masked(
     """
     if objective not in MASKED_OBJECTIVES:
         raise ConfigError(f"unknown objective {objective!r}")
-    seqs = _check_sequences(dataset, cfg, phase)
+    if mask_policy not in MASK_POLICIES:
+        raise ConfigError(f"unknown mask policy {mask_policy!r}, not in {MASK_POLICIES}")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+    limit = min(cfg.max_seq_len, phase.max_seq_len)
+    seqs = [arr for (arr,) in _id_arrays(([s] for s in dataset), limit, "sequence")]
     digest = dataset_digest(seqs)
     if view is None:
         view = DirectView(_copy_tensors(params))
@@ -679,10 +673,6 @@ class SpanExample:
         object.__setattr__(self, "ids", arr)
 
 
-def check_span_example(ids, start: int, end: int) -> SpanExample:
-    return SpanExample(ids=ids, start=int(start), end=int(end))
-
-
 def span_batch_loss(start_scores, end_scores, boundaries, golds):
     """Mean over members of the averaged start/end cross-entropies.
 
@@ -717,15 +707,9 @@ def train_span_qa(
     out_dir=None,
 ) -> TrainResult:
     """Fine-tune start/end span extraction with per-document cross-entropy."""
-    if len(examples) == 0:
-        raise DataError("empty training set")
-    exs = [check_span_example(e.ids, e.start, e.end) for e in examples]
     limit = min(cfg.max_seq_len, phase.max_seq_len)
-    for i, e in enumerate(exs):
-        if e.ids.size > limit:
-            raise DataError(
-                f"example {i} has {e.ids.size} tokens, over the {limit}-token limit"
-            )
+    docs = _id_arrays(([e.ids] for e in examples), limit, "example")
+    exs = [SpanExample(ids, int(e.start), int(e.end)) for (ids,), e in zip(docs, examples)]
     digest = dataset_digest([e.ids for e in exs])
     view = DirectView(_copy_tensors(params))
     live = view.model_params
@@ -777,22 +761,12 @@ class Triplet:
     negatives: tuple  # tuple of id arrays, possibly empty
 
 
-def _check_triplets(triplets, cfg, phase):
-    if len(triplets) == 0:
-        raise DataError("empty triplet dataset")
-    limit = min(cfg.max_seq_len, phase.max_seq_len)
-    out = []
-    for i, t in enumerate(triplets):
-        q = np.asarray(t.query, dtype=np.int32)
-        p = np.asarray(t.positive, dtype=np.int32)
-        negs = tuple(np.asarray(n, dtype=np.int32) for n in t.negatives)
-        for arr in (q, p, *negs):
-            if arr.ndim != 1 or arr.size == 0:
-                raise DataError(f"triplet {i} contains an empty sequence")
-            if arr.size > limit:
-                raise DataError(f"triplet {i} has a sequence over {limit} tokens")
-        out.append(Triplet(query=q, positive=p, negatives=negs))
-    return out
+def _as_triplets(triplets, limit: int) -> list[Triplet]:
+    groups = ([t.query, t.positive, *t.negatives] for t in triplets)
+    return [
+        Triplet(query=q, positive=p, negatives=tuple(negs))
+        for q, p, *negs in _id_arrays(groups, limit, "triplet")
+    ]
 
 
 def _triplet_tokens(t: Triplet) -> int:
@@ -846,7 +820,7 @@ def train_embedder(
     candidate pool.  The whole batch runs as one forward pass; microbatch
     splitting would change the candidate set, so it is not applied here.
     """
-    trips = _check_triplets(triplets, cfg, phase)
+    trips = _as_triplets(triplets, min(cfg.max_seq_len, phase.max_seq_len))
     view = DirectView(_copy_tensors(params))
     live = view.model_params
 
@@ -888,14 +862,7 @@ def train_embedder(
 
 def retrieval_accuracy(params, cfg, triplets) -> float:
     """Fraction of triplets whose positive outranks every explicit negative."""
-    trips = [
-        Triplet(
-            query=np.asarray(t.query, dtype=np.int32),
-            positive=np.asarray(t.positive, dtype=np.int32),
-            negatives=tuple(np.asarray(n, dtype=np.int32) for n in t.negatives),
-        )
-        for t in triplets
-    ]
+    trips = _as_triplets(triplets, cfg.max_seq_len)
     if not trips:
         raise DataError("no triplets to evaluate")
     hits = 0

@@ -123,6 +123,19 @@ def test_kernel_choice_option_is_rejected_before_output(workspace, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--mask-policy", "bogus"), ("--dropout", "1.5")])
+def test_bad_masking_option_is_rejected_before_output(workspace, capsys, flag, value):
+    out = workspace["root"] / "never-created"
+    rc = main(
+        ["pretrain", "--config", str(_write_job(workspace["root"] / "opt.cfg")),
+         "--vocab", str(workspace["vocab"]), "--data", str(workspace["data"]),
+         "--out", str(out), flag, value]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_spread_reading_option_is_rejected_before_output(capsys):
     # The spread of a normal:MEAN:SPREAD spec is always a standard deviation.
     rc = main(["bench", "--spec", "normal:16:4", "--n-docs", "2", "--reps", "1",
@@ -225,6 +238,15 @@ def test_filter_drops_fragmenting_documents(workspace, capsys):
     assert rc == 0
     assert "kept=1 dropped=1" in capsys.readouterr().out
     assert "words" not in out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["dedup", "filter"])
+def test_corpus_output_directory_is_created(workspace, tmp_path, command):
+    out = tmp_path / "new" / "dir" / "corpus.txt"
+    extra = ["--vocab", str(workspace["vocab"])] if command == "filter" else []
+    rc = main([command, *extra, "--input", str(workspace["corpus"]), "--out", str(out)])
+    assert rc == 0
+    assert out.read_text(encoding="utf-8").startswith(DOCS[0])
 
 
 def test_split_long_bounds_sequences(workspace, capsys):

@@ -1,6 +1,7 @@
 """Seeded fuzz of every loader: a damaged file is refused with DataError, never accepted.
 
-So is an intact, checksum-valid file whose metadata lacks or mistypes an entry."""
+So is an intact, checksum-valid file whose metadata lacks or mistypes an entry, or
+whose tensors do not fit its stored config."""
 
 import numpy as np
 import pytest
@@ -86,11 +87,16 @@ def test_inspect_exits_2_on_damaged_checkpoint(tiny_cfg, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-# name -> (file kind, edit of its metadata)
+# name -> (file kind, edit of its tensors and metadata)
 MALFORMED_META = {
-    "checkpoint_without_counters": ("checkpoint", lambda meta: meta.pop("counters")),
-    "checkpoint_opt_is_a_string": ("checkpoint", lambda meta: meta.update(opt="adamw")),
-    "adapters_without_rank": ("adapters", lambda meta: meta.pop("rank")),
+    "checkpoint_without_counters": ("checkpoint", lambda t, meta: meta.pop("counters")),
+    "checkpoint_opt_is_a_string": ("checkpoint", lambda t, meta: meta.update(opt="adamw")),
+    "checkpoint_without_final_norm": ("checkpoint", lambda t, meta: t.pop(
+        "params/final_norm.scale")),
+    "checkpoint_tok_emb_of_10_rows": ("checkpoint", lambda t, meta: t.update(
+        {"params/tok_emb": t["params/tok_emb"][:10]})),
+    "checkpoint_moments_differ": ("checkpoint", lambda t, meta: t.pop("opt.v/tok_emb")),
+    "adapters_without_rank": ("adapters", lambda t, meta: meta.pop("rank")),
 }
 
 
@@ -100,9 +106,9 @@ def test_malformed_meta_is_a_data_error(tiny_cfg, tmp_path, capsys, case):
     ckpt = _checkpoint(tiny_cfg, tmp_path / "src" / "file.pbt")
     good = ckpt if kind == "checkpoint" else _adapters(tiny_cfg, tmp_path / "adapters.pbt")
     tensors, meta = read_tensors(good)
-    edit(meta)
+    edit(tensors, meta)
     bad = tmp_path / "bad.pbt"
-    write_tensors(bad, tensors, meta)  # a fresh checksum: only the metadata is wrong
+    write_tensors(bad, tensors, meta)  # a fresh checksum: only the edit is wrong
     if kind == "checkpoint":
         with pytest.raises(DataError):
             load_checkpoint(bad)

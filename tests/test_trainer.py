@@ -1,7 +1,9 @@
 """Training engine: determinism, provenance, resume, and the task heads."""
 
+import gc
 import logging
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -268,18 +270,65 @@ def test_resume_into_same_dir_continues_metrics_log(tiny_cfg, tmp_path):
 def test_checkpoint_cadence_marks(tiny_cfg, tmp_path):
     data = toy_dataset(n=8)
     phase = quick_phase(token_budget=900, batch_tokens_or_sequences=4)
-    result = run_mlm(tiny_cfg, data, phase, checkpoint_interval_tokens=200)
-    marks = [ck.tokens_seen for ck in result.checkpoints]
+    result = run_mlm(tiny_cfg, data, phase, checkpoint_interval_tokens=200,
+                     out_dir=tmp_path)
+    crossings = [load_checkpoint(p) for p in sorted(tmp_path.glob("ckpt_step*.pbt"))]
+    final = load_checkpoint(tmp_path / "ckpt_final.pbt")
+    assert crossings
+    marks = [ck.tokens_seen for ck in crossings + [final]]
     assert marks == sorted(marks)
-    crossings = [ck for ck in result.checkpoints[:-1]]
-    # Every non-final snapshot is the first step at or past a fresh multiple
+    # Every interval checkpoint is the first step at or past a fresh multiple
     # of the interval.
     seen = set()
     for ck in crossings:
         mark = ck.tokens_seen // 200
         assert mark not in seen
         seen.add(mark)
-    assert result.checkpoints[-1].tokens_seen == result.checkpoint.tokens_seen
+    assert final.tokens_seen == result.checkpoint.tokens_seen
+
+
+def _held_bytes(run):
+    """Bytes still allocated, per tracemalloc, while the result of ``run()`` is held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.checkpoint.step == 48
+    return held
+
+
+def test_interval_checkpoints_are_not_held_in_memory(tiny_cfg, tmp_path):
+    # 40-token steps: an interval of 40 writes a checkpoint after every step.
+    data = toy_dataset(n=8, lo=10, hi=11)
+
+    def run(name, interval=0):
+        return lambda: run_mlm(tiny_cfg, data, _steps_phase(48), out_dir=tmp_path / name,
+                               checkpoint_interval_tokens=interval)
+
+    run("warm")()  # caches fill outside the measurement
+    plain = _held_bytes(run("plain"))
+    every_step = _held_bytes(run("every", interval=40))
+    assert len(list((tmp_path / "every").glob("ckpt_step*.pbt"))) == 48
+    assert every_step - plain <= 2 * 2**20, (every_step, plain)
+
+
+def test_interval_checkpoint_equals_shorter_runs_final(tiny_cfg, tmp_path):
+    data = toy_dataset(n=8, lo=10, hi=11)
+    run_mlm(tiny_cfg, data, _steps_phase(8), out_dir=tmp_path / "long",
+            checkpoint_interval_tokens=160)
+    run_mlm(tiny_cfg, data, _steps_phase(4), out_dir=tmp_path / "short")
+    mark = load_checkpoint(tmp_path / "long" / "ckpt_step00000004.pbt")
+    final = load_checkpoint(tmp_path / "short" / "ckpt_final.pbt")
+    for a, b in ((mark.params, final.params), (mark.opt.m, final.opt.m),
+                 (mark.opt.v, final.opt.v)):
+        assert sorted(a) == sorted(b)
+        assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+    assert mark.opt.t == final.opt.t == 4
+    assert mark.provenance == final.provenance
 
 
 def test_lr_metric_matches_schedule(tiny_cfg):
