@@ -11,6 +11,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ def join_documents(docs: list[list[str]]) -> str:
 def read_documents(path) -> list[list[str]]:
     try:
         return split_documents(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read corpus {path}: {e}") from e
 
 
@@ -200,11 +201,20 @@ SEQ_FORMAT = "packbert-sequences"
 
 def write_sequences(path, sequences) -> None:
     """Store sequences as one flat int32 token tensor plus their int32 lengths."""
-    arrs = [np.asarray(seq, dtype=np.int32) for seq in sequences]
-    if any(arr.ndim != 1 for arr in arrs):
-        raise DataError("sequences must be one-dimensional")
-    tokens = np.concatenate(arrs) if arrs else np.zeros(0, dtype=np.int32)
-    lengths = np.array([arr.size for arr in arrs], dtype=np.int32)
+    seqs = list(sequences)
+    if any(isinstance(seq, np.ndarray) for seq in seqs):
+        seqs = [np.asarray(seq, dtype=np.int32) for seq in seqs]
+        if any(seq.ndim != 1 for seq in seqs):
+            raise DataError("sequences must be one-dimensional")
+        tokens = np.concatenate(seqs)
+    else:
+        # Id lists, as the tokenizer returns them: one pass over all their
+        # tokens instead of one numpy conversion per list.
+        try:
+            tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.int32)
+        except (TypeError, ValueError) as e:
+            raise DataError(f"sequences must be one-dimensional: {e}") from e
+    lengths = np.fromiter(map(len, seqs), dtype=np.int32, count=len(seqs))
     write_tensors(path, {"tokens": tokens, "lengths": lengths}, {"format": SEQ_FORMAT})
 
 

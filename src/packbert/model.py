@@ -167,7 +167,7 @@ _ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
             -1.60960333262415e-02)
 _ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
             -7.37332916720468e-03, -1.42647390514189e-02)
-_ERF_CHUNK = 16384
+_ERF_CHUNK = 65536
 # float64 erf: the Cephes ndtr.c rationals (Cody 1969), erf on |x| < 1 and
 # 1 - erfc above; beyond |x| = 8, erfc underflows against 1.
 _ERF64_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,

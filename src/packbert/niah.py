@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .model import forward, predict_span, span_logits
 from .packing import pack
-from .tokenizer import Vocab, encode, encode_with_offsets
+from .tokenizer import Vocab, count_tokens, encode, encode_with_offsets
 from .util import PURPOSE_NIAH, derived_rng
 
 logger = logging.getLogger("packbert.niah")
@@ -122,7 +122,7 @@ def build_haystack(
         else distractor_count
     )
     if pool_lens is None:
-        pool_lens = [len(encode(p, vocab, add_specials=False)) for p in pool]
+        pool_lens = [count_tokens(p, vocab) for p in pool]
     total = len(needle_ids)
     chosen, chosen_lens = [], []
     if want and len(pool):
@@ -176,7 +176,7 @@ def build_dataset(
     max_d = d_default if max_distractors is None else max_distractors
     cap = cap_default if token_cap is None else token_cap
     shared_pool = pool if pool is not None else [p.needle for p in pairs]
-    shared_lens = [len(encode(p, vocab, add_specials=False)) for p in shared_pool]
+    shared_lens = [count_tokens(p, vocab) for p in shared_pool]
     out = []
     for i, pair in enumerate(pairs):
         if pool is None:
@@ -203,8 +203,9 @@ def build_dataset(
 
 
 def doc_tokens(example: HaystackExample, vocab: Vocab) -> np.ndarray:
-    parts = [encode(p, vocab, add_specials=False) for p in example.paragraphs]
-    return np.concatenate([np.asarray(p, dtype=np.int32) for p in parts])
+    # Words never span whitespace, so the joined document encodes to the
+    # paragraphs' tokens end to end.
+    return np.asarray(encode(" ".join(example.paragraphs), vocab), dtype=np.int32)
 
 
 def span_text(example: HaystackExample, vocab: Vocab, start: int, end: int) -> str:
@@ -219,10 +220,12 @@ def span_text(example: HaystackExample, vocab: Vocab, start: int, end: int) -> s
     pieces = []
     base = 0
     for para in example.paragraphs:
-        _, spans = encode_with_offsets(para, vocab, add_specials=False)
-        n = len(spans)
+        if base > end:
+            break
+        n = count_tokens(para, vocab)
         lo, hi = max(start - base, 0), min(end - base, n - 1)
-        if lo <= hi and n:
+        if lo <= hi:  # only a paragraph the span touches needs character spans
+            _, spans = encode_with_offsets(para, vocab)
             pieces.append(para[spans[lo][0] : spans[hi][1]])
         base += n
     return "\n\n".join(pieces)
@@ -260,7 +263,7 @@ def read_examples(path) -> list[HaystackExample]:
     out = []
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read examples {path}: {e}") from e
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
@@ -288,7 +291,7 @@ def read_qa_pairs(path) -> list[QAPair]:
     out = []
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read QA pairs {path}: {e}") from e
     for lineno, line in enumerate(lines, 1):
         if not line.strip():

@@ -47,7 +47,8 @@ def mlm_mask(
     if mask_id is None:
         raise ValueError("mask_id is required")
     ids = np.asarray(ids, dtype=np.int32)
-    special = np.isin(ids, np.fromiter(special_ids, dtype=np.int32))
+    # A compare against the few special ids; np.isin would sort every call.
+    special = (ids[..., None] == np.fromiter(special_ids, dtype=np.int32)).any(axis=-1)
     draw = rng.random(ids.shape)
     selected = (draw < rate) & ~special
     labels = np.full(ids.shape, IGNORE, dtype=np.int64)

@@ -4,21 +4,28 @@ Text is split on whitespace; each word is consumed left to right by the
 longest vocabulary piece that matches, where pieces after the first must
 carry the continuation prefix "##".  A word with no full
 decomposition becomes a single UNK.  Each ``Vocab`` memoises the pieces of
-the words it has seen, so a repeated word is matched once.  All token
-counting in the data pipeline and dataset builders goes through this module.
+the words it has seen, so a repeated word is matched once.
+
+``encode`` and ``count_tokens`` walk ``str.split()`` through that memo and
+build no character spans; ``encode_with_offsets`` is the one path that
+builds them, for callers that read characters back.  All token counting in
+the data pipeline and dataset builders goes through this module.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .errors import DataError
 
 SPECIAL_PIECES = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 # Marks a piece that continues a word rather than starting one.
 CONTINUATION = "##"
-# \s is str.isspace() for str patterns, so words split where the text splits.
+# \s is str.isspace() for str patterns, so these words are exactly the words
+# of str.split(), which encode and count_tokens use.
 _WORD = re.compile(r"\S+")
 # Words a Vocab memoises at most; later new words are matched every time.
 MEMO_WORDS = 1 << 16
@@ -34,6 +41,8 @@ class Vocab:
     memo: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = field(
         init=False, repr=False, compare=False
     )
+    # word -> number of tokens, for the same words as memo
+    memo_counts: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mapping = {}
@@ -46,6 +55,7 @@ class Vocab:
             raise DataError(f"vocab missing special pieces: {', '.join(missing)}")
         object.__setattr__(self, "piece_to_id", mapping)
         object.__setattr__(self, "memo", {})
+        object.__setattr__(self, "memo_counts", {})
 
     @property
     def size(self) -> int:
@@ -131,6 +141,7 @@ def _word_pieces(word: str, vocab: Vocab) -> tuple[tuple[int, ...], tuple[int, .
         hit = _match_word(word, vocab) or ((vocab.unk_id,), (len(word),))
         if len(vocab.memo) < MEMO_WORDS:
             vocab.memo[word] = hit
+            vocab.memo_counts[word] = len(hit[0])
     return hit
 
 
@@ -161,12 +172,25 @@ def encode_with_offsets(
 
 
 def encode(text: str, vocab: Vocab, add_specials: bool = False) -> list[int]:
-    ids, _ = encode_with_offsets(text, vocab, add_specials)
+    """Token ids of the text, the ids of ``encode_with_offsets`` without spans."""
+    words = text.split()
+    try:
+        pieces = list(map(vocab.memo.__getitem__, words))
+    except KeyError:  # a word not in the memo: match the words one by one
+        pieces = [_word_pieces(word, vocab) for word in words]
+    ids = list(chain.from_iterable(map(itemgetter(0), pieces)))
+    if add_specials:
+        return [vocab.cls_id, *ids, vocab.sep_id]
     return ids
 
 
 def count_tokens(text: str, vocab: Vocab) -> int:
-    return len(encode(text, vocab, add_specials=False))
+    """len(encode(text, vocab)), summed from the memo without building ids."""
+    words = text.split()
+    try:
+        return sum(map(vocab.memo_counts.__getitem__, words))
+    except KeyError:  # a word not in the memo: match the words one by one
+        return sum(len(_word_pieces(word, vocab)[0]) for word in words)
 
 
 def decode(ids, vocab: Vocab, skip_specials: bool = True) -> str:

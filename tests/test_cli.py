@@ -400,6 +400,63 @@ def test_niah_eval_runs(trained, capsys):
     assert "bucket=<1024" in out
 
 
+def test_niah_eval_reads_characters_only_where_the_span_lands(trained, monkeypatch, capsys):
+    from packbert import niah
+    from packbert.tokenizer import count_tokens, load_vocab
+
+    pairs = _write_pairs(trained["root"] / "pairs_spans.jsonl")
+    examples = trained["root"] / "niah_spans.jsonl"
+    assert main(
+        ["niah-gen", "--pairs", str(pairs), "--vocab", str(trained["vocab"]),
+         "--split", "train", "--seed", "5", "--out", str(examples)]
+    ) == 0
+    predicted, offsets_of = [], []
+    predict, offsets = niah.predict_example, niah.encode_with_offsets
+    monkeypatch.setattr(niah, "predict_example",
+                        lambda *a, **k: predicted.append(predict(*a, **k)) or predicted[-1])
+    monkeypatch.setattr(niah, "encode_with_offsets",
+                        lambda text, *a, **k: offsets_of.append(text) or offsets(text, *a, **k))
+    rc = main(["niah-eval", "--ckpt", str(trained["ckpt"]),
+               "--vocab", str(trained["vocab"]), "--examples", str(examples)])
+    assert rc == 0 and "examples=3" in capsys.readouterr().out
+    vocab = load_vocab(trained["vocab"])
+    touched, paragraphs = [], 0
+    for ex, (start, end) in zip(niah.read_examples(examples), predicted):
+        base = 0
+        for para in ex.paragraphs:
+            n = count_tokens(para, vocab)
+            if max(start, base) <= min(end, base + n - 1):
+                touched.append(para)
+            base += n
+        paragraphs += len(ex.paragraphs)
+    assert paragraphs > len(touched)  # some paragraphs lie outside every span
+    assert offsets_of == touched
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("tokenize", "--input"),
+    ("dedup", "--input"),
+    ("niah-gen", "--pairs"),
+    ("niah-eval", "--examples"),
+])
+def test_non_utf8_input_names_its_file(trained, tmp_path, capsys, command, bad):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9 ol\xff\n")
+    args = {
+        "tokenize": {"--vocab": trained["vocab"], "--out": tmp_path / "x.pbseq"},
+        "dedup": {"--out": tmp_path / "x.txt"},
+        "niah-gen": {"--vocab": trained["vocab"], "--split": "test",
+                     "--out": tmp_path / "niah.jsonl"},
+        "niah-eval": {"--ckpt": trained["ckpt"], "--vocab": trained["vocab"]},
+    }[command]
+    args[bad] = path
+    rc = main([command, *(str(x) for pair in args.items() for x in pair)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(path) in err and "utf-8" in err
+    assert "Traceback" not in err
+
+
 def test_qa_finetune_runs(trained, capsys):
     pairs = _write_pairs(trained["root"] / "pairs_ft.jsonl")
     examples = trained["root"] / "niah_ft.jsonl"

@@ -319,7 +319,7 @@ def test_erf_keeps_dtype_and_shape(dtype):
     empty = model.erf(np.zeros((0, 7), dtype=dtype))
     assert empty.shape == (0, 7) and empty.dtype == dtype
     # Column slices, as the FFN gate is, and rows wider than one float32 chunk.
-    for shape in ((5000, 12), (3, 40_000)):
+    for shape in ((5000, 12), (3, 40_000), (2, 70_000)):
         full = (rng.normal(size=shape) * 3).astype(dtype)
         cols = full[:, 1:-1]
         assert not cols.flags.c_contiguous

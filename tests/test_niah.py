@@ -20,7 +20,7 @@ from packbert.niah import (
     span_text,
     write_examples,
 )
-from packbert.tokenizer import count_tokens, encode, toy_vocab
+from packbert.tokenizer import count_tokens, encode, encode_with_offsets, toy_vocab
 
 WORDS = [
     "the", "secret", "code", "is", "omega", "today", "rain", "fell",
@@ -156,7 +156,12 @@ def test_build_given_pool_lens_encodes_only_the_needle(vocab, pair, pool, monkey
         calls.append(text)
         return encode(text, vocab, add_specials)
 
+    def counting_count(text, vocab):
+        calls.append(("count", text))
+        return count_tokens(text, vocab)
+
     monkeypatch.setattr(niah, "encode", counting_encode)
+    monkeypatch.setattr(niah, "count_tokens", counting_count)
     late = 0
     for i in range(20):
         calls.clear()
@@ -423,3 +428,46 @@ def test_span_text_joins_paragraphs_with_blank_line(vocab, pair, pool):
     total = doc_tokens(ex, vocab).size
     whole = span_text(ex, vocab, 0, total - 1)
     assert whole == "\n\n".join(ex.paragraphs)
+
+
+def full_scan_span_text(example, vocab, start, end):
+    """span_text as a scan of every paragraph's character spans."""
+    if start > end or start < 0:
+        return ""
+    pieces, base = [], 0
+    for para in example.paragraphs:
+        _, spans = encode_with_offsets(para, vocab)
+        covered = [s for k, s in enumerate(spans) if start <= base + k <= end]
+        if covered:
+            pieces.append(para[covered[0][0] : covered[-1][1]])
+        base += len(spans)
+    return "\n\n".join(pieces)
+
+
+def test_span_text_matches_a_full_scan(monkeypatch):
+    # Paragraphs of zero tokens, spans across paragraph boundaries, and spans
+    # that run past the end of the document.  Some words take several tokens
+    # ("cats", "omegas.") and one is UNK ("zzz").  Character spans are built
+    # only for the paragraphs the span covers.
+    vocab = toy_vocab(WORDS, extra_pieces=("##s", "##.", "##s."))
+    words = WORDS + ["cats", "omegas.", "hills.", "zzz"]
+    offsets_of = []
+    monkeypatch.setattr(niah, "encode_with_offsets",
+                        lambda text, *a: offsets_of.append(text) or encode_with_offsets(text, *a))
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        paras = []
+        for _ in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(0, 6))
+            paras.append("  ".join(words[int(k)] for k in rng.integers(len(words), size=n)))
+        ex = HaystackExample(question="q", paragraphs=tuple(paras), needle_index=0,
+                             gold_start=0, gold_end=0, answer="x", total_tokens=0)
+        total = doc_tokens(ex, vocab).size
+        for _ in range(10):
+            start = int(rng.integers(-2, total + 3))
+            end = start + int(rng.integers(-1, total + 3))
+            want = full_scan_span_text(ex, vocab, start, end)
+            offsets_of.clear()
+            assert span_text(ex, vocab, start, end) == want, (paras, start, end)
+            covered = len(want.split("\n\n")) if want else 0  # one piece per paragraph
+            assert len(offsets_of) == covered, (paras, start, end)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from packbert import tokenizer
 from packbert.errors import DataError
 from packbert.tokenizer import (
     CONTINUATION,
@@ -211,14 +212,9 @@ def char_loop_encode(text, vocab, add_specials=False):
     return ids, spans
 
 
-def test_memo_matches_character_loop():
-    vocab = toy_vocab(["the", "code", "omega"],
-                      extra_pieces=("a", "ab", "abc", "##c", "##bc", "##ab", "x", "##x", "##"))
-    # Whole words, '##' continuations, dead ends (UNK), a word that is itself
-    # a continuation piece, and a lone continuation prefix.
-    words = ["the", "code", "omega", "abc", "abbc", "aabab", "abx", "axx", "zzz",
-             "ax", "thecode", "omegaab", "codex", "##c", "##", "a##", "é", "omega."]
-    rng = np.random.default_rng(20)
+def _check_against_character_loop(vocab, words, seed):
+    """Random all-whitespace texts: every encoding path equals the character loop."""
+    rng = np.random.default_rng(seed)
     for _ in range(300):
         parts = []
         for _ in range(int(rng.integers(0, 25))):
@@ -226,12 +222,29 @@ def test_memo_matches_character_loop():
             parts.append("".join(rng.choice(SPACES, size=int(rng.integers(1, 4)))))
         lead = "".join(rng.choice(SPACES, size=int(rng.integers(0, 3))))
         text = lead + "".join(parts)
-        specials = bool(rng.integers(2))
-        want = char_loop_encode(text, vocab, specials)
-        assert encode_with_offsets(text, vocab, specials) == want, repr(text)
+        for specials in (False, True):
+            want = char_loop_encode(text, vocab, specials)
+            assert encode_with_offsets(text, vocab, specials) == want, repr(text)
+            assert encode(text, vocab, specials) == want[0], repr(text)
+        assert count_tokens(text, vocab) == len(encode(text, vocab)), repr(text)
+
+
+def test_memo_matches_character_loop(monkeypatch):
+    vocab = toy_vocab(["the", "code", "omega"],
+                      extra_pieces=("a", "ab", "abc", "##c", "##bc", "##ab", "x", "##x", "##"))
+    # Whole words, '##' continuations, dead ends (UNK), a word that is itself
+    # a continuation piece, and a lone continuation prefix.
+    words = ["the", "code", "omega", "abc", "abbc", "aabab", "abx", "axx", "zzz",
+             "ax", "thecode", "omegaab", "codex", "##c", "##", "a##", "é", "omega."]
+    _check_against_character_loop(vocab, words, seed=20)
     assert set(vocab.memo) == set(words)  # each word matched once, then remembered
+    assert vocab.memo_counts == {w: len(ids) for w, (ids, _) in vocab.memo.items()}
     fresh = Vocab(pieces=vocab.pieces)
-    assert fresh == vocab and not fresh.memo
+    assert fresh == vocab and not fresh.memo and not fresh.memo_counts
+    # A full memo: most words are matched afresh on every call.
+    monkeypatch.setattr(tokenizer, "MEMO_WORDS", 4)
+    _check_against_character_loop(fresh, words, seed=21)
+    assert len(fresh.memo) == len(fresh.memo_counts) == 4
 
 
 def test_memo_splits_on_every_whitespace_code_point():
