@@ -168,7 +168,7 @@ def ratio_filter(doc: str, vocab: Vocab, threshold: float = 2.5) -> bool:
     return count_tokens(doc, vocab) / words <= threshold
 
 
-def split_long(doc: str, vocab: Vocab, target_len: int = 8192) -> list[np.ndarray]:
+def split_long(doc: str, vocab: Vocab, target_len: int = 8192) -> list[list[int]]:
     """Chop a document's token stream into pieces of at most target_len.
 
     Concatenating the pieces reproduces the document's tokenization
@@ -176,10 +176,8 @@ def split_long(doc: str, vocab: Vocab, target_len: int = 8192) -> list[np.ndarra
     """
     if target_len < 1:
         raise ConfigError(f"target_len must be >= 1, got {target_len}")
-    ids = np.asarray(encode(doc, vocab, add_specials=False), dtype=np.int32)
-    if ids.size == 0:
-        return []
-    return [ids[i : i + target_len] for i in range(0, ids.size, target_len)]
+    ids = encode(doc, vocab, add_specials=False)
+    return [ids[i : i + target_len] for i in range(0, len(ids), target_len)]
 
 
 def compose_report(dataset) -> dict:
@@ -202,18 +200,11 @@ SEQ_FORMAT = "packbert-sequences"
 def write_sequences(path, sequences) -> None:
     """Store sequences as one flat int32 token tensor plus their int32 lengths."""
     seqs = list(sequences)
-    if any(isinstance(seq, np.ndarray) for seq in seqs):
-        seqs = [np.asarray(seq, dtype=np.int32) for seq in seqs]
-        if any(seq.ndim != 1 for seq in seqs):
-            raise DataError("sequences must be one-dimensional")
-        tokens = np.concatenate(seqs)
-    else:
-        # Id lists, as the tokenizer returns them: one pass over all their
-        # tokens instead of one numpy conversion per list.
-        try:
-            tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.int32)
-        except (TypeError, ValueError) as e:
-            raise DataError(f"sequences must be one-dimensional: {e}") from e
+    # One pass over every token, not one numpy conversion per sequence.
+    try:
+        tokens = np.fromiter(chain.from_iterable(seqs), dtype=np.int32)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"sequences must be one-dimensional: {e}") from e
     lengths = np.fromiter(map(len, seqs), dtype=np.int32, count=len(seqs))
     write_tensors(path, {"tokens": tokens, "lengths": lengths}, {"format": SEQ_FORMAT})
 

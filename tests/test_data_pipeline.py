@@ -320,6 +320,28 @@ def test_sequence_file_truncation(tmp_path):
         read_sequences(path)
 
 
+def test_sequence_file_id_lists_match_arrays(tmp_path):
+    # split_long and the tokenizer hand over id lists; arrays give the same file.
+    lists = [[5, 6, 7], [], [8]]
+    p1, p2 = tmp_path / "lists.bin", tmp_path / "arrays.bin"
+    write_sequences(p1, lists)
+    write_sequences(p2, [np.asarray(s, dtype=np.int64) for s in lists])
+    assert p1.read_bytes() == p2.read_bytes()
+    assert [b.tolist() for b in read_sequences(p1)] == lists
+
+
+@pytest.mark.parametrize("seqs", [
+    [np.zeros((2, 3), dtype=np.int32)],
+    [np.zeros((2, 1), dtype=np.int32)],
+    [np.int32(3)],
+    [[[1, 2]]],
+], ids=["2d", "column", "scalar", "nested-list"])
+def test_sequence_file_rejects_non_1d(tmp_path, seqs):
+    with pytest.raises(DataError, match="one-dimensional"):
+        write_sequences(tmp_path / "bad.bin", seqs)
+    assert not (tmp_path / "bad.bin").exists()
+
+
 def test_sequence_file_empty_list(tmp_path):
     path = tmp_path / "none.bin"
     write_sequences(path, [])
