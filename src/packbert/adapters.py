@@ -2,8 +2,11 @@
 
 An adapter holds a pair (A, B) per targeted weight matrix; the effective
 weight is W + (alpha/rank) * A @ B. B starts at zero, so a fresh adapter
-is an exact identity. Training moves only the pairs: gradients w.r.t. the
-effective weight are projected onto A and B and the base stays frozen.
+is an exact identity. Training and inference both pass the pairs beside the
+weights (``runtime_extras``), so the base is never modified; the backward
+pass computes the gradients of A and B directly, and none for the frozen
+base. ``apply_adapters`` folds the deltas into a copy of the weights, for
+``merge-adapters``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from .config import ArchConfig
 from .errors import ConfigError, DataError
+from .model import adapter_key, adapter_params
 from .tensor_store import meta_entry, read_tensors, write_tensors
 from .trainer import Checkpoint, TrainResult, _copy_tensors, train_masked
 
@@ -117,55 +121,6 @@ def enable_bidirectional(cfg: ArchConfig) -> ArchConfig:
     return dataclasses.replace(cfg, attention_mode="bidirectional")
 
 
-class AdapterView:
-    """Trainer view that optimizes adapter pairs against frozen base weights.
-
-    The forward pass sees materialized effective weights; after each
-    optimizer step the targeted weights are rebuilt from base + delta.
-    """
-
-    def __init__(self, base_params: dict, adapters: AdapterSet):
-        self.base = base_params
-        self.adapters = adapters
-        self.eff = apply_adapters(base_params, [adapters])
-        self.flat = {}
-        for name, (a, b) in adapters.tensors.items():
-            self.flat[f"adapter/{name}/A"] = a
-            self.flat[f"adapter/{name}/B"] = b
-
-    @property
-    def model_params(self):
-        return self.eff
-
-    @property
-    def opt_params(self):
-        return self.flat
-
-    def update_grads(self, grads: dict) -> dict:
-        s = self.adapters.scale
-        out = {}
-        for name, (a, b) in self.adapters.tensors.items():
-            dw = grads[name]
-            out[f"adapter/{name}/A"] = (dw @ b.T) * np.asarray(s, dtype=dw.dtype)
-            out[f"adapter/{name}/B"] = (a.T @ dw) * np.asarray(s, dtype=dw.dtype)
-        return out
-
-    def after_update(self):
-        for name in self.adapters.tensors:
-            self.eff[name] = self.base[name] + adapter_delta(self.adapters, name)
-
-    def snapshot_params(self):
-        return _copy_tensors(self.base)
-
-    def extra_meta(self) -> dict:
-        return {
-            "adapter_rank": self.adapters.rank,
-            "adapter_alpha": self.adapters.alpha,
-            "adapter_phase": self.adapters.phase_tag,
-            "adapter_targets": list(self.adapters.targets),
-        }
-
-
 def train_mntp_adapter(
     params: dict,
     cfg: ArchConfig,
@@ -182,7 +137,9 @@ def train_mntp_adapter(
 ) -> tuple[AdapterSet, TrainResult]:
     """Adapt a converted decoder with shifted masked-token prediction.
 
-    Only the adapter pairs move; train on top of a bidirectional config.
+    Only the adapter pairs move; ``params`` stay frozen, and the checkpoints
+    of the run hold them with the pairs' optimizer moments.  Train on top of
+    a bidirectional config.
     """
     if cfg.attention_mode != "bidirectional":
         raise ConfigError(
@@ -197,7 +154,6 @@ def train_mntp_adapter(
         phase_tag=phase_tag,
         seed=adapter_seed,
     )
-    view = AdapterView(params, adapters)
     result = train_masked(
         params,
         cfg,
@@ -207,17 +163,13 @@ def train_mntp_adapter(
         mask_id=mask_id,
         special_ids=special_ids,
         phase_id=phase_tag,
-        view=view,
+        extra_linear=runtime_extras(adapters),
         **kwargs,
     )
     return adapters, result
 
 
 def save_adapters(aset: AdapterSet, path) -> None:
-    tensors = {}
-    for name, (a, b) in aset.tensors.items():
-        tensors[f"adapter/{name}/A"] = a
-        tensors[f"adapter/{name}/B"] = b
     meta = {
         "format": "packbert-adapters",
         "version": 1,
@@ -226,7 +178,7 @@ def save_adapters(aset: AdapterSet, path) -> None:
         "targets": list(aset.targets),
         "phase_tag": aset.phase_tag,
     }
-    write_tensors(path, tensors, meta)
+    write_tensors(path, adapter_params(runtime_extras(aset)), meta)
 
 
 def load_adapters(path) -> AdapterSet:
@@ -235,11 +187,10 @@ def load_adapters(path) -> AdapterSet:
         raise DataError(f"{path} is not an adapter file")
     pairs: dict = {}
     for key, arr in tensors.items():
-        parts = key.split("/")
-        if len(parts) < 3 or parts[0] != "adapter" or parts[-1] not in ("A", "B"):
+        name, _, half = key.partition("/")[2].rpartition("/")
+        if not name or half not in ("A", "B") or adapter_key(name, half) != key:
             raise DataError(f"{path} has unexpected adapter tensor {key!r}")
-        name = "/".join(parts[1:-1])
-        pairs.setdefault(name, {})[parts[-1]] = arr
+        pairs.setdefault(name, {})[half] = arr
     tensors_out = {}
     for name, ab in pairs.items():
         if set(ab) != {"A", "B"}:

@@ -3,7 +3,11 @@
 Parameters live in a flat ``dict[str, np.ndarray]`` keyed by dotted names
 ("layers.3.attn.wq", "final_norm.scale", ...).  ``forward`` runs over a
 PackedBatch and can retain per-layer caches; ``backward`` consumes those
-caches and returns a gradient dict with the same keys.  A separate padded
+caches and accumulates gradients into a dict, for the tensors that are its
+keys only.  Low-rank adapter pairs (``extra_linear``) make a linear use
+W + s * A @ B without touching the stored W; their gradients are keyed by
+``adapter_key``, so an adapter run's gradient dict holds the pairs alone and
+a frozen tensor costs no gradient work.  A separate padded
 path (``forward_padded``) executes conventional dense attention over
 (batch, max_len) tensors, PAD slots included, for the throughput benchmark
 and as the oracle of the packed≡padded equivalence tests.
@@ -84,6 +88,17 @@ def is_tied(params: dict[str, np.ndarray]) -> bool:
 
 def zeros_like_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in params.items()}
+
+
+def adapter_key(name: str, half: str) -> str:
+    """Name of the "A" or "B" half of the adapter pair on weight ``name``, in
+    gradient dicts, optimizer moments and adapter files alike."""
+    return f"adapter/{name}/{half}"
+
+
+def adapter_params(extra_linear: dict) -> dict[str, np.ndarray]:
+    """The A and B arrays (not copies) of {name: (A, B, scale)}, by ``adapter_key``."""
+    return {adapter_key(n, h): t for n, (a, b, _) in extra_linear.items() for h, t in (("A", a), ("B", b))}
 
 
 def validate_params(params: dict[str, np.ndarray], cfg: ArchConfig) -> list[str]:
@@ -308,10 +323,12 @@ def _norm_forward(x, params, prefix, cfg):
 
 
 def _norm_backward(dy, cache, params, prefix, cfg, grads):
-    """d x of a norm; the scale and offset gradients sum per-block partials in block order."""
+    """d x of a norm; if its scale is in ``grads`` (the offset goes with it), the
+    scale and offset gradients sum per-block partials in block order."""
     scale = params[f"{prefix}.scale"]
     xin, r = cache  # (xhat, 1 / std) for layer norm, (x, 1 / rms) for RMS norm
     ln = cfg.norm == "layer_norm"
+    trained = f"{prefix}.scale" in grads
     blocks = _rowwise_blocks(dy)
     d_scale = np.empty((len(blocks), dy.shape[1]), dtype=dy.dtype)
     d_offset = np.empty_like(d_scale) if ln else None
@@ -321,36 +338,64 @@ def _norm_backward(dy, cache, params, prefix, cfg, grads):
         i, b = task
         g, xb, rb = dy[b], xin[b], r[b]
         if ln:
-            d_scale[i] = (g * xb).sum(axis=0)
-            d_offset[i] = g.sum(axis=0)
+            if trained:
+                d_scale[i] = (g * xb).sum(axis=0)
+                d_offset[i] = g.sum(axis=0)
             dxhat = g * scale
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xb).mean(axis=-1, keepdims=True)
             np.multiply(rb, dxhat - m1 - xb * m2, out=dx[b])
         else:
-            d_scale[i] = (g * xb * rb).sum(axis=0)
+            if trained:
+                d_scale[i] = (g * xb * rb).sum(axis=0)
             gs = g * scale
             m = (gs * xb).mean(axis=-1, keepdims=True)
             np.subtract(rb * gs, xb * (rb ** 3) * m, out=dx[b])
 
     pool._run(block, list(enumerate(blocks)))
-    grads[f"{prefix}.scale"] += d_scale.sum(axis=0)
-    if ln:
-        grads[f"{prefix}.offset"] += d_offset.sum(axis=0)
+    if trained:
+        grads[f"{prefix}.scale"] += d_scale.sum(axis=0)
+        if ln:
+            grads[f"{prefix}.offset"] += d_offset.sum(axis=0)
     return dx
 
 
-def _linear(x, params, name, extra):
-    y = _matmul(x, params[name])
+def _weight(params, name, extra):
+    """W, or W + s A B if ``extra`` holds a pair (A, B, s) for it.  Formed per call,
+    the sum costs one weight's size; a separate s (x A) B term would cost passes
+    over every output row."""
+    w = params[name]
     if extra is not None and name in extra:
         a_mat, b_mat, s = extra[name]
-        y = y + ((x @ a_mat) @ b_mat) * s
-    return y
+        w = w + (a_mat @ b_mat) * s
+    return w
 
 
-def _linear_backward(dy, x, params, name, grads):
-    grads[name] += _matmul_tn(x, dy)
-    return _matmul(dy, params[name].T)
+def _linear(x, params, name, extra):
+    return _matmul(x, _weight(params, name, extra))
+
+
+def _linear_backward(dy, x, params, name, grads, extra):
+    """d x of _linear; adds dW, and the adapter pair's dA and dB, to those in ``grads``.
+
+    With y = x W + s (x A) B: dA = s x^T (dy B^T), dB = s (x A)^T dy and
+    dx = dy W^T + s (dy B^T) A^T, which is dy (W + s A B)^T.  The rank-r
+    products are too narrow to split by rows, so for a large dy dA and dB
+    are two tasks on the pool.
+    """
+    if name in grads:
+        grads[name] += _matmul_tn(x, dy)
+    if extra is not None and name in extra:
+        a_mat, b_mat, s = extra[name]
+
+        def pair_grad(half):
+            key = adapter_key(name, half)
+            if key in grads:
+                grads[key] += (x.T @ ((dy @ b_mat.T) * s) if half == "A"
+                               else (dy.T @ ((x @ a_mat) * s)).T)
+
+        pool._run(pair_grad, ["A", "B"], dy.size >= ROWWISE_MIN_ELEMS)
+    return _matmul(dy, _weight(params, name, extra).T)
 
 
 # --- attention / ffn blocks --------------------------------------------------
@@ -391,17 +436,17 @@ def _attn_forward(x, layer, params, cfg, positions, boundaries, extra):
     return out, cache
 
 
-def _attn_backward(d_out, cache, layer, params, cfg, positions, boundaries, grads):
+def _attn_backward(d_out, cache, layer, params, cfg, positions, boundaries, grads, extra):
     x, qr, kr, v, merged, spec, table, scale = cache
     p = f"layers.{layer}.attn"
-    d_merged = _linear_backward(d_out, merged, params, f"{p}.wo", grads)
+    d_merged = _linear_backward(d_out, merged, params, f"{p}.wo", grads, extra)
     d_ctx = _split_heads(d_merged, cfg.n_heads, cfg.head_dim)
     dqr, dkr, dv = kernels.attn_backward(qr, kr, v, d_ctx, boundaries, spec.code, spec.window, scale)
     dq = apply_rope(dqr, positions, table, inverse=True)
     dk = apply_rope(dkr, positions, table, inverse=True)
-    dx = _linear_backward(_merge_heads(dq), x, params, f"{p}.wq", grads)
-    dx += _linear_backward(_merge_heads(dk), x, params, f"{p}.wk", grads)
-    dx += _linear_backward(_merge_heads(dv), x, params, f"{p}.wv", grads)
+    dx = _linear_backward(_merge_heads(dq), x, params, f"{p}.wq", grads, extra)
+    dx += _linear_backward(_merge_heads(dk), x, params, f"{p}.wk", grads, extra)
+    dx += _linear_backward(_merge_heads(dv), x, params, f"{p}.wv", grads, extra)
     return dx
 
 
@@ -415,7 +460,7 @@ def _ffn_forward(x, layer, params, cfg, extra):
     return out, (x, gate, value, s)
 
 
-def _ffn_backward(d_out, cache, layer, params, cfg, grads):
+def _ffn_backward(d_out, cache, layer, params, cfg, grads, extra):
     x, gate, value, s = cache
     p = f"layers.{layer}.ffn"
     act = np.empty_like(s)
@@ -426,7 +471,7 @@ def _ffn_backward(d_out, cache, layer, params, cfg, grads):
         np.multiply(act[r], value[r], out=inner[r])
 
     _rowwise(products, s)
-    d_inner = _linear_backward(d_out, inner, params, f"{p}.wd", grads)
+    d_inner = _linear_backward(d_out, inner, params, f"{p}.wd", grads, extra)
     d_act = act_grad(gate, s, cfg.activation)
     f = s.shape[1]
     dz = np.empty((s.shape[0], 2 * f), dtype=np.result_type(d_inner, value, d_act))
@@ -438,7 +483,7 @@ def _ffn_backward(d_out, cache, layer, params, cfg, grads):
         np.multiply(d_inner[r], act[r], out=dz[r, f:])
 
     _rowwise(gate_grads, s)
-    return _linear_backward(dz, x, params, f"{p}.wu", grads)
+    return _linear_backward(dz, x, params, f"{p}.wu", grads, extra)
 
 
 # --- full forward / backward --------------------------------------------------
@@ -496,7 +541,8 @@ def forward(
 ) -> ForwardOutput:
     """Run the stack over a packed batch; returns final hidden states.
 
-    ``want_cache`` retains everything ``backward`` needs.  Attention-output
+    ``want_cache`` retains everything ``backward`` needs, ``extra_linear``
+    ({weight name: (A, B, scale)}) included.  Attention-output
     dropout is applied only when ``train`` is true, the rate is positive and
     per-sequence seeds are provided.
     """
@@ -542,6 +588,7 @@ def forward(
             "positions": positions,
             "layers": layer_caches,
             "final_norm": fn_cache,
+            "extra": extra_linear,
         }
     return ForwardOutput(hidden=out, cache=cache)
 
@@ -553,30 +600,36 @@ def backward(
     d_hidden: np.ndarray,
     grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Accumulate gradients of a scalar loss given d(loss)/d(final hidden)."""
+    """Accumulate gradients of a scalar loss given d(loss)/d(final hidden).
+
+    Only the tensors that are keys of ``grads`` get a gradient: weights by
+    name, adapter pairs by ``adapter_key``.  The default is every parameter.
+    """
     if grads is None:
         grads = zeros_like_params(params)
     batch: PackedBatch = cache["batch"]
     positions = cache["positions"]
     boundaries = batch.boundaries
+    extra = cache["extra"]
     dh = _norm_backward(d_hidden, cache["final_norm"], params, "final_norm", cfg, grads)
     pre = cfg.block_style == "pre_norm"
     for i in reversed(range(cfg.n_layers)):
         n1c, ac, n2c, fc, mask = cache["layers"][i]
         if pre:
-            d_f = _ffn_backward(dh, fc, i, params, cfg, grads)
+            d_f = _ffn_backward(dh, fc, i, params, cfg, grads, extra)
             dh = dh + _norm_backward(d_f, n2c, params, f"layers.{i}.norm2", cfg, grads)
             d_a = dh if mask is None else dh * mask
-            d_y1 = _attn_backward(d_a, ac, i, params, cfg, positions, boundaries, grads)
+            d_y1 = _attn_backward(d_a, ac, i, params, cfg, positions, boundaries, grads, extra)
             dh = dh + _norm_backward(d_y1, n1c, params, f"layers.{i}.norm1", cfg, grads)
         else:
             d_t2 = _norm_backward(dh, n2c, params, f"layers.{i}.norm2", cfg, grads)
-            d_f = _ffn_backward(d_t2, fc, i, params, cfg, grads)
+            d_f = _ffn_backward(d_t2, fc, i, params, cfg, grads, extra)
             dh = d_t2 + d_f
             d_t1 = _norm_backward(dh, n1c, params, f"layers.{i}.norm1", cfg, grads)
             d_a = d_t1 if mask is None else d_t1 * mask
-            dh = d_t1 + _attn_backward(d_a, ac, i, params, cfg, positions, boundaries, grads)
-    np.add.at(grads["tok_emb"], batch.tokens, dh)
+            dh = d_t1 + _attn_backward(d_a, ac, i, params, cfg, positions, boundaries, grads, extra)
+    if "tok_emb" in grads:
+        np.add.at(grads["tok_emb"], batch.tokens, dh)
     return grads
 
 
@@ -683,11 +736,14 @@ def mlm_logits(hidden: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def mlm_logits_vjp(d_logits, hidden, params, grads):
-    """Backward of mlm_logits; returns d_hidden, accumulates weight grads."""
+    """Backward of mlm_logits; returns d_hidden, accumulates the head's
+    gradient if it is in ``grads``."""
     if is_tied(params):
-        grads["tok_emb"] += _matmul_tn(d_logits, hidden)
+        if "tok_emb" in grads:
+            grads["tok_emb"] += _matmul_tn(d_logits, hidden)
         return _matmul(d_logits, params["tok_emb"])
-    grads["mlm_head.w"] += _matmul_tn(hidden, d_logits)
+    if "mlm_head.w" in grads:
+        grads["mlm_head.w"] += _matmul_tn(hidden, d_logits)
     return _matmul(d_logits, params["mlm_head.w"].T)
 
 

@@ -16,6 +16,10 @@ records and its per-step metrics.
 The same engine drives masked-token pretraining (MLM and its shifted
 variant), span extraction fine-tuning, and contrastive embedding
 fine-tuning; objectives differ only in how a batch turns into gradients.
+The engine moves one dict of trained tensors: every parameter for full
+training, or, when ``train_masked`` is given ``extra_linear``, only the
+adapter pairs, whose gradients the backward pass computes directly while
+the base weights stay frozen and get none.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .config import (
 )
 from .errors import ConfigError, DataError, TrainingError
 from .model import (
+    adapter_params,
     backward,
     forward,
     mlm_logits,
@@ -50,7 +55,6 @@ from .model import (
     span_logits,
     span_logits_vjp,
     validate_params,
-    zeros_like_params,
 )
 from .objectives import MASK_POLICIES, info_nce, mlm_loss, mlm_mask, mntp_targets, _log_softmax
 from .optim import OptState, lr_at, step as opt_step
@@ -280,37 +284,6 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-# ---------------------------------------------------------------------------
-# Trainable views: what the optimizer actually moves
-
-
-class DirectView:
-    """Full fine-tune: the model parameters are the optimized tensors."""
-
-    def __init__(self, params: dict[str, np.ndarray]):
-        self.params = params
-
-    @property
-    def model_params(self):
-        return self.params
-
-    @property
-    def opt_params(self):
-        return self.params
-
-    def update_grads(self, grads):
-        return grads
-
-    def after_update(self):
-        pass
-
-    def snapshot_params(self):
-        return self.params
-
-    def extra_meta(self) -> dict:
-        return {}
-
-
 @dataclass
 class TrainResult:
     checkpoint: Checkpoint  # the final state
@@ -346,7 +319,8 @@ def _id_arrays(items, limit: int, kind: str) -> list[list[np.ndarray]]:
 
 
 def _train_loop(
-    view,
+    params: dict[str, np.ndarray],
+    trained: dict[str, np.ndarray],
     cfg: ArchConfig,
     phase: TrainPhaseConfig,
     *,
@@ -354,12 +328,15 @@ def _train_loop(
     compute,
     phase_id: str,
     data_digest: str,
+    extra_meta: dict,
     checkpoint_interval_tokens: int = 0,
     max_epochs: int = 0,
     out_dir=None,
     resume_from: Checkpoint | None = None,
-    extra_meta: dict | None = None,
 ) -> TrainResult:
+    """Run the steps; ``params`` are the model's live weights, checkpointed
+    as they are, and ``trained`` the tensors the optimizer moves in place.
+    For full training the two are one dict."""
     problems = validate_phase(phase)
     if problems:
         raise ConfigError("; ".join(problems))
@@ -388,9 +365,11 @@ def _train_loop(
             m=_copy_tensors(resume_from.opt.m),
             v=_copy_tensors(resume_from.opt.v),
         )
+        if {k: m.shape for k, m in state.m.items()} != {k: t.shape for k, t in trained.items()}:
+            raise TrainingError("checkpoint moments do not match the trained tensors; resume refused")
     else:
         step_no = tokens_seen = epoch = pos = consumed = 0
-        state = OptState.init(view.opt_params, phase)
+        state = OptState.init(trained, phase)
 
     out_path = Path(out_dir) if out_dir is not None else None
     interval = checkpoint_interval_tokens if out_path is not None else 0
@@ -400,13 +379,14 @@ def _train_loop(
     prov = ProvenanceLog(resume_from.provenance.records if resume_from is not None else ())
     prior = len(prov)  # a resume continues its checkpoint's log
     metrics: list[tuple[int, int, float, float]] = []
-    base_extra = dict(extra_meta or {})
+    # One gradient dict for the whole run, zeroed in place before each step.
+    grads = {k: np.zeros_like(t) for k, t in trained.items()}
 
     # The live arrays, not copies: an interval checkpoint is written before
     # the next step moves them, and nothing moves them after the loop.
     def snapshot() -> Checkpoint:
         return Checkpoint(
-            params=view.snapshot_params(),
+            params=params,
             opt=state,
             cfg=cfg,
             phase=phase,
@@ -418,7 +398,7 @@ def _train_loop(
             consumed=consumed,
             dataset_digest=data_digest,
             n_provenance=len(prov),
-            extra={**base_extra, **view.extra_meta()},
+            extra=extra_meta,
             provenance=prov,
         )
 
@@ -451,7 +431,8 @@ def _train_loop(
             members = sorted((int(g) for g in chosen), key=lambda g: (lengths[g], g))
             items = [(g, consumed + j) for j, g in enumerate(members)]
 
-            grads = zeros_like_params(view.model_params)
+            for g in grads.values():
+                g.fill(0.0)
             loss, batch_tokens = compute(items, grads)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss!r} at step {step_no + 1}")
@@ -460,8 +441,7 @@ def _train_loop(
             step_no += 1
             tokens_seen += batch_tokens
             lr = lr_at(tokens_seen, phase)
-            opt_step(view.opt_params, view.update_grads(grads), state, lr)
-            view.after_update()
+            opt_step(trained, grads, state, lr)
 
             prov.append(
                 ProvenanceRecord(
@@ -517,13 +497,18 @@ def train_masked(
     max_epochs: int = 0,
     out_dir=None,
     resume_from: Checkpoint | None = None,
-    view=None,
+    extra_linear: dict | None = None,
 ) -> TrainResult:
     """Pretrain on masked-token prediction over packed variable-length batches.
 
     objective "mlm" trains each masked position against its own identity;
     "mntp" trains the position one to the left of each mask instead, which
     is the form a converted decoder is adapted with.
+
+    Given ``extra_linear`` ({weight name: (A, B, scale)}, as ``forward``
+    takes it), only its A and B arrays are trained, in place; ``params``
+    stay frozen and are what the checkpoints hold.  Otherwise a copy of
+    ``params`` is trained.
     """
     if objective not in MASKED_OBJECTIVES:
         raise ConfigError(f"unknown objective {objective!r}")
@@ -534,9 +519,10 @@ def train_masked(
     limit = min(cfg.max_seq_len, phase.max_seq_len)
     seqs = [arr for (arr,) in _id_arrays(([s] for s in dataset), limit, "sequence")]
     digest = dataset_digest(seqs)
-    if view is None:
-        view = DirectView(_copy_tensors(params))
-    live = view.model_params
+    if extra_linear is None:
+        live = trained = _copy_tensors(params)
+    else:
+        live, trained = params, adapter_params(extra_linear)
     micro = phase.microbatch or phase.batch_tokens_or_sequences
 
     def rows_and_targets(seq, masked):
@@ -590,6 +576,7 @@ def train_masked(
                 train=True,
                 dropout_rate=dropout_rate,
                 seq_seeds=seeds,
+                extra_linear=extra_linear,
                 want_cache=True,
             )
             logits = mlm_logits(out.hidden[rows], live)
@@ -604,7 +591,8 @@ def train_masked(
         return loss, batch_tokens
 
     return _train_loop(
-        view,
+        live,
+        trained,
         cfg,
         phase,
         lengths=[s.size for s in seqs],
@@ -711,8 +699,7 @@ def train_span_qa(
     docs = _id_arrays(([e.ids] for e in examples), limit, "example")
     exs = [SpanExample(ids, int(e.start), int(e.end)) for (ids,), e in zip(docs, examples)]
     digest = dataset_digest([e.ids for e in exs])
-    view = DirectView(_copy_tensors(params))
-    live = view.model_params
+    live = _copy_tensors(params)
     micro = phase.microbatch or phase.batch_tokens_or_sequences
 
     def compute(items, grads):
@@ -737,7 +724,8 @@ def train_span_qa(
         return loss, batch_tokens
 
     return _train_loop(
-        view,
+        live,
+        live,
         cfg,
         phase,
         lengths=[e.ids.size for e in exs],
@@ -821,8 +809,7 @@ def train_embedder(
     splitting would change the candidate set, so it is not applied here.
     """
     trips = _as_triplets(triplets, min(cfg.max_seq_len, phase.max_seq_len))
-    view = DirectView(_copy_tensors(params))
-    live = view.model_params
+    live = _copy_tensors(params)
 
     def compute(items, grads):
         batch = [trips[g] for g, _ in items]
@@ -847,7 +834,8 @@ def train_embedder(
         return loss, packed.total_tokens
 
     return _train_loop(
-        view,
+        live,
+        live,
         cfg,
         phase,
         lengths=[_triplet_tokens(t) for t in trips],

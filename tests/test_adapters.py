@@ -9,7 +9,6 @@ from packbert import config, model
 from packbert.adapters import (
     TARGETS,
     AdapterSet,
-    AdapterView,
     adapter_delta,
     apply_adapters,
     enable_bidirectional,
@@ -21,9 +20,9 @@ from packbert.adapters import (
     target_names,
     train_mntp_adapter,
 )
-from packbert.errors import ConfigError
+from packbert.errors import ConfigError, TrainingError
 from packbert.packing import pack
-from packbert.trainer import save_checkpoint, load_checkpoint
+from packbert.trainer import load_checkpoint, resume_masked, save_checkpoint
 from packbert.util import params_digest
 
 from conftest import quick_phase
@@ -222,13 +221,37 @@ def test_merged_equals_runtime_after_training(tiny_cfg, rand_batch):
     assert float(np.max(np.abs(out_merged - out_runtime))) <= 1e-6
 
 
-def test_adapter_view_exposes_flat_names(tiny_cfg):
+def test_adapter_checkpoint_holds_frozen_base_and_pair_moments(tiny_cfg, tmp_path):
     params = model.init_params(tiny_cfg, seed=0)
-    aset = init_adapters(params, tiny_cfg, rank=2, alpha=4.0, seed=14)
-    view = AdapterView(params, aset)
-    names = set(view.opt_params)
-    assert all(n.startswith("adapter/") for n in names)
-    assert len(names) == 2 * len(aset.tensors)
+    train_mntp_adapter(
+        params, tiny_cfg, toy_dataset(), quick_phase(token_budget=300),
+        mask_id=MASK_ID, special_ids=SPECIALS, rank=2, alpha=4.0,
+        out_dir=tmp_path,
+    )
+    ck = load_checkpoint(tmp_path / "ckpt_final.pbt")
+    want = sorted(model.adapter_key(n, h) for n in target_names(tiny_cfg) for h in "AB")
+    assert sorted(ck.opt.m) == want
+    assert sorted(ck.opt.v) == want
+    assert sorted(ck.params) == sorted(params)
+    for k in params:
+        np.testing.assert_array_equal(ck.params[k], params[k], err_msg=k)
+
+
+def test_adapter_checkpoint_resume_is_refused(tiny_cfg, tmp_path):
+    # The checkpoint holds the frozen base and the pairs' moments, not the
+    # pairs, so a plain resume would train the wrong tensors.
+    params = model.init_params(tiny_cfg, seed=0)
+    data = toy_dataset()
+    train_mntp_adapter(
+        params, tiny_cfg, data, quick_phase(token_budget=300),
+        mask_id=MASK_ID, special_ids=SPECIALS, rank=2, alpha=4.0,
+        out_dir=tmp_path, checkpoint_interval_tokens=100,
+    )
+    interval = sorted(tmp_path.glob("ckpt_step*.pbt"))
+    assert interval
+    with pytest.raises(TrainingError, match="resume refused"):
+        resume_masked(load_checkpoint(interval[0]), data,
+                      mask_id=MASK_ID, special_ids=SPECIALS)
 
 
 # --- persistence ---

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from packbert import config, model
+from packbert.adapters import init_adapters, runtime_extras
 from packbert.objectives import IGNORE, mlm_loss
 from packbert.packing import pack
 
@@ -27,35 +28,38 @@ def make_case(cfg, seed=0, tied=True):
     return params, batch, labels
 
 
-def loss_of(params, cfg, batch, labels):
-    out = model.forward(params, cfg, batch, want_cache=True)
+def loss_of(params, cfg, batch, labels, extra=None):
+    out = model.forward(params, cfg, batch, want_cache=True, extra_linear=extra)
     logits = model.mlm_logits(out.hidden, params)
     loss, d_logits = mlm_loss(logits, labels)
     return loss, out, d_logits
 
 
-def analytic_grads(params, cfg, batch, labels):
-    loss, out, d_logits = loss_of(params, cfg, batch, labels)
-    grads = model.zeros_like_params(params)
+def analytic_grads(params, cfg, batch, labels, extra=None, grads=None):
+    loss, out, d_logits = loss_of(params, cfg, batch, labels, extra)
+    if grads is None:
+        grads = model.zeros_like_params(params)
     d_hidden = model.mlm_logits_vjp(d_logits, out.hidden, params, grads)
     model.backward(params, cfg, out.cache, d_hidden, grads)
     return loss, grads
 
 
 def fd_check(params, cfg, batch, labels, grads, rng, samples_per_tensor=3,
-             eps=1e-4, tol=1e-4):
+             eps=1e-4, tol=1e-4, extra=None):
+    """Check every tensor in ``grads``: parameters, or adapter pairs of ``extra``."""
+    tensors = params | model.adapter_params(extra or {})
     worst = 0.0
-    for name in sorted(params):
-        arr = params[name]
+    for name in sorted(grads):
+        arr = tensors[name]
         flat = arr.reshape(-1)
         g = grads[name].reshape(-1)
         for _ in range(samples_per_tensor):
             i = int(rng.integers(flat.size))
             orig = flat[i]
             flat[i] = orig + eps
-            up, _, _ = loss_of(params, cfg, batch, labels)
+            up, _, _ = loss_of(params, cfg, batch, labels, extra)
             flat[i] = orig - eps
-            down, _, _ = loss_of(params, cfg, batch, labels)
+            down, _, _ = loss_of(params, cfg, batch, labels, extra)
             flat[i] = orig
             fd = (up - down) / (2 * eps)
             # Floor sits above central-difference noise (~1e-11 for a
@@ -112,6 +116,42 @@ def test_causal_mode_gradients(tiny_cfg):
     _, grads = analytic_grads(params, cfg, batch, labels)
     rng = np.random.default_rng(6)
     fd_check(params, cfg, batch, labels, grads, rng, samples_per_tensor=2)
+
+
+def test_adapter_extras_match_fd(tiny_cfg):
+    # Adapter pairs on every attention and FFN weight, with B nonzero so that
+    # dA is too.  The gradient dict names the pairs only: the frozen weights,
+    # norms and embedding get no gradient.  Layer 1's pairs pass dx through
+    # their extras term back to layer 0's pairs.
+    cfg = dataclasses.replace(tiny_cfg, max_seq_len=32)
+    params, batch, labels = make_case(cfg, seed=9)
+    aset = init_adapters(params, cfg, rank=3, alpha=6.0, seed=10)
+    rng = np.random.default_rng(11)
+    for _, b in aset.tensors.values():
+        b += rng.normal(0.0, 0.05, size=b.shape)
+    extra = runtime_extras(aset)
+    grads = {k: np.zeros_like(v) for k, v in model.adapter_params(extra).items()}
+    analytic_grads(params, cfg, batch, labels, extra, grads)
+    assert sorted(grads) == sorted(model.adapter_params(extra))
+    assert all(np.any(g != 0.0) for g in grads.values())
+    fd_check(params, cfg, batch, labels, grads, rng, samples_per_tensor=2, extra=extra)
+
+    # dx of one attention and one FFN linear with its extras term, directly.
+    for name in ("layers.0.attn.wq", "layers.1.ffn.wd"):
+        x = rng.normal(size=(5, params[name].shape[0]))
+        w_out = rng.normal(size=(5, params[name].shape[1]))
+        dx = model._linear_backward(w_out, x, params, name, {}, extra)
+        eps = 1e-6
+        for _ in range(6):
+            idx = tuple(int(rng.integers(n)) for n in x.shape)
+            orig = x[idx]
+            x[idx] = orig + eps
+            up = np.sum(model._linear(x, params, name, extra) * w_out)
+            x[idx] = orig - eps
+            down = np.sum(model._linear(x, params, name, extra) * w_out)
+            x[idx] = orig
+            fd = (up - down) / (2 * eps)
+            assert abs(fd - dx[idx]) <= 1e-6 * max(1.0, abs(fd)), (name, idx)
 
 
 def test_span_head_gradients(tiny_cfg):
@@ -173,7 +213,7 @@ def test_ffn_matches_fd(tiny_cfg, activation):
 
     _, cache = loss(params, x)
     grads = model.zeros_like_params(params)
-    dx = model._ffn_backward(w_out, cache, 0, params, cfg, grads)
+    dx = model._ffn_backward(w_out, cache, 0, params, cfg, grads, None)
     eps = 1e-6
     checks = [("x", x, dx)] + [
         (name, params[name], grads[name]) for name in ("layers.0.ffn.wu", "layers.0.ffn.wd")

@@ -373,13 +373,13 @@ def pooled_layer_ops(dtype, norm, activation):
     got = {}
     wq = "layers.0.attn.wq"
     got["linear"] = model._linear(x, params, wq, None)
-    got["linear_dx"] = model._linear_backward(dy, x, params, wq, grads)
+    got["linear_dx"] = model._linear_backward(dy, x, params, wq, grads, None)
     y, cache = model._norm_forward(x, params, "layers.0.norm1", cfg)
     got["norm"] = y
     got["norm_dx"] = model._norm_backward(dy, cache, params, "layers.0.norm1", cfg, grads)
     f, cache = model._ffn_forward(x, 0, params, cfg, None)
     got["ffn"] = f
-    got["ffn_dx"] = model._ffn_backward(dy, cache, 0, params, cfg, grads)
+    got["ffn_dx"] = model._ffn_backward(dy, cache, 0, params, cfg, grads, None)
     gate = (x[:, :2 * cfg.intermediate] * 3.0)[:, : cfg.intermediate]  # a column slice, as in the FFN
     got["act"], s = model.act_forward(gate, activation)
     got["act_grad"] = model.act_grad(gate, s, activation)
@@ -390,6 +390,13 @@ def pooled_layer_ops(dtype, norm, activation):
         d_logits = rng.normal(size=(POOL_ROWS, cfg.vocab_size)).astype(dtype)
         got[f"logits_tied={tied}"] = model.mlm_logits(x, head)
         got[f"logits_dx_tied={tied}"] = model.mlm_logits_vjp(d_logits, x, head, grads)
+    # An adapter pair on wk: its dA and dB are two tasks on the pool.
+    wk = "layers.0.attn.wk"
+    extra = {wk: (rng.normal(size=(cfg.hidden, 4)).astype(dtype),
+                  rng.normal(size=(4, cfg.hidden)).astype(dtype), 2.0)}
+    grads.update({k: np.zeros_like(v) for k, v in model.adapter_params(extra).items()})
+    got["adapter_linear"] = model._linear(x, params, wk, extra)
+    got["adapter_linear_dx"] = model._linear_backward(dy, x, params, wk, grads, extra)
     got.update({f"grad {k}": v for k, v in grads.items() if v.any()})
     return got
 
