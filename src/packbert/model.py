@@ -2,9 +2,15 @@
 
 Parameters live in a flat ``dict[str, np.ndarray]`` keyed by dotted names
 ("layers.3.attn.wq", "final_norm.scale", ...).  ``forward`` runs over a
-PackedBatch and can retain per-layer caches; ``backward`` consumes those
-caches and accumulates gradients into a dict, for the tensors that are its
-keys only.  Low-rank adapter pairs (``extra_linear``) make a linear use
+PackedBatch and, with ``want_cache``, retains per layer what the backward
+pass cannot rebuild cheaply: each norm's cache (xhat and 1/std for layer
+norm, the input and 1/rms for RMS norm), the rotated q and k, v, the merged
+attention context, the FFN's gate|value product and its gate CDF.  It keeps
+no norm output: ``backward`` rebuilds each one from its norm's cache with
+the forward's own ops, bit for bit.  ``backward`` consumes the cache,
+releasing each layer's entry once used, so a cache serves one backward pass;
+it accumulates gradients into a dict, for the tensors that are its keys
+only.  Low-rank adapter pairs (``extra_linear``) make a linear use
 W + s * A @ B without touching the stored W; their gradients are keyed by
 ``adapter_key``, so an adapter run's gradient dict holds the pairs alone and
 a frozen tensor costs no gradient work.  A separate padded
@@ -291,13 +297,26 @@ def act_grad(x: np.ndarray, s: np.ndarray, kind: str) -> np.ndarray:
     return g
 
 
+def _norm_out_block(y, xin, r, scale, offset, b):
+    """Rows b of a norm's output from its cache (xin, r): xhat * scale + offset
+    for layer norm, x * r * scale for RMS norm (``offset`` None)."""
+    if offset is not None:
+        np.multiply(xin[b], scale, out=y[b])
+        y[b] += offset
+    else:
+        np.multiply(xin[b], r[b], out=y[b])
+        y[b] *= scale
+
+
 def _norm_forward(x, params, prefix, cfg):
+    """The norm of x and its cache: (xhat, 1 / std) for layer norm, (x, 1 / rms)
+    for RMS norm."""
     scale = params[f"{prefix}.scale"]
+    offset = params[f"{prefix}.offset"] if cfg.norm == "layer_norm" else None
     eps = cfg.norm_eps
     y = np.empty(x.shape, dtype=np.result_type(x, scale))
     r = np.empty((x.shape[0], 1), dtype=x.dtype)  # 1 / std of each row
     if cfg.norm == "layer_norm":
-        offset = params[f"{prefix}.offset"]
         xhat = np.empty_like(x)
 
         def block(b):
@@ -306,8 +325,7 @@ def _norm_forward(x, params, prefix, cfg):
             var = (xc * xc).mean(axis=-1, keepdims=True)
             np.divide(1.0, np.sqrt(var + eps), out=r[b])
             np.multiply(xc, r[b], out=xhat[b])
-            np.multiply(xhat[b], scale, out=y[b])
-            y[b] += offset
+            _norm_out_block(y, xhat, r, scale, offset, b)
 
         _rowwise(block, x)
         return y, (xhat, r)
@@ -315,11 +333,21 @@ def _norm_forward(x, params, prefix, cfg):
     def block(b):
         xb = x[b]
         np.divide(1.0, np.sqrt((xb * xb).mean(axis=-1, keepdims=True) + eps), out=r[b])
-        np.multiply(xb, r[b], out=y[b])
-        y[b] *= scale
+        _norm_out_block(y, x, r, scale, offset, b)
 
     _rowwise(block, x)
     return y, (x, r)
+
+
+def _norm_output(cache, params, prefix, cfg):
+    """The output of the norm whose forward cache is ``cache``, rebuilt with the
+    forward's own ops, so bit for bit."""
+    scale = params[f"{prefix}.scale"]
+    offset = params[f"{prefix}.offset"] if cfg.norm == "layer_norm" else None
+    xin, r = cache
+    y = np.empty(xin.shape, dtype=np.result_type(xin, scale))
+    _rowwise(lambda b: _norm_out_block(y, xin, r, scale, offset, b), xin)
+    return y
 
 
 def _norm_backward(dy, cache, params, prefix, cfg, grads):
@@ -439,13 +467,19 @@ def _attn_forward(x, layer, params, cfg, positions, boundaries, extra):
 def _attn_backward(d_out, cache, layer, params, cfg, positions, boundaries, grads, extra):
     x, qr, kr, v, merged, spec, table, scale = cache
     p = f"layers.{layer}.attn"
-    d_merged = _linear_backward(d_out, merged, params, f"{p}.wo", grads, extra)
-    d_ctx = _split_heads(d_merged, cfg.n_heads, cfg.head_dim)
+    # Each gradient temporary is dropped once its product is taken.
+    d_ctx = _split_heads(_linear_backward(d_out, merged, params, f"{p}.wo", grads, extra),
+                         cfg.n_heads, cfg.head_dim)
     dqr, dkr, dv = kernels.attn_backward(qr, kr, v, d_ctx, boundaries, spec.code, spec.window, scale)
-    dq = apply_rope(dqr, positions, table, inverse=True)
-    dk = apply_rope(dkr, positions, table, inverse=True)
-    dx = _linear_backward(_merge_heads(dq), x, params, f"{p}.wq", grads, extra)
-    dx += _linear_backward(_merge_heads(dk), x, params, f"{p}.wk", grads, extra)
+    del d_ctx
+    dq = _merge_heads(apply_rope(dqr, positions, table, inverse=True))
+    del dqr
+    dx = _linear_backward(dq, x, params, f"{p}.wq", grads, extra)
+    del dq
+    dk = _merge_heads(apply_rope(dkr, positions, table, inverse=True))
+    del dkr
+    dx += _linear_backward(dk, x, params, f"{p}.wk", grads, extra)
+    del dk
     dx += _linear_backward(_merge_heads(dv), x, params, f"{p}.wv", grads, extra)
     return dx
 
@@ -472,6 +506,7 @@ def _ffn_backward(d_out, cache, layer, params, cfg, grads, extra):
 
     _rowwise(products, s)
     d_inner = _linear_backward(d_out, inner, params, f"{p}.wd", grads, extra)
+    del inner
     d_act = act_grad(gate, s, cfg.activation)
     f = s.shape[1]
     dz = np.empty((s.shape[0], 2 * f), dtype=np.result_type(d_inner, value, d_act))
@@ -483,6 +518,7 @@ def _ffn_backward(d_out, cache, layer, params, cfg, grads, extra):
         np.multiply(d_inner[r], act[r], out=dz[r, f:])
 
     _rowwise(gate_grads, s)
+    del act, d_inner, d_act
     return _linear_backward(dz, x, params, f"{p}.wu", grads, extra)
 
 
@@ -541,7 +577,7 @@ def forward(
 ) -> ForwardOutput:
     """Run the stack over a packed batch; returns final hidden states.
 
-    ``want_cache`` retains everything ``backward`` needs, ``extra_linear``
+    ``want_cache`` retains what one ``backward`` call needs, ``extra_linear``
     ({weight name: (A, B, scale)}) included.  Attention-output
     dropout is applied only when ``train`` is true, the rate is positive and
     per-sequence seeds are provided.
@@ -559,6 +595,9 @@ def forward(
         else [None] * cfg.n_layers
     )
 
+    # A cached attention or FFN tuple keeps its input slot empty: the input is
+    # a norm output (or, in layer 0 of a post-norm stack, the embedding
+    # gather), which backward rebuilds from the norm's own cache.
     layer_caches = []
     pre = cfg.block_style == "pre_norm"
     for i in range(cfg.n_layers):
@@ -579,7 +618,7 @@ def forward(
             f, fc = _ffn_forward(h, i, params, cfg, extra_linear)
             h, n2c = _norm_forward(h + f, params, f"layers.{i}.norm2", cfg)
         if want_cache:
-            layer_caches.append((n1c, ac, n2c, fc, masks[i]))
+            layer_caches.append((n1c, (None, *ac[1:]), n2c, (None, *fc[1:]), masks[i]))
     out, fn_cache = _norm_forward(h, params, "final_norm", cfg)
     cache = None
     if want_cache:
@@ -604,30 +643,47 @@ def backward(
 
     Only the tensors that are keys of ``grads`` get a gradient: weights by
     name, adapter pairs by ``adapter_key``.  The default is every parameter.
+    The call consumes ``cache``; a second call on it raises ValueError.
     """
+    layers = cache.pop("layers", None)
+    if layers is None:
+        raise ValueError("this forward cache was consumed by an earlier backward; run forward again")
     if grads is None:
         grads = zeros_like_params(params)
     batch: PackedBatch = cache["batch"]
     positions = cache["positions"]
     boundaries = batch.boundaries
     extra = cache["extra"]
-    dh = _norm_backward(d_hidden, cache["final_norm"], params, "final_norm", cfg, grads)
+    dh = _norm_backward(d_hidden, cache.pop("final_norm"), params, "final_norm", cfg, grads)
     pre = cfg.block_style == "pre_norm"
     for i in reversed(range(cfg.n_layers)):
-        n1c, ac, n2c, fc, mask = cache["layers"][i]
+        n1c, ac, n2c, fc, mask = layers[i]
+        layers[i] = None  # the locals hold this layer's cache now; each part is dropped once used
+        p = f"layers.{i}"
         if pre:
+            fc = (_norm_output(n2c, params, f"{p}.norm2", cfg), *fc[1:])
             d_f = _ffn_backward(dh, fc, i, params, cfg, grads, extra)
-            dh = dh + _norm_backward(d_f, n2c, params, f"layers.{i}.norm2", cfg, grads)
+            del fc
+            dh = dh + _norm_backward(d_f, n2c, params, f"{p}.norm2", cfg, grads)
             d_a = dh if mask is None else dh * mask
+            ac = (_norm_output(n1c, params, f"{p}.norm1", cfg), *ac[1:])
             d_y1 = _attn_backward(d_a, ac, i, params, cfg, positions, boundaries, grads, extra)
-            dh = dh + _norm_backward(d_y1, n1c, params, f"layers.{i}.norm1", cfg, grads)
+            del ac
+            dh = dh + _norm_backward(d_y1, n1c, params, f"{p}.norm1", cfg, grads)
         else:
-            d_t2 = _norm_backward(dh, n2c, params, f"layers.{i}.norm2", cfg, grads)
+            d_t2 = _norm_backward(dh, n2c, params, f"{p}.norm2", cfg, grads)
+            fc = (_norm_output(n1c, params, f"{p}.norm1", cfg), *fc[1:])
             d_f = _ffn_backward(d_t2, fc, i, params, cfg, grads, extra)
+            del fc
             dh = d_t2 + d_f
-            d_t1 = _norm_backward(dh, n1c, params, f"layers.{i}.norm1", cfg, grads)
+            d_t1 = _norm_backward(dh, n1c, params, f"{p}.norm1", cfg, grads)
             d_a = d_t1 if mask is None else d_t1 * mask
+            x = (_norm_output(layers[i - 1][2], params, f"layers.{i - 1}.norm2", cfg) if i
+                 else params["tok_emb"][batch.tokens])
+            ac = (x, *ac[1:])
+            del x
             dh = d_t1 + _attn_backward(d_a, ac, i, params, cfg, positions, boundaries, grads, extra)
+            del ac
     if "tok_emb" in grads:
         np.add.at(grads["tok_emb"], batch.tokens, dh)
     return grads

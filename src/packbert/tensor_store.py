@@ -7,9 +7,11 @@ every byte before it. Checkpoints with their provenance log, adapter files
 and token sequence files all use it. Writes go to a temporary file that is
 fsynced and then renamed over the target, so readers see the old file or
 the whole new one; the directory is fsynced after the rename, so the new
-file survives a power loss. A bad magic, checksum or header raises
-DataError, and so does a missing or mistyped metadata entry read through
-``meta_entry``.
+file survives a power loss; ``link_tensors`` swaps in a second name for an
+existing container the same way. A read fills each tensor's own array
+straight from the file and checks the checksum before it returns. A bad
+magic, checksum or header raises DataError, and so does a missing or
+mistyped metadata entry read through ``meta_entry``.
 """
 
 from __future__ import annotations
@@ -63,8 +65,32 @@ def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    # The rename lives in the directory: sync it too, or a power loss may undo it.
-    fd = os.open(out.parent, os.O_RDONLY)
+    _sync_dir(out.parent)
+
+
+def link_tensors(src, dst) -> bool:
+    """Give the container ``src`` the second name ``dst``: a hard link made under
+    a temporary name and renamed over ``dst``, as ``write_tensors`` renames.
+    False, with nothing changed, if the filesystem refuses the link.  No
+    container is ever edited in place, so two names can share one file."""
+    out = Path(dst)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        os.link(src, tmp)
+    except OSError:
+        return False
+    try:
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    _sync_dir(out.parent)
+    return True
+
+
+def _sync_dir(path) -> None:
+    # A rename lives in the directory: sync it too, or a power loss may undo it.
+    fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
@@ -72,19 +98,13 @@ def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None
 
 
 def read_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors and metadata of a container, each tensor read straight into
+    its own array, so a load holds the file's bytes once."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return _read(f, os.fstat(f.fileno()).st_size, path)
     except OSError as e:
         raise DataError(f"cannot read tensor file {path}: {e}") from e
-    end = len(raw) - 4
-    if end < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
-        raise DataError(f"{path} is not a tensor container (bad magic)")
-    if zlib.crc32(memoryview(raw)[:end]) != struct.unpack_from("<I", raw, end)[0]:
-        raise DataError(f"{path} fails its checksum (truncated or corrupt)")
-    try:
-        return _parse(raw, end)
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{path} has a malformed header: {e!r}") from e
 
 
 def meta_entry(meta: dict, key: str, kind: type, path):
@@ -100,14 +120,45 @@ def meta_entry(meta: dict, key: str, kind: type, path):
     return value
 
 
-def _parse(raw: bytes, end: int) -> tuple[dict[str, np.ndarray], dict]:
-    """Header and tensors of a checksummed container whose data region ends at raw[end]."""
-    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
-    data = offset = len(MAGIC) + 4 + hlen
-    header = json.loads(raw[len(MAGIC) + 4 : data].decode("utf-8"))
+def _read(f, size: int, path) -> tuple[dict[str, np.ndarray], dict]:
+    end = size - 4  # the data region ends where the trailing CRC starts
+    head = f.read(len(MAGIC) + 4)
+    if end < len(head) or head[: len(MAGIC)] != MAGIC:
+        raise DataError(f"{path} is not a tensor container (bad magic)")
+    data = len(head) + struct.unpack_from("<I", head, len(MAGIC))[0]
+    header = f.read(min(data, end) - len(head))
+    crc = zlib.crc32(header, zlib.crc32(head))
+    malformed = None
+    try:
+        tensors, meta = _parse(header, data, end)
+    except (KeyError, TypeError, ValueError) as e:
+        # The checksum of the rest tells a damaged file from a bad header.
+        malformed, tensors, meta = e, {}, None
+    for arr in tensors.values():
+        if f.readinto(arr) != arr.nbytes:
+            raise DataError(f"{path} is shorter than its header says (truncated)")
+        crc = zlib.crc32(arr, crc)
+    # Bytes no tensor claimed: the rest of the file, if the header is malformed.
+    for chunk in iter(lambda: f.read(min(1 << 20, end - f.tell())), b""):
+        crc = zlib.crc32(chunk, crc)
+    if f.read(4) != struct.pack("<I", crc):
+        raise DataError(f"{path} fails its checksum (truncated or corrupt)")
+    if malformed is not None:
+        raise DataError(f"{path} has a malformed header: {malformed!r}")
+    return tensors, meta
+
+
+def _parse(header: bytes, data: int, end: int) -> tuple[dict[str, np.ndarray], dict]:
+    """Metadata and empty tensors of a JSON header whose data region is
+    [data, end).  The tensors must tile the region exactly, so together they
+    never take more memory than the file has bytes."""
+    if data > end:
+        raise ValueError("header runs past the data region")
+    header = json.loads(header.decode("utf-8"))
     meta, tensors = header["meta"], {}
     if not isinstance(meta, dict) or not isinstance(header["tensors"], list):
         raise ValueError("meta must be an object and tensors a list")
+    offset = data
     for ent in header["tensors"]:
         name, dtype = ent["name"], _DTYPES[ent["dtype"]]
         shape, nbytes = ent["shape"], ent["nbytes"]
@@ -120,8 +171,7 @@ def _parse(raw: bytes, end: int) -> tuple[dict[str, np.ndarray], dict]:
             or offset + nbytes > end
         ):
             raise ValueError(f"entry for tensor {name!r} does not fit the data region")
-        arr = np.frombuffer(raw, dtype, nbytes // dtype.itemsize, offset)
-        tensors[name] = arr.reshape(shape).copy()
+        tensors[name] = np.empty(shape, dtype)
         offset += nbytes
     if offset != end:
         raise ValueError("data region length does not match its tensors")

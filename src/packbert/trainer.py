@@ -9,9 +9,10 @@ resumed run continues its checkpoint's log.
 
 A run holds one copy of its state. Given an ``out_dir``, it writes
 ``ckpt_stepNNNNNNNN.pbt`` at each ``checkpoint_interval_tokens`` mark and
-``ckpt_final.pbt`` at the end; interval checkpoints live on disk only. The
-returned TrainResult holds the final checkpoint, this call's provenance
-records and its per-step metrics.
+``ckpt_final.pbt`` at the end, as a hard link to the last interval
+checkpoint when that holds the final state; interval checkpoints live on
+disk only. The returned TrainResult holds the final checkpoint, this call's
+provenance records and its per-step metrics.
 
 The same engine drives masked-token pretraining (MLM and its shifted
 variant), span extraction fine-tuning, and contrastive embedding
@@ -59,7 +60,7 @@ from .model import (
 from .objectives import MASK_POLICIES, info_nce, mlm_loss, mlm_mask, mntp_targets, _log_softmax
 from .optim import OptState, lr_at, step as opt_step
 from .packing import pack
-from .tensor_store import meta_entry, read_tensors, write_tensors
+from .tensor_store import link_tensors, meta_entry, read_tensors, write_tensors
 from .util import (
     PURPOSE_DROP,
     PURPOSE_MASK,
@@ -402,6 +403,7 @@ def _train_loop(
             provenance=prov,
         )
 
+    saved = None  # (step, epoch, pos, path) of the last interval checkpoint
     metrics_file = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -459,7 +461,8 @@ def _train_loop(
                 metrics_file.flush()
 
             if interval and tokens_seen >= next_mark:
-                save_checkpoint(snapshot(), out_path / f"ckpt_step{step_no:08d}.pbt")
+                saved = (step_no, epoch, pos, out_path / f"ckpt_step{step_no:08d}.pbt")
+                save_checkpoint(snapshot(), saved[3])
                 next_mark = (tokens_seen // interval + 1) * interval
     finally:
         if metrics_file is not None:
@@ -467,7 +470,10 @@ def _train_loop(
 
     final = snapshot()
     if out_path is not None:
-        save_checkpoint(final, out_path / "ckpt_final.pbt")
+        path = out_path / "ckpt_final.pbt"
+        # If the last interval checkpoint holds this very state, it is also the final one.
+        if saved is None or saved[:3] != (step_no, epoch, pos) or not link_tensors(saved[3], path):
+            save_checkpoint(final, path)
     return TrainResult(
         checkpoint=final,
         provenance=ProvenanceLog(prov.records[prior:]),
@@ -579,14 +585,17 @@ def train_masked(
                 extra_linear=extra_linear,
                 want_cache=True,
             )
-            logits = mlm_logits(out.hidden[rows], live)
+            hidden = out.hidden[rows]
+            logits = mlm_logits(hidden, live)
             part_loss, d_logits = mlm_loss(logits, targets)
+            del logits
             weight = rows.size / total_active
             loss += part_loss * weight
             d_logits *= weight
-            d_rows = mlm_logits_vjp(d_logits, out.hidden[rows], live, grads)
             d_hidden = np.zeros_like(out.hidden)
-            d_hidden[rows] = d_rows
+            d_hidden[rows] = mlm_logits_vjp(d_logits, hidden, live, grads)
+            # The head's activations are dead: the backward pass peaks without them.
+            del d_logits, hidden
             backward(live, cfg, out.cache, d_hidden, grads)
         return loss, batch_tokens
 

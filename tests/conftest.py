@@ -1,6 +1,8 @@
 """Shared fixtures: small configs, toy vocabularies, random batches."""
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,3 +69,17 @@ def quick_phase(**kw):
     )
     base.update(kw)
     return config.TrainPhaseConfig(**base)
+
+
+def traced_peak(fn):
+    """(fn(), bytes still held once it returned, peak bytes while it ran), as
+    tracemalloc counts them from a collected heap."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak

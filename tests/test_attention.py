@@ -4,7 +4,6 @@ causal witnesses, and the padded path's dense attention."""
 import os
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ import pytest
 from packbert import kernels, pool
 from packbert.model import attention_padded, padded_mask
 from packbert.packing import CAUSAL_SPEC, GLOBAL_SPEC, MaskSpec, mask_matrix
+
+from conftest import traced_peak
 
 WINDOW_SPEC = MaskSpec("sliding_window", window=8)
 ALL_SPECS = (GLOBAL_SPEC, WINDOW_SPEC, CAUSAL_SPEC)
@@ -168,15 +169,14 @@ def test_global_memory_is_bounded_by_a_query_block(pool_workers):
     rng = np.random.default_rng(17)
     q, k, v = rand_qkv(rng, 1, 4096, 16)
     d_out = rng.normal(size=q.shape).astype(np.float32)
+
+    def forward_and_backward():
+        attn(q, k, v, GLOBAL_SPEC, whole(4096), 0.25)
+        attn_vjp(q, k, v, d_out, GLOBAL_SPEC, whole(4096), 0.25)
+
     for workers in (1, 2):
         pool_workers(workers)
-        tracemalloc.start()
-        try:
-            attn(q, k, v, GLOBAL_SPEC, whole(4096), 0.25)
-            attn_vjp(q, k, v, d_out, GLOBAL_SPEC, whole(4096), 0.25)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_peak(forward_and_backward)
         assert peak < 16 * 2**20, f"{workers} workers: peak {peak / 2**20:.1f} MiB"
 
 

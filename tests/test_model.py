@@ -351,6 +351,15 @@ def test_erf_runs_once_per_layer_per_training_step(tiny_cfg, rand_batch, monkeyp
     assert calls == [(rand_batch.total_tokens, tiny_cfg.intermediate)] * tiny_cfg.n_layers
 
 
+def test_backward_consumes_its_cache(tiny_cfg, rand_batch):
+    params = model.init_params(tiny_cfg, seed=2)
+    out = model.forward(params, tiny_cfg, rand_batch, want_cache=True)
+    d_hidden = np.ones_like(out.hidden)
+    model.backward(params, tiny_cfg, out.cache, d_hidden)
+    with pytest.raises(ValueError, match="consumed"):
+        model.backward(params, tiny_cfg, out.cache, d_hidden)
+
+
 # --- the layer stack on the worker pool ---
 
 POOL_ROWS = 4099  # four row blocks: three of 1,025 rows and a ragged 1,024

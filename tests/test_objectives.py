@@ -181,6 +181,41 @@ def test_loss_gradient_matches_fd():
         assert abs(fd - d[idx]) < 1e-8
 
 
+def _one_shot_mlm_loss(logits, labels):
+    """The loss and gradient with the whole float64 softmax taken at once."""
+    active = labels != IGNORE
+    n = int(active.sum())
+    z = logits[active].astype(np.float64)
+    picked = (np.arange(n), labels[active])
+    z -= z.max(axis=-1, keepdims=True)
+    gold_z = z[picked]
+    np.exp(z, out=z)
+    sums = z.sum(axis=-1, keepdims=True)
+    loss = float(np.mean(np.log(sums[:, 0]) - gold_z))
+    z *= 1.0 / (sums * n)
+    z[picked] -= 1.0 / n
+    d = np.zeros_like(logits)
+    d[active] = z
+    return loss, d
+
+
+@pytest.mark.parametrize("ignored", (False, True), ids=("all_active", "with_ignored"))
+@pytest.mark.parametrize("n", (1, 255, 256, 257, 3 * 256 + 5))
+def test_chunked_loss_equals_one_shot_bit_for_bit(n, ignored):
+    # Over 4,096 classes mlm_loss takes 2**20 // 4096 = 256 rows per chunk.
+    vocab = 4096
+    rng = np.random.default_rng(n)
+    rows = 2 * n + 3 if ignored else n
+    logits = (rng.normal(size=(rows, vocab)) * 4).astype(np.float32)
+    labels = rng.integers(0, vocab, size=rows)
+    if ignored:
+        labels[rng.permutation(rows)[n:]] = IGNORE
+    loss, d = mlm_loss(logits, labels)
+    want_loss, want_d = _one_shot_mlm_loss(logits, labels)
+    assert loss == want_loss
+    assert d.dtype == np.float32 and d.tobytes() == want_d.tobytes()
+
+
 # --- mntp_targets ---
 
 

@@ -12,6 +12,8 @@ import pytest
 from packbert.errors import DataError
 from packbert.tensor_store import MAGIC, read_tensors, write_tensors
 
+from conftest import traced_peak
+
 
 def test_roundtrip_mixed_tensors(tmp_path):
     rng = np.random.default_rng(0)
@@ -56,6 +58,20 @@ def test_float64_rejected(tmp_path):
 def test_int64_rejected(tmp_path):
     with pytest.raises(DataError):
         write_tensors(tmp_path / "t.pbt", {"x": np.zeros(2, dtype=np.int64)}, {})
+
+
+def test_read_holds_the_file_bytes_once(tmp_path):
+    rng = np.random.default_rng(2)
+    tensors = {"a": rng.normal(size=(2048, 2048)).astype(np.float32),
+               "b": rng.integers(0, 99, size=(1024, 4096)).astype(np.int32),
+               "c": rng.integers(0, 256, size=(1 << 20) + 3).astype(np.uint8)}
+    path = tmp_path / "big.pbt"
+    write_tensors(path, tensors, {"k": 1})
+    size = path.stat().st_size
+    assert size >= 32 * 2**20
+    back, _, peak = traced_peak(lambda: read_tensors(path))
+    assert all(back[0][k].tobytes() == tensors[k].tobytes() for k in tensors)
+    assert peak < 1.25 * size, (peak / size)
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -1,9 +1,8 @@
 """Training engine: determinism, provenance, resume, and the task heads."""
 
-import gc
+import dataclasses
 import logging
 import os
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from packbert.trainer import (
     train_span_qa,
 )
 
-from conftest import quick_phase
+from conftest import quick_phase, traced_peak
 
 SPECIALS = frozenset({0, 1, 2, 3, 4})
 MASK_ID = 4
@@ -289,14 +288,7 @@ def test_checkpoint_cadence_marks(tiny_cfg, tmp_path):
 
 def _held_bytes(run):
     """Bytes still allocated, per tracemalloc, while the result of ``run()`` is held."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = run()
-        gc.collect()
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    result, held, _ = traced_peak(run)
     assert result.checkpoint.step == 48
     return held
 
@@ -329,6 +321,65 @@ def test_interval_checkpoint_equals_shorter_runs_final(tiny_cfg, tmp_path):
         assert all(a[k].tobytes() == b[k].tobytes() for k in a)
     assert mark.opt.t == final.opt.t == 4
     assert mark.provenance == final.provenance
+
+
+def test_final_checkpoint_on_a_mark_is_the_step_file(tiny_cfg, tmp_path):
+    # 40-token steps and a 160-token interval: step 8, the last, lands on a mark.
+    data = toy_dataset(n=8, lo=10, hi=11)
+    run_mlm(tiny_cfg, data, _steps_phase(8), out_dir=tmp_path, checkpoint_interval_tokens=160)
+    step, final = tmp_path / "ckpt_step00000008.pbt", tmp_path / "ckpt_final.pbt"
+    assert load_checkpoint(step).step == load_checkpoint(final).step == 8
+    assert step.read_bytes() == final.read_bytes()
+    assert os.stat(step).st_ino == os.stat(final).st_ino
+    assert not any(p.name.startswith(".") for p in tmp_path.iterdir())  # no temporary left
+
+
+def test_final_checkpoint_is_written_when_the_link_is_refused(tiny_cfg, tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("links not supported")
+
+    monkeypatch.setattr(os, "link", refuse)
+    data = toy_dataset(n=8, lo=10, hi=11)
+    run_mlm(tiny_cfg, data, _steps_phase(8), out_dir=tmp_path, checkpoint_interval_tokens=160)
+    step, final = tmp_path / "ckpt_step00000008.pbt", tmp_path / "ckpt_final.pbt"
+    assert step.read_bytes() == final.read_bytes()
+    assert os.stat(step).st_ino != os.stat(final).st_ino
+
+
+def test_final_checkpoint_after_an_epoch_end_is_its_own_file(tiny_cfg, tmp_path):
+    # Step 8, the last one the four epochs allow, lands on a mark; then the
+    # fourth epoch ends, so the final state counts one more epoch.
+    data = toy_dataset(n=8, lo=10, hi=11)
+    run_mlm(tiny_cfg, data, _steps_phase(10), out_dir=tmp_path, checkpoint_interval_tokens=160,
+            max_epochs=4)
+    step, final = tmp_path / "ckpt_step00000008.pbt", tmp_path / "ckpt_final.pbt"
+    assert load_checkpoint(final).epoch == load_checkpoint(step).epoch + 1
+    assert os.stat(step).st_ino != os.stat(final).st_ino
+
+
+def test_training_step_holds_each_activation_once(tiny_cfg):
+    cfg = dataclasses.replace(tiny_cfg, n_layers=4, hidden=128, n_heads=2, intermediate=192,
+                              local_window=64, max_seq_len=256)
+    rng = np.random.default_rng(3)
+    data = [rng.integers(5, 256, size=256, dtype=np.int32) for _ in range(8)]
+    tokens = 8 * 256
+    phase = quick_phase(token_budget=tokens, batch_tokens_or_sequences=8, microbatch=8)
+    params = model.init_params(cfg, seed=0)
+
+    def step():
+        return train_mlm(params, cfg, data, phase, mask_id=MASK_ID, special_ids=SPECIALS)
+
+    step()  # caches fill outside the measurement
+    result, _, peak = traced_peak(step)
+    assert result.checkpoint.step == 1
+    # The trained copy, two moments and the gradients; per layer two norm
+    # xhats, q, k, v, the merged context, gate|value and the gate CDF.  On
+    # top, two layers' worth covers one layer's working set in the forward
+    # and in the backward pass and the small MLM head here.
+    state = 4 * sum(t.nbytes for t in params.values())
+    per_layer = tokens * (6 * cfg.hidden + 3 * cfg.intermediate) * 4
+    bound = state + (cfg.n_layers + 2) * per_layer
+    assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
 def test_lr_metric_matches_schedule(tiny_cfg):
