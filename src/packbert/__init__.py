@@ -1,7 +1,7 @@
 """packbert: desk-scale encoder LM pipeline with packed-sequence attention.
 
 Subpackages cover configuration, tokenization, the packed/rotary attention
-core with a compiled kernel and numpy fallback, the transformer model with
+core (one blocked numpy kernel), the transformer model with
 hand-written gradients, training objectives and optimizer, deterministic
 training with provenance, context extension, decoder-to-encoder conversion
 via low-rank adapters, the data pipeline, needle-in-a-haystack dataset

@@ -166,27 +166,25 @@ def _run_packed(params, cfg, batches):
         forward(params, cfg, packed)
 
 
+def _padded_ids(batch):
+    """(ids, lengths) of a batch of sequences: ids (batch, max_len), zero past each end."""
+    lengths = np.asarray([len(s) for s in batch], dtype=np.int64)
+    ids = np.zeros((len(batch), int(lengths.max())), dtype=np.int32)
+    for i, seq in enumerate(batch):
+        ids[i, : len(seq)] = seq
+    return ids, lengths
+
+
 def _run_padded(params, cfg, batches):
     for batch in batches:
-        lmax = max(len(s) for s in batch)
-        ids = np.zeros((len(batch), lmax), dtype=np.int32)
-        lengths = np.empty(len(batch), dtype=np.int64)
-        for i, seq in enumerate(batch):
-            ids[i, : len(seq)] = seq
-            lengths[i] = len(seq)
-        forward_padded(params, cfg, ids, lengths)
+        forward_padded(params, cfg, *_padded_ids(batch))
 
 
 def check_paths_agree(params, cfg, batch, *, tol: float = 1e-5):
     """Probe one batch through both paths; refuse to time if they disagree."""
     packed = pack(batch)
     packed_h = forward(params, cfg, packed).hidden
-    lmax = max(len(s) for s in batch)
-    ids = np.zeros((len(batch), lmax), dtype=np.int32)
-    lengths = np.asarray([len(s) for s in batch], dtype=np.int64)
-    for i, seq in enumerate(batch):
-        ids[i, : len(seq)] = seq
-    padded_h = forward_padded(params, cfg, ids, lengths)
+    padded_h = forward_padded(params, cfg, *_padded_ids(batch))
     worst = 0.0
     for i in range(len(batch)):
         lo, hi = int(packed.boundaries[i]), int(packed.boundaries[i + 1])

@@ -139,7 +139,6 @@ def cmd_pretrain(args) -> int:
         mask_policy=args.mask_policy,
         dropout_rate=args.dropout,
         checkpoint_interval_tokens=args.ckpt_interval,
-        max_epochs=args.max_epochs,
         out_dir=args.out,
     )
     last = result.metrics[-1] if result.metrics else None
@@ -193,7 +192,6 @@ def cmd_mntp(args) -> int:
         rank=args.rank,
         alpha=args.alpha,
         phase_tag=args.phase_tag,
-        max_epochs=args.max_epochs,
     )
     save_adapters(adapters, args.out)
     first = result.metrics[0][2] if result.metrics else float("nan")
@@ -251,7 +249,6 @@ def cmd_embed_train(args) -> int:
         triplets,
         phase,
         temperature=args.temperature,
-        max_epochs=args.max_epochs,
         out_dir=args.out,
     )
     if result.metrics:
@@ -326,7 +323,6 @@ def cmd_qa_finetune(args) -> int:
         ckpt.cfg,
         examples,
         phase,
-        max_epochs=args.max_epochs,
         out_dir=args.out,
     )
     if result.metrics:
@@ -449,7 +445,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mask-policy", default="all_mask")
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--ckpt-interval", type=int, default=0)
-    p.add_argument("--max-epochs", type=int, default=0)
 
     p = add("extend", cmd_extend, "raise the global rotation base and max length")
     p.add_argument("--ckpt", required=True)
@@ -468,7 +463,6 @@ def build_parser() -> _Parser:
     p.add_argument("--phase-tag", default="ext1")
     p.add_argument("--bidirectional", action="store_true",
                    help="replace a causal mask with full attention first")
-    p.add_argument("--max-epochs", type=int, default=0)
 
     p = add("merge-adapters", cmd_merge_adapters, "fold adapters into the weights")
     p.add_argument("--ckpt", required=True)
@@ -482,7 +476,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--temperature", type=float, default=0.05)
-    p.add_argument("--max-epochs", type=int, default=0)
 
     p = add("niah-gen", cmd_niah_gen, "build haystack examples from QA pairs")
     p.add_argument("--pairs", required=True)
@@ -505,7 +498,6 @@ def build_parser() -> _Parser:
     p.add_argument("--examples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--max-epochs", type=int, default=0)
 
     p = add("bench", cmd_bench, "padded vs packed throughput")
     p.add_argument("--ckpt", default=None)

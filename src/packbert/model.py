@@ -13,10 +13,12 @@ it accumulates gradients into a dict, for the tensors that are its keys
 only.  Low-rank adapter pairs (``extra_linear``) make a linear use
 W + s * A @ B without touching the stored W; their gradients are keyed by
 ``adapter_key``, so an adapter run's gradient dict holds the pairs alone and
-a frozen tensor costs no gradient work.  A separate padded
-path (``forward_padded``) executes conventional dense attention over
-(batch, max_len) tensors, PAD slots included, for the throughput benchmark
-and as the oracle of the packed≡padded equivalence tests.
+a frozen tensor costs no gradient work.  The padded path
+(``forward_padded``) runs the same layer stack over (batch, max_len) ids as
+one token stream, PAD slots included, around conventional dense attention
+(``attention_padded``) in place of the packed kernel; it serves the
+throughput benchmark and is the oracle of the packed≡padded equivalence
+tests, whose shared ops are all per-token.
 
 Architecture per ArchConfig: pre- or post-norm residual blocks, gated
 feed-forward (up-projection to 2x intermediate, split into gate/value,
@@ -67,24 +69,19 @@ def param_shapes(cfg: ArchConfig, tied: bool = True) -> dict[str, tuple]:
     return shapes
 
 
-def init_params(
-    cfg: ArchConfig,
-    seed: int = 0,
-    tied: bool = True,
-    dtype=np.float32,
-) -> dict[str, np.ndarray]:
-    """Scaled normal init: std 0.02, output projections shrunk by 1/sqrt(2L)."""
+def init_params(cfg: ArchConfig, seed: int = 0, tied: bool = True) -> dict[str, np.ndarray]:
+    """Scaled normal float32 init: std 0.02, output projections shrunk by 1/sqrt(2L)."""
     rng = np.random.default_rng(seed)
     out_std = 0.02 / math.sqrt(2.0 * cfg.n_layers)
     params: dict[str, np.ndarray] = {}
     for name, shape in sorted(param_shapes(cfg, tied).items()):
         if name.endswith(".scale"):
-            params[name] = np.ones(shape, dtype=dtype)
+            params[name] = np.ones(shape, dtype=np.float32)
         elif name.endswith(".offset"):
-            params[name] = np.zeros(shape, dtype=dtype)
+            params[name] = np.zeros(shape, dtype=np.float32)
         else:
             std = out_std if name.endswith((".wo", ".wd")) else 0.02
-            params[name] = rng.normal(0.0, std, size=shape).astype(dtype)
+            params[name] = rng.normal(0.0, std, size=shape).astype(np.float32)
     return params
 
 
@@ -447,7 +444,9 @@ def _merge_heads(x):
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, h * d)
 
 
-def _attn_forward(x, layer, params, cfg, positions, boundaries, extra):
+def _attn_forward(x, layer, params, cfg, positions, attend, extra):
+    """The attention sublayer; ``attend(q, k, v, spec, scale)`` is its core,
+    over heads-first (heads, tokens, head_dim) q, k and v."""
     p = f"layers.{layer}.attn"
     q = _split_heads(_linear(x, params, f"{p}.wq", extra), cfg.n_heads, cfg.head_dim)
     k = _split_heads(_linear(x, params, f"{p}.wk", extra), cfg.n_heads, cfg.head_dim)
@@ -457,8 +456,7 @@ def _attn_forward(x, layer, params, cfg, positions, boundaries, extra):
     kr = apply_rope(k, positions, table)
     spec = _layer_spec(cfg, layer)
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    ctx = kernels.attn_forward(qr, kr, v, boundaries, spec.code, spec.window, scale)
-    merged = _merge_heads(ctx)
+    merged = _merge_heads(attend(qr, kr, v, spec, scale))
     out = _linear(merged, params, f"{p}.wo", extra)
     cache = (x, qr, kr, v, merged, spec, table, scale)
     return out, cache
@@ -564,37 +562,13 @@ def _validate_batch(batch: PackedBatch, cfg: ArchConfig):
         )
 
 
-def forward(
-    params: dict[str, np.ndarray],
-    cfg: ArchConfig,
-    batch: PackedBatch,
-    *,
-    train: bool = False,
-    dropout_rate: float = 0.0,
-    seq_seeds=None,
-    extra_linear=None,
-    want_cache: bool = False,
-) -> ForwardOutput:
-    """Run the stack over a packed batch; returns final hidden states.
-
-    ``want_cache`` retains what one ``backward`` call needs, ``extra_linear``
-    ({weight name: (A, B, scale)}) included.  Attention-output
-    dropout is applied only when ``train`` is true, the rate is positive and
-    per-sequence seeds are provided.
-    """
-    _validate_batch(batch, cfg)
-    boundaries = batch.boundaries
-    positions = batch.positions
-    dtype = params["tok_emb"].dtype
-    h = params["tok_emb"][batch.tokens]
-
-    use_dropout = train and dropout_rate > 0.0 and seq_seeds is not None
-    masks = (
-        _dropout_masks(batch, cfg, cfg.n_layers, dropout_rate, seq_seeds, dtype)
-        if use_dropout
-        else [None] * cfg.n_layers
-    )
-
+def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, want_cache):
+    """The embedding gather, the blocks and the final norm over a flat token
+    stream; each attention sublayer runs through the core ``attend`` (see
+    ``_attn_forward``).  ``masks`` holds each layer's attention-output dropout
+    mask or None.  Returns the final hidden states, the per-layer caches
+    (empty without ``want_cache``) and the final norm's cache."""
+    h = params["tok_emb"][tokens]
     # A cached attention or FFN tuple keeps its input slot empty: the input is
     # a norm output (or, in layer 0 of a post-norm stack, the embedding
     # gather), which backward rebuilds from the norm's own cache.
@@ -603,23 +577,57 @@ def forward(
     for i in range(cfg.n_layers):
         if pre:
             y1, n1c = _norm_forward(h, params, f"layers.{i}.norm1", cfg)
-            a, ac = _attn_forward(y1, i, params, cfg, positions, boundaries, extra_linear)
+            a, ac = _attn_forward(y1, i, params, cfg, positions, attend, extra)
             if masks[i] is not None:
                 a = a * masks[i]
             h = h + a
             y2, n2c = _norm_forward(h, params, f"layers.{i}.norm2", cfg)
-            f, fc = _ffn_forward(y2, i, params, cfg, extra_linear)
+            f, fc = _ffn_forward(y2, i, params, cfg, extra)
             h = h + f
         else:
-            a, ac = _attn_forward(h, i, params, cfg, positions, boundaries, extra_linear)
+            a, ac = _attn_forward(h, i, params, cfg, positions, attend, extra)
             if masks[i] is not None:
                 a = a * masks[i]
             h, n1c = _norm_forward(h + a, params, f"layers.{i}.norm1", cfg)
-            f, fc = _ffn_forward(h, i, params, cfg, extra_linear)
+            f, fc = _ffn_forward(h, i, params, cfg, extra)
             h, n2c = _norm_forward(h + f, params, f"layers.{i}.norm2", cfg)
         if want_cache:
             layer_caches.append((n1c, (None, *ac[1:]), n2c, (None, *fc[1:]), masks[i]))
     out, fn_cache = _norm_forward(h, params, "final_norm", cfg)
+    return out, layer_caches, fn_cache
+
+
+def forward(
+    params: dict[str, np.ndarray],
+    cfg: ArchConfig,
+    batch: PackedBatch,
+    *,
+    dropout_rate: float = 0.0,
+    seq_seeds=None,
+    extra_linear=None,
+    want_cache: bool = False,
+) -> ForwardOutput:
+    """Run the stack over a packed batch; returns final hidden states.
+
+    ``want_cache`` retains what one ``backward`` call needs, ``extra_linear``
+    ({weight name: (A, B, scale)}) included.  Attention-output dropout is
+    applied when the rate is positive and per-sequence seeds are provided.
+    """
+    _validate_batch(batch, cfg)
+    boundaries = batch.boundaries
+    positions = batch.positions
+
+    def attend(q, k, v, spec, scale):
+        # Looked up per call, so a wrapper bound to kernels.attn_forward sees it.
+        return kernels.attn_forward(q, k, v, boundaries, spec.code, spec.window, scale)
+
+    masks = [None] * cfg.n_layers
+    if dropout_rate > 0.0 and seq_seeds is not None:
+        dtype = params["tok_emb"].dtype
+        masks = _dropout_masks(batch, cfg, cfg.n_layers, dropout_rate, seq_seeds, dtype)
+    out, layer_caches, fn_cache = _layer_stack(
+        params, cfg, batch.tokens, positions, attend, masks, extra_linear, want_cache
+    )
     cache = None
     if want_cache:
         cache = {
@@ -728,7 +736,10 @@ def forward_padded(
     """Dense padded forward: ids (batch, max_len), PAD slots cost compute.
 
     Eval-only; returns hidden states (batch, max_len, hidden).  Outputs at
-    PAD slots are garbage by design and must be ignored by the caller.
+    PAD slots are garbage by design and must be ignored by the caller.  The
+    layers are ``forward``'s, over every slot as one token stream; only the
+    attention core differs: ``attention_padded`` over (batch, heads, max_len,
+    head_dim), every slot's row against every slot's key.
     """
     ids = np.asarray(ids)
     if ids.ndim != 2:
@@ -742,43 +753,17 @@ def forward_padded(
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(f"token id out of range for vocab_size {cfg.vocab_size}")
 
-    positions = np.arange(max_len, dtype=np.int64)
-    flat = ids.reshape(-1)
-    h = params["tok_emb"][flat]  # (B*L, hidden)
+    def by_member(x):  # (heads, batch * max_len, d) -> (batch, heads, max_len, d)
+        return x.reshape(cfg.n_heads, bsz, max_len, -1).transpose(1, 0, 2, 3)
 
-    def to_heads(x):
-        return np.ascontiguousarray(
-            x.reshape(bsz, max_len, cfg.n_heads, cfg.head_dim).transpose(0, 2, 1, 3)
-        )
+    def attend(q, k, v, spec, scale):
+        ctx = attention_padded(by_member(q), by_member(k), by_member(v), lengths, spec, scale)
+        return ctx.transpose(1, 0, 2, 3).reshape(cfg.n_heads, bsz * max_len, -1)
 
-    scale = 1.0 / math.sqrt(cfg.head_dim)
-    pre = cfg.block_style == "pre_norm"
-    for i in range(cfg.n_layers):
-        p = f"layers.{i}"
-        if pre:
-            y1, _ = _norm_forward(h, params, f"{p}.norm1", cfg)
-        else:
-            y1 = h
-        q = to_heads(_linear(y1, params, f"{p}.attn.wq", None))
-        k = to_heads(_linear(y1, params, f"{p}.attn.wk", None))
-        v = to_heads(_linear(y1, params, f"{p}.attn.wv", None))
-        table = build_rope_table(cfg.rope_theta_for_layer(i), cfg.head_dim, cfg.max_seq_len)
-        q = apply_rope(q, positions, table)
-        k = apply_rope(k, positions, table)
-        spec = _layer_spec(cfg, i)
-        ctx = attention_padded(q, k, v, lengths, spec, scale)
-        merged = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(bsz * max_len, cfg.hidden)
-        a = _linear(merged, params, f"{p}.attn.wo", None)
-        if pre:
-            h = h + a
-            y2, _ = _norm_forward(h, params, f"{p}.norm2", cfg)
-            f, _ = _ffn_forward(y2, i, params, cfg, None)
-            h = h + f
-        else:
-            h, _ = _norm_forward(h + a, params, f"{p}.norm1", cfg)
-            f, _ = _ffn_forward(h, i, params, cfg, None)
-            h, _ = _norm_forward(h + f, params, f"{p}.norm2", cfg)
-    out, _ = _norm_forward(h, params, "final_norm", cfg)
+    positions = np.tile(np.arange(max_len, dtype=np.int64), bsz)
+    out, _, _ = _layer_stack(
+        params, cfg, ids.reshape(-1), positions, attend, [None] * cfg.n_layers, None, False
+    )
     return out.reshape(bsz, max_len, cfg.hidden)
 
 

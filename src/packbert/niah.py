@@ -121,8 +121,6 @@ def build_haystack(
         if distractor_count is None
         else distractor_count
     )
-    if pool_lens is None:
-        pool_lens = [count_tokens(p, vocab) for p in pool]
     total = len(needle_ids)
     chosen, chosen_lens = [], []
     if want and len(pool):
@@ -132,11 +130,13 @@ def build_haystack(
             cand = pool[int(idx)]
             if pair.answer in cand:
                 continue  # leak: the answer must occur only in the needle
-            if total + pool_lens[int(idx)] > token_cap:
+            # Without given lengths, only the candidates visited are counted.
+            n = count_tokens(cand, vocab) if pool_lens is None else pool_lens[int(idx)]
+            if total + n > token_cap:
                 break
             chosen.append(cand)
-            chosen_lens.append(pool_lens[int(idx)])
-            total += pool_lens[int(idx)]
+            chosen_lens.append(n)
+            total += n
 
     paras = [pair.needle] + chosen
     lens = [len(needle_ids)] + chosen_lens

@@ -31,7 +31,8 @@ def mlm_mask(
     rng: np.random.Generator,
     special_ids,
     policy: str = "all_mask",
-    mask_id: int | None = None,
+    *,
+    mask_id: int,
     vocab_size: int | None = None,
 ) -> MaskedBatch:
     """Mask each non-special position independently with probability ``rate``.
@@ -44,8 +45,6 @@ def mlm_mask(
         raise ValueError(f"rate must be in [0,1), got {rate}")
     if policy not in MASK_POLICIES:
         raise ValueError(f"unknown mask policy {policy!r}")
-    if mask_id is None:
-        raise ValueError("mask_id is required")
     ids = np.asarray(ids, dtype=np.int32)
     # A compare against the few special ids; np.isin would sort every call.
     special = (ids[..., None] == np.fromiter(special_ids, dtype=np.int32)).any(axis=-1)

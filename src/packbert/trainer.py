@@ -331,7 +331,6 @@ def _train_loop(
     data_digest: str,
     extra_meta: dict,
     checkpoint_interval_tokens: int = 0,
-    max_epochs: int = 0,
     out_dir=None,
     resume_from: Checkpoint | None = None,
 ) -> TrainResult:
@@ -403,7 +402,7 @@ def _train_loop(
             provenance=prov,
         )
 
-    saved = None  # (step, epoch, pos, path) of the last interval checkpoint
+    saved = None  # (step, path) of the last interval checkpoint
     metrics_file = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -423,9 +422,6 @@ def _train_loop(
                     )
                 epoch += 1
                 pos = 0
-                if max_epochs and epoch >= max_epochs:
-                    logger.info("dataset exhausted after %d epochs", epoch)
-                    break
                 order = _epoch_order(phase.seed, epoch, n_items)
                 continue
             chosen = order[pos : pos + batch_size]
@@ -461,8 +457,8 @@ def _train_loop(
                 metrics_file.flush()
 
             if interval and tokens_seen >= next_mark:
-                saved = (step_no, epoch, pos, out_path / f"ckpt_step{step_no:08d}.pbt")
-                save_checkpoint(snapshot(), saved[3])
+                saved = (step_no, out_path / f"ckpt_step{step_no:08d}.pbt")
+                save_checkpoint(snapshot(), saved[1])
                 next_mark = (tokens_seen // interval + 1) * interval
     finally:
         if metrics_file is not None:
@@ -471,8 +467,9 @@ def _train_loop(
     final = snapshot()
     if out_path is not None:
         path = out_path / "ckpt_final.pbt"
-        # If the last interval checkpoint holds this very state, it is also the final one.
-        if saved is None or saved[:3] != (step_no, epoch, pos) or not link_tensors(saved[3], path):
+        # The loop ends after a step, so an interval checkpoint at the last
+        # step holds this very state: it is also the final one.
+        if saved is None or saved[0] != step_no or not link_tensors(saved[1], path):
             save_checkpoint(final, path)
     return TrainResult(
         checkpoint=final,
@@ -500,7 +497,6 @@ def train_masked(
     dropout_rate: float = 0.0,
     phase_id: str = "pretrain",
     checkpoint_interval_tokens: int = 0,
-    max_epochs: int = 0,
     out_dir=None,
     resume_from: Checkpoint | None = None,
     extra_linear: dict | None = None,
@@ -546,8 +542,8 @@ def train_masked(
                 rng,
                 special_ids,
                 mask_policy,
-                mask_id,
-                cfg.vocab_size,
+                mask_id=mask_id,
+                vocab_size=cfg.vocab_size,
             )
             rows, targets = rows_and_targets(seqs[g], masked)
             corrupted.append(masked.corrupted_ids)
@@ -579,7 +575,6 @@ def train_masked(
                 live,
                 cfg,
                 packed,
-                train=True,
                 dropout_rate=dropout_rate,
                 seq_seeds=seeds,
                 extra_linear=extra_linear,
@@ -609,7 +604,6 @@ def train_masked(
         phase_id=phase_id,
         data_digest=digest,
         checkpoint_interval_tokens=checkpoint_interval_tokens,
-        max_epochs=max_epochs,
         out_dir=out_dir,
         resume_from=resume_from,
         extra_meta={"objective": objective},
@@ -700,7 +694,6 @@ def train_span_qa(
     examples,
     phase: TrainPhaseConfig,
     *,
-    max_epochs: int = 0,
     out_dir=None,
 ) -> TrainResult:
     """Fine-tune start/end span extraction with per-document cross-entropy."""
@@ -741,7 +734,6 @@ def train_span_qa(
         compute=compute,
         phase_id="span_qa",
         data_digest=digest,
-        max_epochs=max_epochs,
         out_dir=out_dir,
         extra_meta={"objective": "span_qa"},
     )
@@ -808,7 +800,6 @@ def train_embedder(
     phase: TrainPhaseConfig,
     *,
     temperature: float = 0.05,
-    max_epochs: int = 0,
     out_dir=None,
 ) -> TrainResult:
     """Contrastive fine-tune over mean-pooled embeddings.
@@ -851,7 +842,6 @@ def train_embedder(
         compute=compute,
         phase_id="embed",
         data_digest=_triplet_digest(trips),
-        max_epochs=max_epochs,
         out_dir=out_dir,
         extra_meta={"objective": "embed", "temperature": temperature},
     )

@@ -96,16 +96,28 @@ def test_forward_deterministic(tiny_cfg, rand_batch):
     np.testing.assert_array_equal(a, b)
 
 
-def test_forward_packed_matches_padded(tiny_cfg):
+# Two-head cases catch a head/batch axis mix-up in the padded core, which a
+# one-head config cannot see.
+PADDED_CASES = {
+    "tiny_test": {},
+    "two_head_window": dict(n_heads=2, head_dim=32),
+    "two_head_decoder": dict(n_heads=2, head_dim=32, block_style="post_norm", norm="rms_norm",
+                             activation="silu", attention_mode="causal", global_every=0),
+}
+
+
+@pytest.mark.parametrize("case", list(PADDED_CASES))
+def test_forward_packed_matches_padded(tiny_cfg, case):
+    cfg = dataclasses.replace(tiny_cfg, **PADDED_CASES[case])
     rng = np.random.default_rng(0)
     seqs = [rng.integers(0, 256, size=n, dtype=np.int32) for n in (5, 11, 2, 8)]
-    params = model.init_params(tiny_cfg, seed=0)
-    packed = model.forward(params, tiny_cfg, pack(seqs)).hidden
+    params = {k: v.astype(np.float64) for k, v in model.init_params(cfg, seed=0).items()}
+    packed = model.forward(params, cfg, pack(seqs)).hidden
     lengths = np.array([len(s) for s in seqs])
     ids = np.zeros((len(seqs), lengths.max()), dtype=np.int32)
     for i, s in enumerate(seqs):
         ids[i, :len(s)] = s
-    padded = model.forward_padded(params, tiny_cfg, ids, lengths)
+    padded = model.forward_padded(params, cfg, ids, lengths)
     lo = 0
     for i, s in enumerate(seqs):
         np.testing.assert_allclose(
@@ -148,17 +160,15 @@ def test_causal_mode_runs(tiny_cfg):
     assert np.all(np.isfinite(out.hidden))
 
 
-def test_dropout_needs_train_rate_and_seeds(tiny_cfg, rand_batch):
+def test_dropout_needs_rate_and_seeds(tiny_cfg, rand_batch):
     params = model.init_params(tiny_cfg, seed=0)
     plain = model.forward(params, tiny_cfg, rand_batch).hidden
-    # Seeds alone (train=False) change nothing.
     seeds = [7] * rand_batch.n_seqs
-    eval_out = model.forward(
-        params, tiny_cfg, rand_batch, dropout_rate=0.5, seq_seeds=seeds
-    ).hidden
-    np.testing.assert_array_equal(plain, eval_out)
+    # A rate without seeds, or seeds at rate 0, change nothing.
+    for kw in ({"dropout_rate": 0.5}, {"dropout_rate": 0.0, "seq_seeds": seeds}):
+        np.testing.assert_array_equal(plain, model.forward(params, tiny_cfg, rand_batch, **kw).hidden)
     dropped = model.forward(
-        params, tiny_cfg, rand_batch, train=True, dropout_rate=0.5, seq_seeds=seeds
+        params, tiny_cfg, rand_batch, dropout_rate=0.5, seq_seeds=seeds
     ).hidden
     assert not np.array_equal(plain, dropped)
 
@@ -168,9 +178,9 @@ def test_dropout_is_per_sequence_seeded(tiny_cfg):
     a = rng.integers(0, 256, size=7, dtype=np.int32)
     b = rng.integers(0, 256, size=4, dtype=np.int32)
     params = model.init_params(tiny_cfg, seed=0)
-    joint = model.forward(params, tiny_cfg, pack([a, b]), train=True,
+    joint = model.forward(params, tiny_cfg, pack([a, b]),
                           dropout_rate=0.3, seq_seeds=[11, 22]).hidden
-    solo = model.forward(params, tiny_cfg, pack([a]), train=True,
+    solo = model.forward(params, tiny_cfg, pack([a]),
                          dropout_rate=0.3, seq_seeds=[11]).hidden
     # Member a's dropout pattern depends only on its own seed, so outputs
     # agree no matter what shares the batch (microbatch invariance).

@@ -148,7 +148,10 @@ def test_needle_slot_is_uniform(vocab, pair, pool):
 
 def test_build_given_pool_lens_encodes_only_the_needle(vocab, pair, pool, monkeypatch):
     # The needle's token offset comes from lengths already known, not from
-    # re-encoding the paragraphs ahead of it.
+    # re-encoding the paragraphs ahead of it.  Without given lengths, only the
+    # candidates the fill visits are counted: the chosen ones and the one
+    # that may stop it.
+    pool = pool * 3
     lens = [count_tokens(p, vocab) for p in pool]
     calls = []
 
@@ -162,15 +165,19 @@ def test_build_given_pool_lens_encodes_only_the_needle(vocab, pair, pool, monkey
 
     monkeypatch.setattr(niah, "encode", counting_encode)
     monkeypatch.setattr(niah, "count_tokens", counting_count)
-    late = 0
-    for i in range(20):
-        calls.clear()
-        ex = build_haystack(pair, pool, 4, 10_000, np.random.default_rng(i),
-                            vocab=vocab, distractor_count=4, pool_lens=lens)
-        assert calls == [pair.needle]
-        assert span_text(ex, vocab, ex.gold_start, ex.gold_end) == pair.answer
-        late += ex.needle_index > 0
-    assert late >= 10
+    for pool_lens in (lens, None):
+        late = 0
+        for i in range(20):
+            calls.clear()
+            ex = build_haystack(pair, pool, 4, 10_000, np.random.default_rng(i),
+                                vocab=vocab, distractor_count=4, pool_lens=pool_lens)
+            assert calls[0] == pair.needle
+            counted = calls[1:]
+            assert all(c[0] == "count" for c in counted)
+            assert len(counted) <= (0 if pool_lens is not None else 4 + 1)
+            assert span_text(ex, vocab, ex.gold_start, ex.gold_end) == pair.answer
+            late += ex.needle_index > 0
+        assert late >= 10
 
 
 def test_zero_distractors_means_needle_only(vocab, pair, pool):

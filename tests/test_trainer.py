@@ -346,17 +346,6 @@ def test_final_checkpoint_is_written_when_the_link_is_refused(tiny_cfg, tmp_path
     assert os.stat(step).st_ino != os.stat(final).st_ino
 
 
-def test_final_checkpoint_after_an_epoch_end_is_its_own_file(tiny_cfg, tmp_path):
-    # Step 8, the last one the four epochs allow, lands on a mark; then the
-    # fourth epoch ends, so the final state counts one more epoch.
-    data = toy_dataset(n=8, lo=10, hi=11)
-    run_mlm(tiny_cfg, data, _steps_phase(10), out_dir=tmp_path, checkpoint_interval_tokens=160,
-            max_epochs=4)
-    step, final = tmp_path / "ckpt_step00000008.pbt", tmp_path / "ckpt_final.pbt"
-    assert load_checkpoint(final).epoch == load_checkpoint(step).epoch + 1
-    assert os.stat(step).st_ino != os.stat(final).st_ino
-
-
 def test_training_step_holds_each_activation_once(tiny_cfg):
     cfg = dataclasses.replace(tiny_cfg, n_layers=4, hidden=128, n_heads=2, intermediate=192,
                               local_window=64, max_seq_len=256)
