@@ -374,7 +374,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    from .config import arch_to_pairs, format_pairs
+    from .config import arch_to_pairs, format_pairs, phase_to_pairs
     from .trainer import load_checkpoint
 
     ckpt = load_checkpoint(args.ckpt)
@@ -388,6 +388,8 @@ def cmd_inspect(args) -> int:
     if ckpt.extra:
         print(f"extra={json.dumps(ckpt.extra, sort_keys=True)}")
     print(format_pairs(arch_to_pairs(ckpt.cfg)).rstrip())
+    # The phase, in the job-file namespace: the one source of the optimizer settings.
+    print(format_pairs((f"train.{k}", v) for k, v in phase_to_pairs(ckpt.phase)).rstrip())
     log = ckpt.provenance
     steps = f" steps {log[0].step}..{log[len(log) - 1].step}" if len(log) else ""
     try:

@@ -26,7 +26,7 @@ BLOCK_STYLES = ("pre_norm", "post_norm")
 NORMS = ("layer_norm", "rms_norm")
 ACTIVATIONS = ("gelu", "silu")
 ATTENTION_MODES = ("bidirectional", "causal")
-SCHEDULES = ("trapezoidal", "one_sqrt_decay", "constant")
+SCHEDULES = ("trapezoidal", "constant")
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class TrainPhaseConfig:
     batch_tokens_or_sequences: int = 32  # batch size, counted in sequences
     microbatch: int = 8  # sequences per gradient-accumulation slice
     peak_lr: float = 8e-4
-    schedule: str = "trapezoidal"  # trapezoidal | one_sqrt_decay | constant
+    schedule: str = "trapezoidal"  # trapezoidal | constant
     warmup_tokens: int = 0
     decay_tokens: int = 0
     weight_decay: float = 1e-5
@@ -297,8 +297,6 @@ def validate_phase(phase: TrainPhaseConfig) -> list[str]:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -351,7 +349,7 @@ def _coerce(key: str, s: str, annot) -> object:
         return _parse_float(key, s)
     if annot is str:
         return s
-    if annot == "tuple[float, float]" or annot is tuple:
+    if annot == "tuple[float, float]":
         parts = [p.strip() for p in s.split(",")]
         if len(parts) != 2:
             raise ConfigError(f"{key}: expected two comma-separated numbers, got {s!r}")

@@ -7,8 +7,8 @@ gradients are refused.
 
 The schedule is trapezoidal: linear warmup to the peak over warmup_tokens,
 a plateau, then a 1-sqrt decay (peak * (1 - sqrt(f))) over the final
-decay_tokens of the budget.  "one_sqrt_decay" is the same shape, normally
-configured with zero warmup; "constant" holds the peak throughout.
+decay_tokens of the budget; with zero warmup and the whole budget as decay
+it is a pure 1-sqrt decay.  "constant" holds the peak throughout.
 """
 
 from __future__ import annotations

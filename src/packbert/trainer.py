@@ -7,7 +7,9 @@ consumed. Every checkpoint stores the run's whole log beside the weights in
 one tensor_store container, so it can be audited or replayed exactly, and a
 resumed run continues its checkpoint's log.
 
-A run holds one copy of its state. Given an ``out_dir``, it writes
+A run's state is one Checkpoint, which the loop advances in place. Its
+optimizer settings are its phase's: a resumed run's phase governs the rest
+of the run and is what its checkpoints record. Given an ``out_dir``, it writes
 ``ckpt_stepNNNNNNNN.pbt`` at each ``checkpoint_interval_tokens`` mark and
 ``ckpt_final.pbt`` at the end, as a hard link to the last interval
 checkpoint when that holds the final state; interval checkpoints live on
@@ -130,6 +132,12 @@ class ProvenanceLog:
 
 @dataclass
 class Checkpoint:
+    """A run's whole state; the training loop advances one in place.
+
+    ``opt`` holds the moments and step count under ``phase``'s betas, eps and
+    weight decay, so a file stores each optimizer setting once, in its phase.
+    """
+
     params: dict[str, np.ndarray]
     opt: OptState
     cfg: ArchConfig
@@ -193,6 +201,13 @@ def _provenance_from_tensors(prov: dict[str, np.ndarray], path) -> ProvenanceLog
 _COUNTER_KEYS = ("step", "tokens_seen", "epoch", "pos_in_epoch", "consumed", "n_provenance")
 
 
+def _opt_state(m, v, t: int, phase: TrainPhaseConfig) -> OptState:
+    """Saved moments and step count under the phase's optimizer settings."""
+    return OptState(
+        m=m, v=v, t=t, betas=phase.betas, eps=phase.eps, weight_decay=phase.weight_decay
+    )
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     tensors = _provenance_tensors(ckpt.provenance)
     for name, arr in ckpt.params.items():
@@ -207,21 +222,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "phase_id": ckpt.phase_id,
         "arch": format_pairs(arch_to_pairs(ckpt.cfg)),
         "phase": format_pairs(phase_to_pairs(ckpt.phase)),
-        "counters": {
-            "step": ckpt.step,
-            "tokens_seen": ckpt.tokens_seen,
-            "epoch": ckpt.epoch,
-            "pos_in_epoch": ckpt.pos_in_epoch,
-            "consumed": ckpt.consumed,
-            "n_provenance": ckpt.n_provenance,
-        },
-        "opt": {
-            "t": ckpt.opt.t,
-            "beta1": ckpt.opt.betas[0],
-            "beta2": ckpt.opt.betas[1],
-            "eps": ckpt.opt.eps,
-            "weight_decay": ckpt.opt.weight_decay,
-        },
+        "counters": {k: getattr(ckpt, k) for k in _COUNTER_KEYS},
+        "opt": {"t": ckpt.opt.t},
         "dataset_digest": ckpt.dataset_digest,
         "extra": ckpt.extra,
     }
@@ -245,18 +247,6 @@ def load_checkpoint(path) -> Checkpoint:
     if count["n_provenance"] != len(provenance):
         raise DataError(f"{path} counts {count['n_provenance']} provenance records, "
                         f"holds {len(provenance)}")
-    opt_meta = meta_entry(meta, "opt", dict, path)
-    beta1, beta2, eps, weight_decay = (
-        float(meta_entry(opt_meta, k, float, path)) for k in ("beta1", "beta2", "eps", "weight_decay")
-    )
-    opt = OptState(
-        m=m,
-        v=v,
-        t=meta_entry(opt_meta, "t", int, path),
-        betas=(beta1, beta2),
-        eps=eps,
-        weight_decay=weight_decay,
-    )
     try:
         cfg = arch_from_pairs(parse_kv_text(meta_entry(meta, "arch", str, path)))
         phase = phase_from_pairs(parse_kv_text(meta_entry(meta, "phase", str, path)))
@@ -267,21 +257,19 @@ def load_checkpoint(path) -> Checkpoint:
         problems.append("optimizer moments m and v differ in names or shapes")
     if problems:
         raise DataError(f"{path} does not fit its config: {'; '.join(problems)}")
+    # Older files also hold betas, eps and weight decay here; the phase is
+    # their one source, so only t is read.
+    t = meta_entry(meta_entry(meta, "opt", dict, path), "t", int, path)
     return Checkpoint(
         params=params,
-        opt=opt,
+        opt=_opt_state(m, v, t, phase),
         cfg=cfg,
         phase=phase,
         phase_id=meta_entry(meta, "phase_id", str, path),
-        step=count["step"],
-        tokens_seen=count["tokens_seen"],
-        epoch=count["epoch"],
-        pos_in_epoch=count["pos_in_epoch"],
-        consumed=count["consumed"],
         dataset_digest=meta_entry(meta, "dataset_digest", str, path),
-        n_provenance=len(provenance),
         extra=meta_entry(meta, "extra", dict, path),
         provenance=provenance,
+        **count,
     )
 
 
@@ -354,53 +342,42 @@ def _train_loop(
             raise TrainingError(
                 "dataset digest does not match the checkpoint; resume refused"
             )
-        step_no = resume_from.step
-        tokens_seen = resume_from.tokens_seen
-        epoch = resume_from.epoch
-        pos = resume_from.pos_in_epoch
-        consumed = resume_from.consumed
         # Copies, so one checkpoint can seed several resumes.
-        state = dataclasses.replace(
-            resume_from.opt,
-            m=_copy_tensors(resume_from.opt.m),
-            v=_copy_tensors(resume_from.opt.v),
-        )
-        if {k: m.shape for k, m in state.m.items()} != {k: t.shape for k, t in trained.items()}:
-            raise TrainingError("checkpoint moments do not match the trained tensors; resume refused")
-    else:
-        step_no = tokens_seen = epoch = pos = consumed = 0
-        state = OptState.init(trained, phase)
-
-    out_path = Path(out_dir) if out_dir is not None else None
-    interval = checkpoint_interval_tokens if out_path is not None else 0
-    next_mark = (tokens_seen // interval + 1) * interval if interval else None
-    budget = phase.token_budget
-    order = _epoch_order(phase.seed, epoch, n_items)
-    prov = ProvenanceLog(resume_from.provenance.records if resume_from is not None else ())
-    prior = len(prov)  # a resume continues its checkpoint's log
-    metrics: list[tuple[int, int, float, float]] = []
-    # One gradient dict for the whole run, zeroed in place before each step.
-    grads = {k: np.zeros_like(t) for k, t in trained.items()}
-
-    # The live arrays, not copies: an interval checkpoint is written before
-    # the next step moves them, and nothing moves them after the loop.
-    def snapshot() -> Checkpoint:
-        return Checkpoint(
+        ck = dataclasses.replace(
+            resume_from,
             params=params,
-            opt=state,
+            opt=_opt_state(
+                _copy_tensors(resume_from.opt.m), _copy_tensors(resume_from.opt.v),
+                resume_from.opt.t, phase,
+            ),
             cfg=cfg,
             phase=phase,
             phase_id=phase_id,
-            step=step_no,
-            tokens_seen=tokens_seen,
-            epoch=epoch,
-            pos_in_epoch=pos,
-            consumed=consumed,
-            dataset_digest=data_digest,
-            n_provenance=len(prov),
             extra=extra_meta,
-            provenance=prov,
+            provenance=ProvenanceLog(resume_from.provenance.records),
         )
+        if {k: m.shape for k, m in ck.opt.m.items()} != {k: t.shape for k, t in trained.items()}:
+            raise TrainingError("checkpoint moments do not match the trained tensors; resume refused")
+    else:
+        ck = Checkpoint(
+            params=params,
+            opt=OptState.init(trained, phase),
+            cfg=cfg,
+            phase=phase,
+            phase_id=phase_id,
+            dataset_digest=data_digest,
+            extra=extra_meta,
+            **dict.fromkeys(_COUNTER_KEYS, 0),
+        )
+
+    out_path = Path(out_dir) if out_dir is not None else None
+    interval = checkpoint_interval_tokens if out_path is not None else 0
+    next_mark = (ck.tokens_seen // interval + 1) * interval if interval else None
+    order = _epoch_order(phase.seed, ck.epoch, n_items)
+    prior = len(ck.provenance)  # a resume continues its checkpoint's log
+    metrics: list[tuple[int, int, float, float]] = []
+    # One gradient dict for the whole run, zeroed in place before each step.
+    grads = {k: np.zeros_like(t) for k, t in trained.items()}
 
     saved = None  # (step, path) of the last interval checkpoint
     metrics_file = None
@@ -410,70 +387,73 @@ def _train_loop(
         mode = "a" if resume_from is not None else "w"
         metrics_file = open(out_path / "metrics.txt", mode, encoding="utf-8")
 
+    # Checkpoints hold the live arrays, not copies: an interval checkpoint is
+    # written before the next step moves them, and nothing moves them after
+    # the loop.
     try:
-        while tokens_seen < budget:
-            if pos + batch_size > n_items:
-                dropped = n_items - pos
+        while ck.tokens_seen < phase.token_budget:
+            if ck.pos_in_epoch + batch_size > n_items:
+                dropped = n_items - ck.pos_in_epoch
                 if dropped:
                     logger.info(
                         "epoch %d: dropping final partial batch of %d sequences",
-                        epoch,
+                        ck.epoch,
                         dropped,
                     )
-                epoch += 1
-                pos = 0
-                order = _epoch_order(phase.seed, epoch, n_items)
+                ck.epoch += 1
+                ck.pos_in_epoch = 0
+                order = _epoch_order(phase.seed, ck.epoch, n_items)
                 continue
-            chosen = order[pos : pos + batch_size]
-            pos += batch_size
+            chosen = order[ck.pos_in_epoch : ck.pos_in_epoch + batch_size]
+            ck.pos_in_epoch += batch_size
             members = sorted((int(g) for g in chosen), key=lambda g: (lengths[g], g))
-            items = [(g, consumed + j) for j, g in enumerate(members)]
+            items = [(g, ck.consumed + j) for j, g in enumerate(members)]
 
             for g in grads.values():
                 g.fill(0.0)
             loss, batch_tokens = compute(items, grads)
             if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss {loss!r} at step {step_no + 1}")
+                raise TrainingError(f"non-finite loss {loss!r} at step {ck.step + 1}")
 
-            consumed += batch_size
-            step_no += 1
-            tokens_seen += batch_tokens
-            lr = lr_at(tokens_seen, phase)
-            opt_step(trained, grads, state, lr)
+            ck.consumed += batch_size
+            ck.step += 1
+            ck.tokens_seen += batch_tokens
+            lr = lr_at(ck.tokens_seen, phase)
+            opt_step(trained, grads, ck.opt, lr)
 
-            prov.append(
+            ck.provenance.append(
                 ProvenanceRecord(
-                    step=step_no,
-                    token_count=tokens_seen,
+                    step=ck.step,
+                    token_count=ck.tokens_seen,
                     sequence_ids=tuple(members),
-                    digest=_record_digest(phase.seed, step_no, members),
+                    digest=_record_digest(phase.seed, ck.step, members),
                 )
             )
-            metrics.append((step_no, tokens_seen, float(loss), lr))
+            ck.n_provenance = len(ck.provenance)
+            metrics.append((ck.step, ck.tokens_seen, float(loss), lr))
             if metrics_file is not None:
                 metrics_file.write(
-                    f"step={step_no} tokens={tokens_seen} loss={float(loss)!r} lr={lr!r}\n"
+                    f"step={ck.step} tokens={ck.tokens_seen} loss={float(loss)!r} lr={lr!r}\n"
                 )
                 metrics_file.flush()
 
-            if interval and tokens_seen >= next_mark:
-                saved = (step_no, out_path / f"ckpt_step{step_no:08d}.pbt")
-                save_checkpoint(snapshot(), saved[1])
-                next_mark = (tokens_seen // interval + 1) * interval
+            if interval and ck.tokens_seen >= next_mark:
+                saved = (ck.step, out_path / f"ckpt_step{ck.step:08d}.pbt")
+                save_checkpoint(ck, saved[1])
+                next_mark = (ck.tokens_seen // interval + 1) * interval
     finally:
         if metrics_file is not None:
             metrics_file.close()
 
-    final = snapshot()
     if out_path is not None:
         path = out_path / "ckpt_final.pbt"
         # The loop ends after a step, so an interval checkpoint at the last
         # step holds this very state: it is also the final one.
-        if saved is None or saved[0] != step_no or not link_tensors(saved[1], path):
-            save_checkpoint(final, path)
+        if saved is None or saved[0] != ck.step or not link_tensors(saved[1], path):
+            save_checkpoint(ck, path)
     return TrainResult(
-        checkpoint=final,
-        provenance=ProvenanceLog(prov.records[prior:]),
+        checkpoint=ck,
+        provenance=ProvenanceLog(ck.provenance.records[prior:]),
         metrics=metrics,
     )
 
@@ -525,7 +505,7 @@ def train_masked(
         live = trained = _copy_tensors(params)
     else:
         live, trained = params, adapter_params(extra_linear)
-    micro = phase.microbatch or phase.batch_tokens_or_sequences
+    micro = phase.microbatch
 
     def rows_and_targets(seq, masked):
         if objective == "mlm":
@@ -702,7 +682,7 @@ def train_span_qa(
     exs = [SpanExample(ids, int(e.start), int(e.end)) for (ids,), e in zip(docs, examples)]
     digest = dataset_digest([e.ids for e in exs])
     live = _copy_tensors(params)
-    micro = phase.microbatch or phase.batch_tokens_or_sequences
+    micro = phase.microbatch
 
     def compute(items, grads):
         loss = 0.0

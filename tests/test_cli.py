@@ -274,7 +274,9 @@ def test_inspect_prints_metadata(trained, capsys):
     assert rc == 0
     assert "phase_id=" in out
     assert "dataset_digest=" in out
-    n = load_checkpoint(trained["ckpt"]).n_provenance
+    ckpt = load_checkpoint(trained["ckpt"])
+    assert f"train.weight_decay = {ckpt.phase.weight_decay!r}\n" in out
+    n = ckpt.n_provenance
     assert f"provenance: {n} records steps 1..{n} verify=ok" in out
 
 

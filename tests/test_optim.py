@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from packbert.config import TrainPhaseConfig
+from packbert.config import TrainPhaseConfig, validate_phase
 from packbert.errors import TrainingError
 from packbert.optim import OptState, lr_at, step
 
@@ -206,8 +206,9 @@ def test_constant_schedule_ignores_position():
 
 
 def test_one_sqrt_decay_schedule():
-    p = sched_phase(schedule="one_sqrt_decay", warmup_tokens=0,
+    p = sched_phase(schedule="trapezoidal", warmup_tokens=0,
                     decay_tokens=1000)
+    assert validate_phase(p) == []
     assert lr_at(0, p) == 8e-4
     assert lr_at(250, p) == pytest.approx(4e-4, rel=1e-12)
     assert lr_at(1000, p) == 0.0

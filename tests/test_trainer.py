@@ -10,6 +10,7 @@ import pytest
 
 from packbert import config, model, optim, util
 from packbert.errors import DataError, TrainingError
+from packbert.tensor_store import read_tensors, write_tensors
 from packbert.trainer import (
     Checkpoint,
     ProvenanceLog,
@@ -228,6 +229,26 @@ def test_checkpoint_roundtrip(tiny_cfg, tmp_path):
     assert back.extra == ck.extra
 
 
+def test_checkpoint_with_settings_in_its_opt_block_loads(tiny_cfg, tmp_path):
+    # Earlier files repeat the phase's betas, eps and weight decay beside t.
+    ck = run_mlm(tiny_cfg, toy_dataset(), quick_phase(token_budget=300, weight_decay=0.01)).checkpoint
+    path = tmp_path / "ck.pbt"
+    save_checkpoint(ck, path)
+    tensors, meta = read_tensors(path)
+    assert meta["opt"] == {"t": ck.opt.t}
+    meta["opt"] = {"t": ck.opt.t, "beta1": ck.opt.betas[0], "beta2": ck.opt.betas[1],
+                   "eps": ck.opt.eps, "weight_decay": ck.opt.weight_decay}
+    write_tensors(path, tensors, meta)
+    back = load_checkpoint(path)
+    assert_params_equal(back.params, ck.params)
+    assert_params_equal(back.opt.m, ck.opt.m)
+    assert_params_equal(back.opt.v, ck.opt.v)
+    assert back.opt.t == ck.opt.t
+    phase = back.phase
+    assert (back.opt.betas, back.opt.eps, back.opt.weight_decay) == (
+        phase.betas, phase.eps, phase.weight_decay) == ((0.9, 0.98), 1e-6, 0.01)
+
+
 def test_output_dir_contents(tiny_cfg, tmp_path):
     phase = quick_phase(token_budget=800)
     run_mlm(tiny_cfg, toy_dataset(), phase,
@@ -403,6 +424,25 @@ def test_resume_reproduces_uninterrupted_run(tiny_cfg, tmp_path):
     # uninterrupted history.
     stitched = list(half.provenance.records) + list(resumed.provenance.records)
     assert stitched == list(full.provenance.records)
+
+
+def test_resumed_phase_sets_the_optimizer(tiny_cfg, tmp_path):
+    data = toy_dataset(n=8)
+    half_phase = quick_phase(token_budget=600, batch_tokens_or_sequences=4, weight_decay=0.0)
+    save_checkpoint(run_mlm(tiny_cfg, data, half_phase).checkpoint, tmp_path / "half.pbt")
+    loaded = load_checkpoint(tmp_path / "half.pbt")
+    resumed = {}
+    for wd in (0.0, 0.1):
+        loaded.phase = dataclasses.replace(half_phase, token_budget=1200, weight_decay=wd)
+        resumed[wd] = resume_masked(loaded, data, mask_id=MASK_ID, special_ids=SPECIALS,
+                                    out_dir=tmp_path / f"wd{wd}")
+    assert loaded.opt.weight_decay == 0.0  # a resume leaves its checkpoint alone
+    ck = resumed[0.1].checkpoint
+    assert ck.opt.weight_decay == 0.1
+    back = load_checkpoint(tmp_path / "wd0.1" / "ckpt_final.pbt")
+    assert back.opt.weight_decay == back.phase.weight_decay == 0.1
+    kept = resumed[0.0].checkpoint.params
+    assert any(not np.array_equal(ck.params[k], kept[k]) for k in ck.params)
 
 
 def _steps_phase(steps):
