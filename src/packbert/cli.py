@@ -375,7 +375,8 @@ def cmd_bench(args) -> int:
 
 def cmd_inspect(args) -> int:
     from .config import arch_to_pairs, format_pairs, phase_to_pairs
-    from .trainer import load_checkpoint
+    from .model import cache_bytes_per_token
+    from .trainer import load_checkpoint, microbatch_token_cap
 
     ckpt = load_checkpoint(args.ckpt)
     print(f"phase_id={ckpt.phase_id} step={ckpt.step} tokens_seen={ckpt.tokens_seen}")
@@ -385,6 +386,14 @@ def cmd_inspect(args) -> int:
     )
     print(f"dataset_digest={ckpt.dataset_digest}")
     print(f"tensors={len(ckpt.params)} opt_t={ckpt.opt.t}")
+    # What one training microbatch of this architecture holds per token.
+    itemsize = ckpt.params["tok_emb"].itemsize
+    per_token = cache_bytes_per_token(ckpt.cfg, itemsize, False)
+    print(
+        f"cache_bytes_per_token={per_token} "
+        f"microbatch_token_cap={microbatch_token_cap(ckpt.cfg, itemsize, False)} "
+        f"(dropout off; dropout adds {cache_bytes_per_token(ckpt.cfg, itemsize, True) - per_token})"
+    )
     if ckpt.extra:
         print(f"extra={json.dumps(ckpt.extra, sort_keys=True)}")
     print(format_pairs(arch_to_pairs(ckpt.cfg)).rstrip())

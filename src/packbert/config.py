@@ -70,7 +70,10 @@ class TrainPhaseConfig:
 
     token_budget: int = 0
     batch_tokens_or_sequences: int = 32  # batch size, counted in sequences
-    microbatch: int = 8  # sequences per gradient-accumulation slice
+    # Most sequences per gradient-accumulation slice.  A slice also holds at
+    # most as many tokens as trainer.MICROBATCH_CACHE_BYTES of forward cache
+    # allows, so a step of long members runs as more, smaller slices.
+    microbatch: int = 8
     peak_lr: float = 8e-4
     schedule: str = "trapezoidal"  # trapezoidal | constant
     warmup_tokens: int = 0

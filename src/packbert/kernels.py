@@ -13,9 +13,12 @@ dtype; float64 is what the gradient checks run on.
 Large calls run on the pinned worker pool of ``pool.py``, which the layer
 stack in ``model.py`` shares.  The forward pass hands out query blocks,
 which write disjoint output rows.  The backward pass hands out whole packed
-members, which own disjoint dq/dk/dv rows, and walks a member's blocks in
-order.  Block boundaries never depend on the worker count, so the results
-are bit-identical for any count.
+members, longest first, which own disjoint dq/dk/dv rows, and walks a
+member's blocks in order; a global or causal call with fewer members than
+twice the workers hands out one (member, head) task per head instead.  Block
+boundaries never depend on the worker count, and a head's arithmetic is the
+same alone or beside the others, so the results are bit-identical for any
+count.
 """
 
 from __future__ import annotations
@@ -126,11 +129,26 @@ def attn_forward(q, k, v, boundaries, kind, window, scale):
 def attn_backward(q, k, v, d_out, boundaries, kind, window, scale):
     """Recompute-based backward pass; returns (dq, dk, dv)."""
     members = _blocks(boundaries, kind, window)
+    heads = q.shape[0]
+    large = _pairs(heads, members) >= PARALLEL_MIN_PAIRS
+    # Longest first, so that the last task handed out is a short one.
+    members.sort(key=lambda m: -_pairs(1, [m]))
+    tasks = [(slice(None), m) for m in members]
+    workers = pool._worker_count() if large else 1
+    if workers > 1 and heads > 1 and kind != KIND_WINDOW and len(members) < 2 * workers:
+        # Too few members to keep the workers busy: one task per head.  Window
+        # members stay whole, since their short blocks gain nothing per head.
+        tasks = [(slice(h, h + 1), m) for m in members for h in range(heads)]
     dq = np.empty_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
     # With q pre-scaled, dk needs no scale; dq takes it once at the end.
-    step = functools.partial(_backward_member, q * scale, k, v, d_out, dq, dk, dv, kind, window)
-    pool._run(step, members, _pairs(q.shape[0], members) >= PARALLEL_MIN_PAIRS)
+    qs = q * scale
+
+    def step(task):
+        h, blocks = task
+        _backward_member(qs[h], k[h], v[h], d_out[h], dq[h], dk[h], dv[h], kind, window, blocks)
+
+    pool._run(step, tasks, large)
     dq *= scale
     return dq, dk, dv

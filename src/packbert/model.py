@@ -640,6 +640,21 @@ def forward(
     return ForwardOutput(hidden=out, cache=cache)
 
 
+def cache_bytes_per_token(cfg: ArchConfig, itemsize: int, dropout: bool) -> int:
+    """Bytes that ``forward(want_cache=True)`` keeps per token, in ``itemsize``-byte values.
+
+    Per layer: two norm caches of hidden + 1 values (xhat or x, and 1 / std),
+    the rotated q and k, v and the merged context (n_heads * head_dim each),
+    the FFN's gate|value product and its gate CDF (3 * intermediate), and,
+    with dropout, the attention-output mask (hidden).  The final norm keeps
+    hidden + 1.  Rope tables and the batch are shared, not per token.
+    """
+    per_layer = 2 * cfg.hidden + 4 * cfg.n_heads * cfg.head_dim + 3 * cfg.intermediate + 2
+    if dropout:
+        per_layer += cfg.hidden
+    return itemsize * (cfg.n_layers * per_layer + cfg.hidden + 1)
+
+
 def backward(
     params: dict[str, np.ndarray],
     cfg: ArchConfig,

@@ -19,6 +19,9 @@ provenance records and its per-step metrics.
 The same engine drives masked-token pretraining (MLM and its shifted
 variant), span extraction fine-tuning, and contrastive embedding
 fine-tuning; objectives differ only in how a batch turns into gradients.
+The masked and span objectives accumulate a step over microbatches of at
+most ``microbatch`` members whose forward cache fits MICROBATCH_CACHE_BYTES,
+so a step of long members costs more microbatches, not more memory.
 The engine moves one dict of trained tensors: every parameter for full
 training, or, when ``train_masked`` is given ``extra_linear``, only the
 adapter pairs, whose gradients the backward pass computes directly while
@@ -50,6 +53,7 @@ from .errors import ConfigError, DataError, TrainingError
 from .model import (
     adapter_params,
     backward,
+    cache_bytes_per_token,
     forward,
     mlm_logits,
     mlm_logits_vjp,
@@ -307,6 +311,50 @@ def _id_arrays(items, limit: int, kind: str) -> list[list[np.ndarray]]:
     return out
 
 
+# What one microbatch's forward cache may hold.  With the model's
+# cache_bytes_per_token this caps a microbatch's tokens: in float32, 2,046 for
+# 6 layers of hidden 256 and intermediate 384, and 20,906 for tiny_test.
+MICROBATCH_CACHE_BYTES = 128 << 20
+
+
+def _microbatches(lengths, micro: int, cap: int) -> list[slice]:
+    """Cut members of these token ``lengths``, in order, into the fewest slices
+    of at most ``micro`` members and ``cap`` tokens, the largest slice as small
+    as that count allows.  A member longer than ``cap`` is a slice of its own.
+
+    Greedy filling under a token limit gives the fewest slices for that limit;
+    the smallest limit that keeps the count of the ``cap`` fill balances the
+    slices.  When ``cap`` does not bind and ``micro`` divides the member
+    count, every slice holds ``micro`` members.  The cut depends on the
+    lengths alone, so reruns and resumes make the same one.
+    """
+
+    def fill(limit):
+        cuts, lo, tokens = [], 0, 0
+        for i, n in enumerate(lengths):
+            if i > lo and (i - lo == micro or tokens + n > limit):
+                cuts.append(slice(lo, i))
+                lo, tokens = i, 0
+            tokens += n
+        cuts.append(slice(lo, len(lengths)))
+        return cuts
+
+    count = len(fill(cap))
+    lo, hi = 0, cap  # fill(hi) makes count slices, fill(lo) more
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if len(fill(mid)) <= count:
+            hi = mid
+        else:
+            lo = mid
+    return fill(hi)
+
+
+def microbatch_token_cap(cfg: ArchConfig, itemsize: int, dropout: bool) -> int:
+    """Tokens whose forward cache fits MICROBATCH_CACHE_BYTES."""
+    return MICROBATCH_CACHE_BYTES // cache_bytes_per_token(cfg, itemsize, dropout)
+
+
 def _train_loop(
     params: dict[str, np.ndarray],
     trained: dict[str, np.ndarray],
@@ -338,6 +386,17 @@ def _train_loop(
         )
 
     if resume_from is not None:
+        # The record digests are keyed by the seed, and the epoch positions
+        # count whole batches: a resume that changes either would diverge.
+        # The last record says what the run used, however the phase was edited.
+        if len(resume_from.provenance):
+            last = resume_from.provenance[-1]
+            if _record_digest(phase.seed, last.step, last.sequence_ids) != last.digest:
+                raise ConfigError(f"resume changes seed: the checkpoint's records do not "
+                                  f"replay under seed {phase.seed}; resume refused")
+            if len(last.sequence_ids) != batch_size:
+                raise ConfigError(f"resume changes batch_tokens_or_sequences from "
+                                  f"{len(last.sequence_ids)} to {batch_size}; resume refused")
         if resume_from.dataset_digest != data_digest:
             raise TrainingError(
                 "dataset digest does not match the checkpoint; resume refused"
@@ -505,7 +564,7 @@ def train_masked(
         live = trained = _copy_tensors(params)
     else:
         live, trained = params, adapter_params(extra_linear)
-    micro = phase.microbatch
+    cap = microbatch_token_cap(cfg, live["tok_emb"].itemsize, dropout_rate > 0.0)
 
     def rows_and_targets(seq, masked):
         if objective == "mlm":
@@ -536,9 +595,8 @@ def train_masked(
                 "raise mask_rate or batch size"
             )
         loss = 0.0
-        batch_tokens = sum(int(seqs[g].size) for g, _ in items)
-        for lo in range(0, len(items), micro):
-            sl = slice(lo, lo + micro)
+        lengths = [int(c.size) for c in corrupted]
+        for sl in _microbatches(lengths, phase.microbatch, cap):
             packed = pack(corrupted[sl])
             seeds = [
                 derived_seed(phase.seed, PURPOSE_DROP, inst)
@@ -572,7 +630,7 @@ def train_masked(
             # The head's activations are dead: the backward pass peaks without them.
             del d_logits, hidden
             backward(live, cfg, out.cache, d_hidden, grads)
-        return loss, batch_tokens
+        return loss, sum(lengths)
 
     return _train_loop(
         live,
@@ -682,14 +740,14 @@ def train_span_qa(
     exs = [SpanExample(ids, int(e.start), int(e.end)) for (ids,), e in zip(docs, examples)]
     digest = dataset_digest([e.ids for e in exs])
     live = _copy_tensors(params)
-    micro = phase.microbatch
+    cap = microbatch_token_cap(cfg, live["tok_emb"].itemsize, False)
 
     def compute(items, grads):
         loss = 0.0
         total = len(items)
-        batch_tokens = sum(int(exs[g].ids.size) for g, _ in items)
-        for lo in range(0, len(items), micro):
-            part = items[lo : lo + micro]
+        lengths = [int(exs[g].ids.size) for g, _ in items]
+        for sl in _microbatches(lengths, phase.microbatch, cap):
+            part = items[sl]
             packed = pack([exs[g].ids for g, _ in part])
             out = forward(live, cfg, packed, want_cache=True)
             start_sc, end_sc = span_logits(out.hidden, live)
@@ -703,7 +761,7 @@ def train_span_qa(
                 d_start * scale, d_end * scale, out.hidden, live, grads
             )
             backward(live, cfg, out.cache, d_hidden.astype(out.hidden.dtype), grads)
-        return loss, batch_tokens
+        return loss, sum(lengths)
 
     return _train_loop(
         live,

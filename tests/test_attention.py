@@ -186,7 +186,12 @@ POOL_LAYOUTS = {
     "one_long": (1000,),
     "sixteen_short": (24, 40, 31, 17, 38, 29, 33, 26, 40, 35, 22, 30, 39, 27, 36, 25),
     "edges": EDGE_LENGTHS,
+    # Fewer members than twice the workers: global and causal backward passes
+    # hand out one task per head, which must match the whole member's bits.
+    "one_long_4_heads": (1000,),
+    "three_4_heads": (300, 700, 500),
 }
+POOL_HEADS = {"one_long_4_heads": 4, "three_4_heads": 4}
 
 
 @pytest.mark.parametrize("layout", POOL_LAYOUTS)
@@ -196,7 +201,7 @@ def test_pool_matches_serial_bit_for_bit(spec, dtype, layout, pool_workers):
     lengths = POOL_LAYOUTS[layout]
     b = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     rng = np.random.default_rng(18)
-    q, k, v = rand_qkv(rng, 2, int(b[-1]), 16, dtype=dtype)
+    q, k, v = rand_qkv(rng, POOL_HEADS.get(layout, 2), int(b[-1]), 16, dtype=dtype)
     d_out = rng.normal(size=q.shape).astype(dtype)
 
     def run():

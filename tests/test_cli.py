@@ -280,6 +280,17 @@ def test_inspect_prints_metadata(trained, capsys):
     assert f"provenance: {n} records steps 1..{n} verify=ok" in out
 
 
+def test_inspect_sizes_a_microbatch(trained, capsys):
+    # tiny_test in float32: per layer 2*64 + 4*64 + 3*128 + 2 = 770 values,
+    # two layers and a final norm of 65: 1,605 values, 6,420 bytes per token;
+    # 128 MiB of forward cache holds 20,906 tokens.  Dropout keeps 64 more
+    # values per layer.
+    assert main(["inspect", "--ckpt", str(trained["ckpt"])]) == 0
+    out = capsys.readouterr().out
+    assert "cache_bytes_per_token=6420 microbatch_token_cap=20906 " in out
+    assert "(dropout off; dropout adds 512)" in out
+
+
 def test_inspect_reports_tampered_provenance(trained, capsys):
     ckpt = load_checkpoint(trained["ckpt"])
     first = ckpt.provenance.records[0]

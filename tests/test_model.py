@@ -370,6 +370,39 @@ def test_backward_consumes_its_cache(tiny_cfg, rand_batch):
         model.backward(params, tiny_cfg, out.cache, d_hidden)
 
 
+def _held_arrays(obj, found):
+    """The distinct arrays under ``obj``'s tuples and lists, each by its own buffer."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        found[id(obj)] = obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _held_arrays(item, found)
+    return found
+
+
+@pytest.mark.parametrize("dropout", (False, True), ids=("plain", "dropout"))
+@pytest.mark.parametrize("norm", config.NORMS)
+@pytest.mark.parametrize("block_style", config.BLOCK_STYLES)
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+def test_cache_bytes_per_token_counts_the_forward_cache(tiny_cfg, dtype, block_style, norm,
+                                                        dropout):
+    # Hidden (32, which is heads x head_dim) differs from intermediate (40), so
+    # a term counted with the wrong width shows.
+    cfg = dataclasses.replace(tiny_cfg, hidden=32, n_heads=2, head_dim=16, intermediate=40,
+                              block_style=block_style, norm=norm, max_seq_len=64)
+    params = {k: v.astype(dtype) for k, v in model.init_params(cfg, seed=1).items()}
+    rng = np.random.default_rng(4)
+    batch = pack([rng.integers(0, 256, size=n, dtype=np.int32) for n in (5, 9, 13)])
+    kw = {"dropout_rate": 0.1, "seq_seeds": [1, 2, 3]} if dropout else {}
+    cache = model.forward(params, cfg, batch, want_cache=True, **kw).cache
+    held = _held_arrays((cache["layers"], cache["final_norm"]), {})
+    got = sum(a.nbytes for a in held.values())
+    want = model.cache_bytes_per_token(cfg, np.dtype(dtype).itemsize, dropout)
+    assert got == want * batch.total_tokens
+
+
 # --- the layer stack on the worker pool ---
 
 POOL_ROWS = 4099  # four row blocks: three of 1,025 rows and a ragged 1,024

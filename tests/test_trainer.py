@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from packbert import config, model, optim, util
-from packbert.errors import DataError, TrainingError
+from packbert import config, model, optim, trainer, util
+from packbert.errors import ConfigError, DataError, TrainingError
 from packbert.tensor_store import read_tensors, write_tensors
 from packbert.trainer import (
     Checkpoint,
@@ -17,6 +17,7 @@ from packbert.trainer import (
     ProvenanceRecord,
     SpanExample,
     Triplet,
+    _microbatches,
     load_checkpoint,
     resume_masked,
     retrieval_accuracy,
@@ -392,6 +393,157 @@ def test_training_step_holds_each_activation_once(tiny_cfg):
     assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
+# --- microbatches bounded by forward-cache bytes ---
+
+
+def _best_cut(lengths, micro, cap):
+    """(slices, largest slice's tokens) of the best cut, by brute force over every
+    contiguous cut: the fewest slices, then the smallest largest one."""
+    n, best = len(lengths), None
+    for mask in range(1 << (n - 1)):
+        starts = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1]
+        parts = [lengths[a:b] for a, b in zip(starts, starts[1:] + [n])]
+        if all(len(p) <= micro and (sum(p) <= cap or len(p) == 1) for p in parts):
+            key = (len(parts), max(sum(p) for p in parts))
+            best = key if best is None else min(best, key)
+    return best
+
+
+def test_microbatch_cut_is_fewest_and_balanced():
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        n = int(rng.integers(1, 11))
+        lengths = rng.integers(1, 60, size=n).tolist()
+        micro, cap = int(rng.integers(1, n + 1)), int(rng.integers(1, 200))
+        cut = _microbatches(lengths, micro, cap)
+        assert cut == _microbatches(list(lengths), micro, cap)
+        # Every member once, in order.
+        assert [i for sl in cut for i in range(n)[sl]] == list(range(n))
+        parts = [lengths[sl] for sl in cut]
+        for part in parts:
+            assert 0 < len(part) <= micro
+            assert sum(part) <= cap or len(part) == 1, (lengths, micro, cap, cut)
+        assert (len(parts), max(sum(p) for p in parts)) == _best_cut(lengths, micro, cap)
+
+
+def test_microbatch_cut_keeps_the_member_cap_when_tokens_do_not_bind():
+    assert _microbatches([30] * 8, 4, 10**6) == [slice(0, 4), slice(4, 8)]
+    assert _microbatches([5, 6, 7, 8, 9, 10], 2, 10**6) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    # A member over the cap is a slice of its own; the rest still share.
+    assert _microbatches([5, 6, 100, 7, 8], 5, 20) == [slice(0, 2), slice(2, 3), slice(3, 5)]
+
+
+def _float64_params(cfg):
+    return {k: v.astype(np.float64) for k, v in model.init_params(cfg, seed=0).items()}
+
+
+def _runs_per_budget(monkeypatch, budgets, run):
+    """run() under each MICROBATCH_CACHE_BYTES (None: the module's own); per
+    budget, its result and the member count of every forward call."""
+    real, out = trainer.forward, {}
+    for budget in budgets:
+        calls = []
+
+        def counting(params, cfg, batch, **kw):
+            calls.append(batch.n_seqs)
+            return real(params, cfg, batch, **kw)
+
+        monkeypatch.setattr(trainer, "forward", counting)
+        if budget is not None:
+            monkeypatch.setattr(trainer, "MICROBATCH_CACHE_BYTES", budget)
+        out[budget] = (run(), calls)
+    return out
+
+
+def _assert_same_step(a, b):
+    for k in a.checkpoint.params:
+        np.testing.assert_allclose(a.checkpoint.params[k], b.checkpoint.params[k],
+                                   rtol=0, atol=1e-10, err_msg=k)
+    assert a.provenance == b.provenance
+    assert [m[:2] for m in a.metrics] == [m[:2] for m in b.metrics]
+    np.testing.assert_allclose([m[2] for m in a.metrics], [m[2] for m in b.metrics],
+                               rtol=0, atol=1e-10)
+
+
+def test_token_split_mlm_step_equals_the_unsplit_step(tiny_cfg, monkeypatch):
+    # 4-member steps of 29-30 token members, 116-120 tokens, over a 115-token
+    # cap: the fewest slices are two, balanced as two members each.  Counted
+    # without dropout's masks the cap would be 124 tokens and the step whole.
+    rng = np.random.default_rng(8)
+    data = [rng.integers(5, 256, size=int(rng.integers(29, 31)), dtype=np.int32)
+            for _ in range(8)]
+    phase = quick_phase(token_budget=300, batch_tokens_or_sequences=4, microbatch=4)
+    per_token = model.cache_bytes_per_token(tiny_cfg, 8, True)
+
+    def run():
+        return train_mlm(_float64_params(tiny_cfg), tiny_cfg, data, phase, mask_id=MASK_ID,
+                         special_ids=SPECIALS, dropout_rate=0.1)
+
+    runs = _runs_per_budget(monkeypatch, (None, 115 * per_token, 1), run)
+    (whole, whole_calls), (two, two_calls), (single, single_calls) = runs.values()
+    steps = whole.checkpoint.step
+    assert steps >= 3
+    assert (whole_calls, two_calls, single_calls) == ([4] * steps, [2] * 2 * steps,
+                                                      [1] * 4 * steps)
+    _assert_same_step(whole, two)
+    _assert_same_step(whole, single)
+
+
+def test_token_split_span_step_equals_the_unsplit_step(tiny_cfg, monkeypatch):
+    # 4-member steps of 12-15 tokens: any two fit 32 tokens and no three do.
+    rng = np.random.default_rng(9)
+    examples = []
+    for _ in range(8):
+        ids = rng.integers(5, 256, size=int(rng.integers(12, 16)), dtype=np.int32)
+        start = int(rng.integers(0, ids.size - 3))
+        examples.append(SpanExample(ids=ids, start=start, end=start + 2))
+    phase = quick_phase(token_budget=150, batch_tokens_or_sequences=4, microbatch=4)
+    per_token = model.cache_bytes_per_token(tiny_cfg, 8, False)
+
+    def run():
+        return train_span_qa(_float64_params(tiny_cfg), tiny_cfg, examples, phase)
+
+    runs = _runs_per_budget(monkeypatch, (None, 32 * per_token, 1), run)
+    (whole, whole_calls), (two, two_calls), (single, single_calls) = runs.values()
+    steps = whole.checkpoint.step
+    assert steps >= 2
+    assert (whole_calls, two_calls, single_calls) == ([4] * steps, [2] * 2 * steps,
+                                                      [1] * 4 * steps)
+    _assert_same_step(whole, two)
+    _assert_same_step(whole, single)
+
+
+def test_step_over_the_budget_holds_one_microbatch_of_cache(tiny_cfg, monkeypatch):
+    # One step of 8 members of 256 tokens, under a budget of 256 tokens' cache:
+    # it runs as 8 microbatches of one member.
+    cfg = dataclasses.replace(tiny_cfg, n_layers=4, hidden=128, n_heads=2, intermediate=192,
+                              local_window=64, max_seq_len=256)
+    rng = np.random.default_rng(3)
+    data = [rng.integers(5, 256, size=256, dtype=np.int32) for _ in range(8)]
+    tokens = 8 * 256
+    phase = quick_phase(token_budget=tokens, batch_tokens_or_sequences=8, microbatch=8)
+    params = model.init_params(cfg, seed=0)
+    per_token = model.cache_bytes_per_token(cfg, 4, False)
+    budget = 256 * per_token
+    monkeypatch.setattr(trainer, "MICROBATCH_CACHE_BYTES", budget, raising=False)
+
+    def step():
+        return train_mlm(params, cfg, data, phase, mask_id=MASK_ID, special_ids=SPECIALS)
+
+    step()  # caches fill outside the measurement
+    result, _, peak = traced_peak(step)
+    assert result.checkpoint.step == 1
+    # The trained copy, two moments and the gradients; one microbatch's forward
+    # cache; and one layer's cache over the whole step, which covers a layer's
+    # working set in the forward and backward passes and the small MLM head.
+    # Unsplit, the step's forward cache alone is eight budgets.
+    state = 4 * sum(t.nbytes for t in params.values())
+    one_layer = tokens * 4 * (2 * cfg.hidden + 4 * cfg.n_heads * cfg.head_dim
+                              + 3 * cfg.intermediate + 2)
+    bound = state + budget + one_layer
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
 def test_lr_metric_matches_schedule(tiny_cfg):
     phase = quick_phase(token_budget=800, schedule="trapezoidal",
                         warmup_tokens=300, decay_tokens=300, peak_lr=1e-3)
@@ -497,6 +649,32 @@ def test_resume_refuses_different_dataset(tiny_cfg):
     with pytest.raises(TrainingError):
         resume_masked(half.checkpoint, shuffled,
                       mask_id=MASK_ID, special_ids=SPECIALS)
+
+
+@pytest.mark.parametrize("change", ({"seed": 8}, {"batch_tokens_or_sequences": 2}),
+                         ids=("seed", "batch"))
+def test_resume_refuses_a_phase_that_would_diverge(tiny_cfg, tmp_path, change):
+    # A new seed fails the provenance check of the records before the resume;
+    # a new batch size moves the epoch positions.
+    data = toy_dataset(n=8)
+    half = run_mlm(tiny_cfg, data, quick_phase(token_budget=300)).checkpoint
+    half.phase = dataclasses.replace(half.phase, token_budget=600, **change)
+    name = next(iter(change))
+    with pytest.raises(ConfigError, match=f"resume changes {name}"):
+        resume_masked(half, data, mask_id=MASK_ID, special_ids=SPECIALS,
+                      out_dir=tmp_path / "resumed")
+    assert not (tmp_path / "resumed").exists()
+
+
+def test_resume_accepts_a_new_microbatch_budget_and_optimizer(tiny_cfg):
+    data = toy_dataset(n=8)
+    half = run_mlm(tiny_cfg, data, quick_phase(token_budget=300)).checkpoint
+    half.phase = dataclasses.replace(half.phase, token_budget=600, microbatch=1, peak_lr=5e-4,
+                                     weight_decay=0.01, betas=(0.8, 0.9), eps=1e-7)
+    resumed = resume_masked(half, data, mask_id=MASK_ID, special_ids=SPECIALS).checkpoint
+    assert resumed.tokens_seen >= 600 > half.tokens_seen
+    assert resumed.opt.betas == (0.8, 0.9)
+    resumed.provenance.verify(resumed.phase.seed)
 
 
 def test_resume_reads_objective_from_checkpoint(tiny_cfg):
