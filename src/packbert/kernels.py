@@ -6,9 +6,10 @@ cover only the keys it may see: the whole member for global attention,
 ``[i0 - w/2, i1 + w/2)`` for a sliding window of width ``w`` and
 ``[lo, i1)`` for causal attention.  Window layers therefore cost
 O(total * window), and no worker holds more than a (heads, BLOCK, member
-length) score block.  The backward pass recomputes each block's
-probabilities instead of saving them.  The same code serves every float
-dtype; float64 is what the gradient checks run on.
+length) score block.  Each query block is scaled as it is scored, so no
+call holds a scaled copy of the whole q.  The backward pass recomputes each
+block's probabilities instead of saving them.  The same code serves every
+float dtype; float64 is what the gradient checks run on.
 
 Large calls run on the pinned worker pool of ``pool.py``, which the layer
 stack in ``model.py`` shares.  The forward pass hands out query blocks,
@@ -83,9 +84,10 @@ def _blocked(kind, half, offset, rows, cols):
     return blocked
 
 
-def _exp_scores(qs, k, i0, i1, j0, j1, kind, window):
-    """exp(scores - row max) of scaled query rows [i0, i1) over keys [j0, j1), and row sums."""
-    scores = qs[:, i0:i1] @ k[:, j0:j1].transpose(0, 2, 1)
+def _exp_scores(qb, k, i0, i1, j0, j1, kind, window):
+    """exp(scores - row max) of the scaled query block ``qb``, rows [i0, i1), over
+    keys [j0, j1), and row sums."""
+    scores = qb @ k[:, j0:j1].transpose(0, 2, 1)
     if kind != KIND_GLOBAL:
         # A causal block sees every key before i0; only its diagonal tile is masked.
         c0 = i0 - j0 if kind == KIND_CAUSAL else 0
@@ -96,16 +98,17 @@ def _exp_scores(qs, k, i0, i1, j0, j1, kind, window):
     return scores, scores.sum(axis=-1, keepdims=True)
 
 
-def _forward_block(qs, k, v, out, kind, window, block):
+def _forward_block(q, k, v, out, scale, kind, window, block):
     i0, i1, j0, j1 = block
-    e, sums = _exp_scores(qs, k, i0, i1, j0, j1, kind, window)
+    e, sums = _exp_scores(q[:, i0:i1] * scale, k, i0, i1, j0, j1, kind, window)
     # Normalise the (heads, b, d) output rows, not the (heads, b, L) weights.
     np.divide(e @ v[:, j0:j1], sums, out=out[:, i0:i1])
 
 
-def _backward_member(qs, k, v, d_out, dq, dk, dv, kind, window, blocks):
+def _backward_member(q, k, v, d_out, dq, dk, dv, scale, kind, window, blocks):
     for i0, i1, j0, j1 in blocks:
-        probs, sums = _exp_scores(qs, k, i0, i1, j0, j1, kind, window)
+        qb = q[:, i0:i1] * scale  # with q scaled, dk needs no scale
+        probs, sums = _exp_scores(qb, k, i0, i1, j0, j1, kind, window)
         probs /= sums
         g = d_out[:, i0:i1]
         dv[:, j0:j1] += probs.transpose(0, 2, 1) @ g
@@ -113,7 +116,7 @@ def _backward_member(qs, k, v, d_out, dq, dk, dv, kind, window, blocks):
         d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
         d_scores *= probs  # zero wherever masked: probs == 0 there
         dq[:, i0:i1] = d_scores @ k[:, j0:j1]
-        dk[:, j0:j1] += d_scores.transpose(0, 2, 1) @ qs[:, i0:i1]
+        dk[:, j0:j1] += d_scores.transpose(0, 2, 1) @ qb
 
 
 def attn_forward(q, k, v, boundaries, kind, window, scale):
@@ -121,7 +124,7 @@ def attn_forward(q, k, v, boundaries, kind, window, scale):
     members = _blocks(boundaries, kind, window)
     blocks = [blk for m in members for blk in m]
     out = np.empty_like(q)
-    step = functools.partial(_forward_block, q * scale, k, v, out, kind, window)
+    step = functools.partial(_forward_block, q, k, v, out, scale, kind, window)
     pool._run(step, blocks, _pairs(q.shape[0], members) >= PARALLEL_MIN_PAIRS)
     return out
 
@@ -142,13 +145,11 @@ def attn_backward(q, k, v, d_out, boundaries, kind, window, scale):
     dq = np.empty_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
-    # With q pre-scaled, dk needs no scale; dq takes it once at the end.
-    qs = q * scale
 
     def step(task):
         h, blocks = task
-        _backward_member(qs[h], k[h], v[h], d_out[h], dq[h], dk[h], dv[h], kind, window, blocks)
+        _backward_member(q[h], k[h], v[h], d_out[h], dq[h], dk[h], dv[h], scale, kind, window, blocks)
 
     pool._run(step, tasks, large)
-    dq *= scale
+    dq *= scale  # the scores' scale, taken once
     return dq, dk, dv

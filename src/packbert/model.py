@@ -13,12 +13,15 @@ it accumulates gradients into a dict, for the tensors that are its keys
 only.  Low-rank adapter pairs (``extra_linear``) make a linear use
 W + s * A @ B without touching the stored W; their gradients are keyed by
 ``adapter_key``, so an adapter run's gradient dict holds the pairs alone and
-a frozen tensor costs no gradient work.  The padded path
-(``forward_padded``) runs the same layer stack over (batch, max_len) ids as
-one token stream, PAD slots included, around conventional dense attention
-(``attention_padded``) in place of the packed kernel; it serves the
-throughput benchmark and is the oracle of the packed≡padded equivalence
-tests, whose shared ops are all per-token.
+a frozen tensor costs no gradient work.  Without ``want_cache``, ``forward``
+keeps nothing and, over a stream longer than ``ROWS`` tokens, runs each
+layer's per-token work in row blocks (``_streamed_stack``), so that only the
+residual stream, q, k, v and the attention context are full-length.  The
+padded path (``forward_padded``) runs that same stack over (batch, max_len)
+ids as one token stream, PAD slots included, around conventional dense
+attention (``attention_padded``) in place of the packed kernel; it serves
+the throughput benchmark and is the oracle of the packed≡padded
+equivalence tests, whose shared ops are all per-token.
 
 Architecture per ArchConfig: pre- or post-norm residual blocks, gated
 feed-forward (up-projection to 2x intermediate, split into gate/value,
@@ -444,18 +447,29 @@ def _merge_heads(x):
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, h * d)
 
 
+def _project_qkv(x, prefix, params, cfg, positions, table, extra):
+    """q and k rotated by ``table`` at ``positions``, and v, of the rows x through
+    the weights ``prefix``.wq/wk/wv, each heads-first (heads, rows, head_dim)."""
+    def heads(name):
+        y = _linear(x, params, f"{prefix}.{name}", extra)
+        return _split_heads(y, cfg.n_heads, cfg.head_dim)
+
+    q, k, v = heads("wq"), heads("wk"), heads("wv")
+    return apply_rope(q, positions, table), apply_rope(k, positions, table), v
+
+
+def _attn_core_args(cfg, layer):
+    """Layer ``layer``'s RoPE table, mask spec and score scale."""
+    table = build_rope_table(cfg.rope_theta_for_layer(layer), cfg.head_dim, cfg.max_seq_len)
+    return table, _layer_spec(cfg, layer), 1.0 / math.sqrt(cfg.head_dim)
+
+
 def _attn_forward(x, layer, params, cfg, positions, attend, extra):
     """The attention sublayer; ``attend(q, k, v, spec, scale)`` is its core,
     over heads-first (heads, tokens, head_dim) q, k and v."""
     p = f"layers.{layer}.attn"
-    q = _split_heads(_linear(x, params, f"{p}.wq", extra), cfg.n_heads, cfg.head_dim)
-    k = _split_heads(_linear(x, params, f"{p}.wk", extra), cfg.n_heads, cfg.head_dim)
-    v = _split_heads(_linear(x, params, f"{p}.wv", extra), cfg.n_heads, cfg.head_dim)
-    table = build_rope_table(cfg.rope_theta_for_layer(layer), cfg.head_dim, cfg.max_seq_len)
-    qr = apply_rope(q, positions, table)
-    kr = apply_rope(k, positions, table)
-    spec = _layer_spec(cfg, layer)
-    scale = 1.0 / math.sqrt(cfg.head_dim)
+    table, spec, scale = _attn_core_args(cfg, layer)
+    qr, kr, v = _project_qkv(x, p, params, cfg, positions, table, extra)
     merged = _merge_heads(attend(qr, kr, v, spec, scale))
     out = _linear(merged, params, f"{p}.wo", extra)
     cache = (x, qr, kr, v, merged, spec, table, scale)
@@ -562,12 +576,12 @@ def _validate_batch(batch: PackedBatch, cfg: ArchConfig):
         )
 
 
-def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, want_cache):
+def _layer_stack(params, cfg, tokens, positions, attend, masks, extra):
     """The embedding gather, the blocks and the final norm over a flat token
-    stream; each attention sublayer runs through the core ``attend`` (see
-    ``_attn_forward``).  ``masks`` holds each layer's attention-output dropout
-    mask or None.  Returns the final hidden states, the per-layer caches
-    (empty without ``want_cache``) and the final norm's cache."""
+    stream, keeping what ``backward`` needs; each attention sublayer runs
+    through the core ``attend`` (see ``_attn_forward``).  ``masks`` holds
+    each layer's attention-output dropout mask or None.  Returns the final
+    hidden states, the per-layer caches and the final norm's cache."""
     h = params["tok_emb"][tokens]
     # A cached attention or FFN tuple keeps its input slot empty: the input is
     # a norm output (or, in layer 0 of a post-norm stack, the embedding
@@ -591,10 +605,59 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, want_cach
             h, n1c = _norm_forward(h + a, params, f"layers.{i}.norm1", cfg)
             f, fc = _ffn_forward(h, i, params, cfg, extra)
             h, n2c = _norm_forward(h + f, params, f"layers.{i}.norm2", cfg)
-        if want_cache:
-            layer_caches.append((n1c, (None, *ac[1:]), n2c, (None, *fc[1:]), masks[i]))
+        layer_caches.append((n1c, (None, *ac[1:]), n2c, (None, *fc[1:]), masks[i]))
     out, fn_cache = _norm_forward(h, params, "final_norm", cfg)
     return out, layer_caches, fn_cache
+
+
+def _streamed_stack(params, cfg, tokens, positions, attend, masks, extra):
+    """``_layer_stack``'s output with no cache, each layer's per-token work in
+    the row blocks of ``_row_blocks`` when the stream is longer than ROWS.
+
+    Per layer, block by block: norm1, then the q/k/v projections and RoPE,
+    written into full-length heads-first q, k and v; the core ``attend`` runs
+    over them whole; then, block by block, the out-projection and residual
+    add, norm2, the FFN and its residual add, in place on the residual stream
+    (a post-norm stack runs the same pieces in its own order).  So only the
+    residual stream, q, k, v, the context and the core's working set are
+    full-length; norm outputs, FFN products and their temporaries are one
+    block's.  Each op treats rows alone, so the bits are ``_layer_stack``'s
+    wherever BLAS takes the same path for a block as for the whole.  A
+    layer's adapter sums are formed once, not per block.
+    """
+    h = params["tok_emb"][tokens]
+    n = h.shape[0]
+    blocks = _row_blocks(n, n > ROWS)
+    pre = cfg.block_style == "pre_norm"
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}"
+        # The layer's weights, each with its adapter sum, as the blocks' params.
+        lp = {name: _weight(params, name, extra) for name in params if name.startswith(f"{p}.")}
+        table, spec, scale = _attn_core_args(cfg, i)
+        q, k, v = (np.empty((cfg.n_heads, n, cfg.head_dim), dtype=h.dtype) for _ in range(3))
+        for b in blocks:
+            x = _norm_forward(h[b], lp, f"{p}.norm1", cfg)[0] if pre else h[b]
+            q[:, b], k[:, b], v[:, b] = _project_qkv(x, f"{p}.attn", lp, cfg, positions[b], table, None)
+        ctx = attend(q, k, v, spec, scale)
+        del q, k, v
+        for b in blocks:
+            a = _linear(_merge_heads(ctx[:, b]), lp, f"{p}.attn.wo", None)
+            if masks[i] is not None:
+                a *= masks[i][b]
+            if pre:
+                h[b] += a
+                y2 = _norm_forward(h[b], lp, f"{p}.norm2", cfg)[0]
+                h[b] += _ffn_forward(y2, i, lp, cfg, None)[0]
+            else:
+                a += h[b]
+                h[b] = _norm_forward(a, lp, f"{p}.norm1", cfg)[0]
+                f = _ffn_forward(h[b], i, lp, cfg, None)[0]
+                f += h[b]
+                h[b] = _norm_forward(f, lp, f"{p}.norm2", cfg)[0]
+        del ctx
+    for b in blocks:
+        h[b] = _norm_forward(h[b], params, "final_norm", cfg)[0]
+    return h
 
 
 def forward(
@@ -625,18 +688,19 @@ def forward(
     if dropout_rate > 0.0 and seq_seeds is not None:
         dtype = params["tok_emb"].dtype
         masks = _dropout_masks(batch, cfg, cfg.n_layers, dropout_rate, seq_seeds, dtype)
+    if not want_cache:
+        out = _streamed_stack(params, cfg, batch.tokens, positions, attend, masks, extra_linear)
+        return ForwardOutput(hidden=out)
     out, layer_caches, fn_cache = _layer_stack(
-        params, cfg, batch.tokens, positions, attend, masks, extra_linear, want_cache
+        params, cfg, batch.tokens, positions, attend, masks, extra_linear
     )
-    cache = None
-    if want_cache:
-        cache = {
-            "batch": batch,
-            "positions": positions,
-            "layers": layer_caches,
-            "final_norm": fn_cache,
-            "extra": extra_linear,
-        }
+    cache = {
+        "batch": batch,
+        "positions": positions,
+        "layers": layer_caches,
+        "final_norm": fn_cache,
+        "extra": extra_linear,
+    }
     return ForwardOutput(hidden=out, cache=cache)
 
 
@@ -776,9 +840,8 @@ def forward_padded(
         return ctx.transpose(1, 0, 2, 3).reshape(cfg.n_heads, bsz * max_len, -1)
 
     positions = np.tile(np.arange(max_len, dtype=np.int64), bsz)
-    out, _, _ = _layer_stack(
-        params, cfg, ids.reshape(-1), positions, attend, [None] * cfg.n_layers, None, False
-    )
+    masks = [None] * cfg.n_layers
+    out = _streamed_stack(params, cfg, ids.reshape(-1), positions, attend, masks, None)
     return out.reshape(bsz, max_len, cfg.hidden)
 
 

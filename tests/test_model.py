@@ -12,6 +12,8 @@ from packbert import config, model, pool
 from packbert.objectives import IGNORE, mlm_loss
 from packbert.packing import pack
 
+from conftest import traced_peak
+
 # --- parameters ---
 
 
@@ -485,3 +487,101 @@ def test_pool_matches_serial_bit_for_bit(dtype, norm, activation, pool_workers, 
     for name, want in whole.items():
         atol = rtol * 0.1 * float(np.abs(want).max())
         np.testing.assert_allclose(blocked[name], want, rtol=rtol, atol=atol, err_msg=name)
+
+
+# --- the streamed cache-free forward ---
+
+STREAM_CASES = {
+    "pre_layer_gelu": dict(block_style="pre_norm", norm="layer_norm", activation="gelu"),
+    "post_rms_silu": dict(block_style="post_norm", norm="rms_norm", activation="silu"),
+    "adapter": dict(block_style="pre_norm", norm="layer_norm", activation="gelu"),
+    "dropout": dict(block_style="post_norm", norm="rms_norm", activation="silu"),
+}
+# Streams longer than ROWS: one member just over it (two blocks), one of
+# four blocks, and a packed batch whose total crosses it.
+STREAM_LENGTHS = {"2049": (2049,), "4500": (4500,), "packed": (700, 900, 650)}
+
+
+def stream_cfg(**kw):
+    # Two heads; layer 0 global, layer 1 a window of 8.
+    shape = dict(hidden=32, n_heads=2, head_dim=16, intermediate=48, max_seq_len=4608)
+    return dataclasses.replace(config.preset("tiny_test"), **{**shape, **kw})
+
+
+@pytest.mark.parametrize("lengths", list(STREAM_LENGTHS))
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+def test_streamed_forward_equals_cached(dtype, case, lengths, monkeypatch):
+    cfg = stream_cfg(**STREAM_CASES[case])
+    params = {k: v.astype(dtype) for k, v in model.init_params(cfg, seed=5).items()}
+    rng = np.random.default_rng(6)
+    batch = pack([rng.integers(0, 256, size=n, dtype=np.int32) for n in STREAM_LENGTHS[lengths]])
+    kw = {}
+    if case == "adapter":
+        kw["extra_linear"] = {
+            name: (rng.normal(size=(cfg.hidden, 4)).astype(dtype) * 0.1,
+                   rng.normal(size=(4, params[name].shape[1])).astype(dtype) * 0.1, 2.0)
+            for name in ("layers.0.attn.wq", "layers.1.attn.wo", "layers.1.ffn.wu")
+        }
+    if case == "dropout":
+        kw.update(dropout_rate=0.2, seq_seeds=list(range(batch.n_seqs)))
+    want = model.forward(params, cfg, batch, want_cache=True, **kw).hidden
+    rows = []
+    real = model.act_forward
+    monkeypatch.setattr(model, "act_forward", lambda x, kind: rows.append(len(x)) or real(x, kind))
+    got = model.forward(params, cfg, batch, **kw).hidden
+    # The FFN ran block by block, each block at most ROWS rows.
+    assert max(rows) <= model.ROWS and sum(rows) == cfg.n_layers * batch.total_tokens
+    assert got.dtype == dtype
+    rtol = 1e-12 if dtype == np.float64 else 4 * np.finfo(np.float32).eps
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * float(np.abs(want).max()))
+
+
+def test_padded_over_rows_matches_packed():
+    cfg = stream_cfg(max_seq_len=1030)
+    rng = np.random.default_rng(7)
+    seqs = [rng.integers(0, 256, size=n, dtype=np.int32) for n in (1030, 600)]
+    lengths = np.array([len(s) for s in seqs])
+    assert len(seqs) * lengths.max() > model.ROWS
+    params = {k: v.astype(np.float64) for k, v in model.init_params(cfg, seed=8).items()}
+    packed = model.forward(params, cfg, pack(seqs)).hidden
+    ids = np.zeros((len(seqs), lengths.max()), dtype=np.int32)
+    for i, s in enumerate(seqs):
+        ids[i, :len(s)] = s
+    padded = model.forward_padded(params, cfg, ids, lengths)
+    np.testing.assert_allclose(packed[:1030], padded[0], atol=1e-5)
+    np.testing.assert_allclose(packed[1030:], padded[1, :600], atol=1e-5)
+
+
+def test_streamed_forward_memory_is_bounded(pool_workers):
+    # Unstreamed, one 8,192-token member holds its (tokens x 2 intermediate)
+    # FFN product, 64 MiB here, and the activation's temporaries beside it.
+    cfg = dataclasses.replace(config.preset("tiny_test"), intermediate=1024, max_seq_len=8192)
+    params = model.init_params(cfg, seed=9)
+    batch = pack([np.random.default_rng(10).integers(0, 256, size=8192, dtype=np.int32)])
+    for workers in (1, 2):
+        pool_workers(workers)
+        _, _, peak = traced_peak(lambda: model.forward(params, cfg, batch))
+        assert peak < 96 * 2**20, f"{workers} workers: peak {peak / 2**20:.1f} MiB"
+
+
+def test_streamed_forward_forms_each_adapter_sum_once_per_layer(monkeypatch):
+    cfg = stream_cfg()
+    params = model.init_params(cfg, seed=11)
+    rng = np.random.default_rng(12)
+    names = ("layers.0.attn.wq", "layers.0.ffn.wd", "layers.1.attn.wo", "layers.1.ffn.wu")
+    extra = {n: (rng.normal(size=(params[n].shape[0], 2)).astype(np.float32),
+                 rng.normal(size=(2, params[n].shape[1])).astype(np.float32), 0.5) for n in names}
+    formed = []
+    real = model._weight
+
+    def counted(p, name, e):
+        if e is not None and name in e:
+            formed.append(name)
+        return real(p, name, e)
+
+    monkeypatch.setattr(model, "_weight", counted)
+    batch = pack([rng.integers(0, 256, size=4500, dtype=np.int32)])
+    assert len(model._row_blocks(batch.total_tokens, True)) == 4
+    model.forward(params, cfg, batch, extra_linear=extra)
+    assert sorted(formed) == sorted(names)
