@@ -13,15 +13,16 @@ it accumulates gradients into a dict, for the tensors that are its keys
 only.  Low-rank adapter pairs (``extra_linear``) make a linear use
 W + s * A @ B without touching the stored W; their gradients are keyed by
 ``adapter_key``, so an adapter run's gradient dict holds the pairs alone and
-a frozen tensor costs no gradient work.  Without ``want_cache``, ``forward``
-keeps nothing and, over a stream longer than ``ROWS`` tokens, runs each
-layer's per-token work in row blocks (``_streamed_stack``), so that only the
-residual stream, q, k, v and the attention context are full-length.  The
-padded path (``forward_padded``) runs that same stack over (batch, max_len)
-ids as one token stream, PAD slots included, around conventional dense
-attention (``attention_padded``) in place of the packed kernel; it serves
-the throughput benchmark and is the oracle of the packed≡padded
-equivalence tests, whose shared ops are all per-token.
+a frozen tensor costs no gradient work.  One layer stack (``_layer_stack``)
+serves every forward.  With ``want_cache`` it runs the stream as one block
+and keeps its caches; without, it keeps nothing and, over a stream longer
+than ``ROWS`` tokens, runs each layer's per-token work in row blocks, so that
+only the residual stream, q, k, v and the attention context are full-length.
+The padded path (``forward_padded``) runs that stack without a cache over
+(batch, max_len) ids as one token stream, PAD slots included, around
+conventional dense attention (``attention_padded``) in place of the packed
+kernel; it serves the throughput benchmark and is the oracle of the
+packed≡padded equivalence tests, whose shared ops are all per-token.
 
 Architecture per ArchConfig: pre- or post-norm residual blocks, gated
 feed-forward (up-projection to 2x intermediate, split into gate/value,
@@ -447,35 +448,6 @@ def _merge_heads(x):
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, h * d)
 
 
-def _project_qkv(x, prefix, params, cfg, positions, table, extra):
-    """q and k rotated by ``table`` at ``positions``, and v, of the rows x through
-    the weights ``prefix``.wq/wk/wv, each heads-first (heads, rows, head_dim)."""
-    def heads(name):
-        y = _linear(x, params, f"{prefix}.{name}", extra)
-        return _split_heads(y, cfg.n_heads, cfg.head_dim)
-
-    q, k, v = heads("wq"), heads("wk"), heads("wv")
-    return apply_rope(q, positions, table), apply_rope(k, positions, table), v
-
-
-def _attn_core_args(cfg, layer):
-    """Layer ``layer``'s RoPE table, mask spec and score scale."""
-    table = build_rope_table(cfg.rope_theta_for_layer(layer), cfg.head_dim, cfg.max_seq_len)
-    return table, _layer_spec(cfg, layer), 1.0 / math.sqrt(cfg.head_dim)
-
-
-def _attn_forward(x, layer, params, cfg, positions, attend, extra):
-    """The attention sublayer; ``attend(q, k, v, spec, scale)`` is its core,
-    over heads-first (heads, tokens, head_dim) q, k and v."""
-    p = f"layers.{layer}.attn"
-    table, spec, scale = _attn_core_args(cfg, layer)
-    qr, kr, v = _project_qkv(x, p, params, cfg, positions, table, extra)
-    merged = _merge_heads(attend(qr, kr, v, spec, scale))
-    out = _linear(merged, params, f"{p}.wo", extra)
-    cache = (x, qr, kr, v, merged, spec, table, scale)
-    return out, cache
-
-
 def _attn_backward(d_out, cache, layer, params, cfg, positions, boundaries, grads, extra):
     x, qr, kr, v, merged, spec, table, scale = cache
     p = f"layers.{layer}.attn"
@@ -576,88 +548,95 @@ def _validate_batch(batch: PackedBatch, cfg: ArchConfig):
         )
 
 
-def _layer_stack(params, cfg, tokens, positions, attend, masks, extra):
+def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
     """The embedding gather, the blocks and the final norm over a flat token
-    stream, keeping what ``backward`` needs; each attention sublayer runs
-    through the core ``attend`` (see ``_attn_forward``).  ``masks`` holds
-    each layer's attention-output dropout mask or None.  Returns the final
-    hidden states, the per-layer caches and the final norm's cache."""
+    stream.  Each attention sublayer runs through the core ``attend(q, k, v,
+    spec, scale)`` over heads-first (heads, tokens, head_dim) q, k and v;
+    ``masks`` holds each layer's attention-output dropout mask or None.
+
+    Per layer, block by block: norm1, then the q/k/v projections and RoPE,
+    written into full-length q, k and v; the core runs over them whole; then,
+    block by block, the out-projection and residual add, norm2, the FFN and
+    its residual add (a post-norm stack runs the same pieces in its own
+    order).  Without ``keep``, a stream longer than ROWS runs in the row
+    blocks of ``_row_blocks``: only the residual stream, q, k, v and the
+    context are full-length, and each block's norm and FFN products are
+    dropped before the next block runs.  With ``keep``, the stream is one
+    block, whose caches are what ``backward`` needs.  Each op treats rows
+    alone, so the bits are the same either way wherever BLAS takes the same
+    path for a block as for the whole.  A layer's adapter sums are formed
+    once, not per block.  Returns the final hidden states, the per-layer
+    caches and the final norm's cache; without ``keep``, the caches are None.
+    """
     h = params["tok_emb"][tokens]
+    n = h.shape[0]
+    blocks = _row_blocks(n, n > ROWS and not keep)
+    pre = cfg.block_style == "pre_norm"
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+
+    def heads(x, lp, name):
+        return _split_heads(_linear(x, lp, name, None), cfg.n_heads, cfg.head_dim)
+
+    def kept(result):
+        # A sublayer's output, and its cache only when keeping.
+        out, cache = result
+        return out, (cache if keep else None)
+
+    def residual(h, b, x):
+        # A kept RMS norm caches its input, which in a pre-norm stack is the
+        # residual stream, so a kept stack adds into a new stream.
+        if keep:
+            return h + x
+        h[b] += x
+        return h
+
     # A cached attention or FFN tuple keeps its input slot empty: the input is
     # a norm output (or, in layer 0 of a post-norm stack, the embedding
     # gather), which backward rebuilds from the norm's own cache.
     layer_caches = []
-    pre = cfg.block_style == "pre_norm"
-    for i in range(cfg.n_layers):
-        if pre:
-            y1, n1c = _norm_forward(h, params, f"layers.{i}.norm1", cfg)
-            a, ac = _attn_forward(y1, i, params, cfg, positions, attend, extra)
-            if masks[i] is not None:
-                a = a * masks[i]
-            h = h + a
-            y2, n2c = _norm_forward(h, params, f"layers.{i}.norm2", cfg)
-            f, fc = _ffn_forward(y2, i, params, cfg, extra)
-            h = h + f
-        else:
-            a, ac = _attn_forward(h, i, params, cfg, positions, attend, extra)
-            if masks[i] is not None:
-                a = a * masks[i]
-            h, n1c = _norm_forward(h + a, params, f"layers.{i}.norm1", cfg)
-            f, fc = _ffn_forward(h, i, params, cfg, extra)
-            h, n2c = _norm_forward(h + f, params, f"layers.{i}.norm2", cfg)
-        layer_caches.append((n1c, (None, *ac[1:]), n2c, (None, *fc[1:]), masks[i]))
-    out, fn_cache = _norm_forward(h, params, "final_norm", cfg)
-    return out, layer_caches, fn_cache
-
-
-def _streamed_stack(params, cfg, tokens, positions, attend, masks, extra):
-    """``_layer_stack``'s output with no cache, each layer's per-token work in
-    the row blocks of ``_row_blocks`` when the stream is longer than ROWS.
-
-    Per layer, block by block: norm1, then the q/k/v projections and RoPE,
-    written into full-length heads-first q, k and v; the core ``attend`` runs
-    over them whole; then, block by block, the out-projection and residual
-    add, norm2, the FFN and its residual add, in place on the residual stream
-    (a post-norm stack runs the same pieces in its own order).  So only the
-    residual stream, q, k, v, the context and the core's working set are
-    full-length; norm outputs, FFN products and their temporaries are one
-    block's.  Each op treats rows alone, so the bits are ``_layer_stack``'s
-    wherever BLAS takes the same path for a block as for the whole.  A
-    layer's adapter sums are formed once, not per block.
-    """
-    h = params["tok_emb"][tokens]
-    n = h.shape[0]
-    blocks = _row_blocks(n, n > ROWS)
-    pre = cfg.block_style == "pre_norm"
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
         # The layer's weights, each with its adapter sum, as the blocks' params.
         lp = {name: _weight(params, name, extra) for name in params if name.startswith(f"{p}.")}
-        table, spec, scale = _attn_core_args(cfg, i)
+        table = build_rope_table(cfg.rope_theta_for_layer(i), cfg.head_dim, cfg.max_seq_len)
+        spec = _layer_spec(cfg, i)
         q, k, v = (np.empty((cfg.n_heads, n, cfg.head_dim), dtype=h.dtype) for _ in range(3))
         for b in blocks:
-            x = _norm_forward(h[b], lp, f"{p}.norm1", cfg)[0] if pre else h[b]
-            q[:, b], k[:, b], v[:, b] = _project_qkv(x, f"{p}.attn", lp, cfg, positions[b], table, None)
+            x, n1c = kept(_norm_forward(h[b], lp, f"{p}.norm1", cfg)) if pre else (h[b], None)
+            q[:, b] = apply_rope(heads(x, lp, f"{p}.attn.wq"), positions[b], table)
+            k[:, b] = apply_rope(heads(x, lp, f"{p}.attn.wk"), positions[b], table)
+            v[:, b] = heads(x, lp, f"{p}.attn.wv")
+        del x
         ctx = attend(q, k, v, spec, scale)
+        qkv = (q, k, v) if keep else ()
         del q, k, v
         for b in blocks:
-            a = _linear(_merge_heads(ctx[:, b]), lp, f"{p}.attn.wo", None)
+            merged = _merge_heads(ctx[:, b])
+            a = _linear(merged, lp, f"{p}.attn.wo", None)
             if masks[i] is not None:
                 a *= masks[i][b]
             if pre:
-                h[b] += a
-                y2 = _norm_forward(h[b], lp, f"{p}.norm2", cfg)[0]
-                h[b] += _ffn_forward(y2, i, lp, cfg, None)[0]
+                h = residual(h, b, a)
+                y2, n2c = kept(_norm_forward(h[b], lp, f"{p}.norm2", cfg))
+                f, fc = kept(_ffn_forward(y2, i, lp, cfg, None))
+                h = residual(h, b, f)
             else:
                 a += h[b]
-                h[b] = _norm_forward(a, lp, f"{p}.norm1", cfg)[0]
-                f = _ffn_forward(h[b], i, lp, cfg, None)[0]
+                h[b], n1c = kept(_norm_forward(a, lp, f"{p}.norm1", cfg))
+                f, fc = kept(_ffn_forward(h[b], i, lp, cfg, None))
                 f += h[b]
-                h[b] = _norm_forward(f, lp, f"{p}.norm2", cfg)[0]
+                h[b], n2c = kept(_norm_forward(f, lp, f"{p}.norm2", cfg))
+            if keep:
+                ac = (None, *qkv, merged, spec, table, scale)
+                layer_caches.append((n1c, ac, n2c, (None, *fc[1:]), masks[i]))
+            del merged, a, f  # freed before the next block allocates its own
         del ctx
+    if keep:
+        out, fn_cache = _norm_forward(h, params, "final_norm", cfg)
+        return out, layer_caches, fn_cache
     for b in blocks:
         h[b] = _norm_forward(h[b], params, "final_norm", cfg)[0]
-    return h
+    return h, None, None
 
 
 def forward(
@@ -673,8 +652,10 @@ def forward(
     """Run the stack over a packed batch; returns final hidden states.
 
     ``want_cache`` retains what one ``backward`` call needs, ``extra_linear``
-    ({weight name: (A, B, scale)}) included.  Attention-output dropout is
-    applied when the rate is positive and per-sequence seeds are provided.
+    ({weight name: (A, B, scale)}) included.  Without it, a stream longer
+    than ``ROWS`` tokens runs in row blocks, holding far less (see
+    ``_layer_stack``).  Attention-output dropout is applied when the rate is
+    positive and per-sequence seeds are provided.
     """
     _validate_batch(batch, cfg)
     boundaries = batch.boundaries
@@ -688,12 +669,11 @@ def forward(
     if dropout_rate > 0.0 and seq_seeds is not None:
         dtype = params["tok_emb"].dtype
         masks = _dropout_masks(batch, cfg, cfg.n_layers, dropout_rate, seq_seeds, dtype)
-    if not want_cache:
-        out = _streamed_stack(params, cfg, batch.tokens, positions, attend, masks, extra_linear)
-        return ForwardOutput(hidden=out)
     out, layer_caches, fn_cache = _layer_stack(
-        params, cfg, batch.tokens, positions, attend, masks, extra_linear
+        params, cfg, batch.tokens, positions, attend, masks, extra_linear, want_cache
     )
+    if not want_cache:
+        return ForwardOutput(hidden=out)
     cache = {
         "batch": batch,
         "positions": positions,
@@ -841,7 +821,7 @@ def forward_padded(
 
     positions = np.tile(np.arange(max_len, dtype=np.int64), bsz)
     masks = [None] * cfg.n_layers
-    out = _streamed_stack(params, cfg, ids.reshape(-1), positions, attend, masks, None)
+    out = _layer_stack(params, cfg, ids.reshape(-1), positions, attend, masks, None, False)[0]
     return out.reshape(bsz, max_len, cfg.hidden)
 
 

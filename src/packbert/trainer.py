@@ -397,6 +397,12 @@ def _train_loop(
             if len(last.sequence_ids) != batch_size:
                 raise ConfigError(f"resume changes batch_tokens_or_sequences from "
                                   f"{len(last.sequence_ids)} to {batch_size}; resume refused")
+        # So would one that changes a setting the run recorded in ``extra``,
+        # such as the mask policy or dropout; older checkpoints lack some keys.
+        for key, was in resume_from.extra.items():
+            if key in extra_meta and extra_meta[key] != was:
+                raise ConfigError(f"resume changes {key} from {was!r} to "
+                                  f"{extra_meta[key]!r}; resume refused")
         if resume_from.dataset_digest != data_digest:
             raise TrainingError(
                 "dataset digest does not match the checkpoint; resume refused"
@@ -644,7 +650,8 @@ def train_masked(
         checkpoint_interval_tokens=checkpoint_interval_tokens,
         out_dir=out_dir,
         resume_from=resume_from,
-        extra_meta={"objective": objective},
+        extra_meta={"objective": objective, "mask_policy": mask_policy,
+                    "dropout_rate": float(dropout_rate)},
     )
 
 
@@ -663,7 +670,8 @@ def resume_masked(
     """Continue a masked-objective run from a checkpoint, bit-exactly.
 
     The dataset must be the one the checkpoint was trained on; any change
-    of content or order is refused.
+    of content or order is refused, as is a ``mask_policy`` or
+    ``dropout_rate`` other than the one the checkpoint records.
     """
     objective = checkpoint.extra.get("objective", "mlm")
     return train_masked(

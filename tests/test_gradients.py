@@ -90,8 +90,9 @@ def test_untied_head_gradient(tiny_cfg):
              labels, grads, rng, samples_per_tensor=2)
 
 
-def test_post_norm_gradients(tiny_cfg):
-    cfg = dataclasses.replace(tiny_cfg, block_style="post_norm", max_seq_len=32)
+@pytest.mark.parametrize("norm", config.NORMS)
+def test_post_norm_gradients(tiny_cfg, norm):
+    cfg = dataclasses.replace(tiny_cfg, block_style="post_norm", norm=norm, max_seq_len=32)
     params, batch, labels = make_case(cfg, seed=1)
     _, grads = analytic_grads(params, cfg, batch, labels)
     rng = np.random.default_rng(4)

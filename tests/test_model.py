@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from packbert import config, model, pool
+from packbert import config, kernels, model, pool
 from packbert.objectives import IGNORE, mlm_loss
 from packbert.packing import pack
 
@@ -498,8 +498,10 @@ STREAM_CASES = {
     "dropout": dict(block_style="post_norm", norm="rms_norm", activation="silu"),
 }
 # Streams longer than ROWS: one member just over it (two blocks), one of
-# four blocks, and a packed batch whose total crosses it.
-STREAM_LENGTHS = {"2049": (2049,), "4500": (4500,), "packed": (700, 900, 650)}
+# four blocks, and a packed batch whose total crosses it; and a packed batch
+# of exactly ROWS tokens, which runs as one block either way.
+STREAM_LENGTHS = {"2049": (2049,), "4500": (4500,), "packed": (700, 900, 650),
+                  "one_block": (1100, 948)}
 
 
 def stream_cfg(**kw):
@@ -533,6 +535,10 @@ def test_streamed_forward_equals_cached(dtype, case, lengths, monkeypatch):
     # The FFN ran block by block, each block at most ROWS rows.
     assert max(rows) <= model.ROWS and sum(rows) == cfg.n_layers * batch.total_tokens
     assert got.dtype == dtype
+    if batch.total_tokens <= model.ROWS:
+        # One block of the one layer stack, with or without a cache: the same bits.
+        assert np.array_equal(got, want)
+        return
     rtol = 1e-12 if dtype == np.float64 else 4 * np.finfo(np.float32).eps
     np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * float(np.abs(want).max()))
 
@@ -563,6 +569,35 @@ def test_streamed_forward_memory_is_bounded(pool_workers):
         pool_workers(workers)
         _, _, peak = traced_peak(lambda: model.forward(params, cfg, batch))
         assert peak < 96 * 2**20, f"{workers} workers: peak {peak / 2**20:.1f} MiB"
+
+
+def test_streamed_forward_peak_is_one_phase_at_a_time(pool_workers):
+    # ROADMAP aim 3's bound, computed from the shape phase by phase.  While the
+    # attention core runs, the forward holds the residual stream, q, k, v and
+    # the context at full length, plus one score block per worker.  In the
+    # block pass after it, it holds the residual stream and the context, plus
+    # one row block's hidden-width arrays (norm output, merged heads,
+    # out-projection, FFN output) and gelu FFN products: gate|value (2 x
+    # intermediate), the scaled gate, its CDF and the activation.  The 4 MiB
+    # slack covers the erf chunks and the kernel's per-block temporaries.
+    # Holding q, k and v into the block pass (12 MiB here), or one block's
+    # FFN cache beside the next block's (24 MiB), goes over it.
+    cfg = dataclasses.replace(config.preset("tiny_test"), hidden=128, n_heads=2, head_dim=64,
+                              intermediate=1024, max_seq_len=8192)
+    assert cfg.activation == "gelu" and cfg.layer_is_global(0)
+    params = model.init_params(cfg, seed=9)
+    n = 8192
+    batch = pack([np.random.default_rng(10).integers(0, 256, size=n, dtype=np.int32)])
+    itemsize = 4
+    full = n * cfg.hidden * itemsize
+    score_block = cfg.n_heads * kernels.BLOCK * n * itemsize
+    row_block = model.ROWS * (5 * cfg.intermediate + 4 * cfg.hidden) * itemsize
+    for workers in (1, 2):
+        pool_workers(workers)
+        model.forward(params, cfg, batch)  # fills the rope and mask caches first
+        _, _, peak = traced_peak(lambda: model.forward(params, cfg, batch))
+        bound = max(5 * full + workers * score_block, 2 * full + row_block) + 4 * 2**20
+        assert peak < bound, f"{workers} workers: peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f}"
 
 
 def test_streamed_forward_forms_each_adapter_sum_once_per_layer(monkeypatch):

@@ -666,6 +666,27 @@ def test_resume_refuses_a_phase_that_would_diverge(tiny_cfg, tmp_path, change):
     assert not (tmp_path / "resumed").exists()
 
 
+def test_resume_refuses_a_new_mask_policy_or_dropout(tiny_cfg, tmp_path):
+    # Both change what each step trains on.  A checkpoint from before they
+    # were recorded holds only its objective, and still resumes.
+    data = toy_dataset(n=8)
+    half = run_mlm(tiny_cfg, data, quick_phase(token_budget=300)).checkpoint
+    assert half.extra == {"objective": "mlm", "mask_policy": "all_mask", "dropout_rate": 0.0}
+    half.phase = dataclasses.replace(half.phase, token_budget=600)
+    for change in ({"mask_policy": "bert_80_10_10"}, {"dropout_rate": 0.1}):
+        name = next(iter(change))
+        with pytest.raises(ConfigError, match=f"resume changes {name}"):
+            resume_masked(half, data, mask_id=MASK_ID, special_ids=SPECIALS,
+                          out_dir=tmp_path / "resumed", **change)
+        assert not (tmp_path / "resumed").exists()
+    half.extra = {"objective": "mlm"}
+    save_checkpoint(half, tmp_path / "old.pbt")
+    resumed = resume_masked(load_checkpoint(tmp_path / "old.pbt"), data, mask_id=MASK_ID,
+                            special_ids=SPECIALS, dropout_rate=0.1).checkpoint
+    assert resumed.tokens_seen >= 600 > half.tokens_seen
+    assert resumed.extra == {"objective": "mlm", "mask_policy": "all_mask", "dropout_rate": 0.1}
+
+
 def test_resume_accepts_a_new_microbatch_budget_and_optimizer(tiny_cfg):
     data = toy_dataset(n=8)
     half = run_mlm(tiny_cfg, data, quick_phase(token_budget=300)).checkpoint
