@@ -18,10 +18,14 @@ provenance records and its per-step metrics.
 
 The same engine drives masked-token pretraining (MLM and its shifted
 variant), span extraction fine-tuning, and contrastive embedding
-fine-tuning; objectives differ only in how a batch turns into gradients.
-The masked and span objectives accumulate a step over microbatches of at
-most ``microbatch`` members whose forward cache fits MICROBATCH_CACHE_BYTES,
-so a step of long members costs more microbatches, not more memory.
+fine-tuning; objectives differ only in their head, the loss over a slice's
+hidden states. ``_run_microbatches`` is the one place a step becomes
+gradients: per slice it packs, runs forward with a cache, calls the head
+and runs backward. Masked and span steps are cut into slices of at most
+``microbatch`` members whose forward cache fits MICROBATCH_CACHE_BYTES, so
+long members cost more microbatches, not more memory. A contrastive step is
+one slice whatever the two caps say: InfoNCE normalises over the whole
+batch's candidates, and a split forward would split that pool.
 The engine moves one dict of trained tensors: every parameter for full
 training, or, when ``train_masked`` is given ``extra_linear``, only the
 adapter pairs, whose gradients the backward pass computes directly while
@@ -355,6 +359,26 @@ def microbatch_token_cap(cfg: ArchConfig, itemsize: int, dropout: bool) -> int:
     return MICROBATCH_CACHE_BYTES // cache_bytes_per_token(cfg, itemsize, dropout)
 
 
+def _run_microbatches(
+    live, cfg, grads, members, slices, head, *, seeds=None, dropout_rate=0.0, extra_linear=None
+):
+    """Add one step's gradients into ``grads``; returns the step's loss.
+
+    ``head(sl, packed, hidden, grads)`` returns a slice's weighted loss and
+    d(loss)/d(hidden), adding its own weights' gradients.  Its activations
+    die when it returns, so backward peaks without them.
+    """
+    loss = 0.0
+    for sl in slices:
+        packed = pack(members[sl])
+        out = forward(live, cfg, packed, dropout_rate=dropout_rate, extra_linear=extra_linear,
+                      seq_seeds=None if seeds is None else seeds[sl], want_cache=True)
+        part_loss, d_hidden = head(sl, packed, out.hidden, grads)
+        loss += part_loss
+        backward(live, cfg, out.cache, d_hidden, grads)
+    return loss
+
+
 def _train_loop(
     params: dict[str, np.ndarray],
     trained: dict[str, np.ndarray],
@@ -372,7 +396,9 @@ def _train_loop(
 ) -> TrainResult:
     """Run the steps; ``params`` are the model's live weights, checkpointed
     as they are, and ``trained`` the tensors the optimizer moves in place.
-    For full training the two are one dict."""
+    For full training the two are one dict.  ``compute(items, grads)`` adds
+    a step's gradients into ``grads`` and returns its loss; ``lengths``, the
+    items' token counts, order and count a step's tokens."""
     problems = validate_phase(phase)
     if problems:
         raise ConfigError("; ".join(problems))
@@ -418,7 +444,8 @@ def _train_loop(
             cfg=cfg,
             phase=phase,
             phase_id=phase_id,
-            extra=extra_meta,
+            # Keys this trainer does not write, such as absorbed_phases, stay.
+            extra={**resume_from.extra, **extra_meta},
             provenance=ProvenanceLog(resume_from.provenance.records),
         )
         if {k: m.shape for k, m in ck.opt.m.items()} != {k: t.shape for k, t in trained.items()}:
@@ -476,13 +503,13 @@ def _train_loop(
 
             for g in grads.values():
                 g.fill(0.0)
-            loss, batch_tokens = compute(items, grads)
+            loss = compute(items, grads)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss!r} at step {ck.step + 1}")
 
             ck.consumed += batch_size
             ck.step += 1
-            ck.tokens_seen += batch_tokens
+            ck.tokens_seen += sum(lengths[g] for g in members)
             lr = lr_at(ck.tokens_seen, phase)
             opt_step(trained, grads, ck.opt, lr)
 
@@ -600,43 +627,30 @@ def train_masked(
                 "no trainable masked positions in this batch; "
                 "raise mask_rate or batch size"
             )
-        loss = 0.0
-        lengths = [int(c.size) for c in corrupted]
-        for sl in _microbatches(lengths, phase.microbatch, cap):
-            packed = pack(corrupted[sl])
-            seeds = [
-                derived_seed(phase.seed, PURPOSE_DROP, inst)
-                for _, inst in items[sl]
-            ]
-            rows_parts = [
-                r + int(packed.boundaries[s]) for s, r in enumerate(all_rows[sl])
-            ]
-            rows = np.concatenate(rows_parts)
-            targets = np.concatenate(all_targets[sl])
-            if rows.size == 0:
-                continue
-            out = forward(
-                live,
-                cfg,
-                packed,
-                dropout_rate=dropout_rate,
-                seq_seeds=seeds,
-                extra_linear=extra_linear,
-                want_cache=True,
+
+        def head(sl, packed, out_hidden, grads):
+            rows = np.concatenate(
+                [r + int(packed.boundaries[s]) for s, r in enumerate(all_rows[sl])]
             )
-            hidden = out.hidden[rows]
+            hidden = out_hidden[rows]
             logits = mlm_logits(hidden, live)
-            part_loss, d_logits = mlm_loss(logits, targets)
+            part_loss, d_logits = mlm_loss(logits, np.concatenate(all_targets[sl]))
             del logits
             weight = rows.size / total_active
-            loss += part_loss * weight
             d_logits *= weight
-            d_hidden = np.zeros_like(out.hidden)
+            d_hidden = np.zeros_like(out_hidden)
             d_hidden[rows] = mlm_logits_vjp(d_logits, hidden, live, grads)
-            # The head's activations are dead: the backward pass peaks without them.
-            del d_logits, hidden
-            backward(live, cfg, out.cache, d_hidden, grads)
-        return loss, sum(lengths)
+            return part_loss * weight, d_hidden
+
+        # A slice with no masked row has no loss: it costs no forward.
+        lengths = [int(c.size) for c in corrupted]
+        slices = [
+            sl for sl in _microbatches(lengths, phase.microbatch, cap)
+            if any(r.size for r in all_rows[sl])
+        ]
+        seeds = [derived_seed(phase.seed, PURPOSE_DROP, inst) for _, inst in items]
+        return _run_microbatches(live, cfg, grads, corrupted, slices, head, seeds=seeds,
+                                 dropout_rate=dropout_rate, extra_linear=extra_linear)
 
     return _train_loop(
         live,
@@ -751,25 +765,21 @@ def train_span_qa(
     cap = microbatch_token_cap(cfg, live["tok_emb"].itemsize, False)
 
     def compute(items, grads):
-        loss = 0.0
-        total = len(items)
-        lengths = [int(exs[g].ids.size) for g, _ in items]
-        for sl in _microbatches(lengths, phase.microbatch, cap):
-            part = items[sl]
-            packed = pack([exs[g].ids for g, _ in part])
-            out = forward(live, cfg, packed, want_cache=True)
-            start_sc, end_sc = span_logits(out.hidden, live)
-            golds = [(exs[g].start, exs[g].end) for g, _ in part]
+        batch = [exs[g] for g, _ in items]
+
+        def head(sl, packed, hidden, grads):
+            start_sc, end_sc = span_logits(hidden, live)
+            golds = [(e.start, e.end) for e in batch[sl]]
             part_loss, d_start, d_end = span_batch_loss(
                 start_sc, end_sc, packed.boundaries, golds
             )
-            scale = len(part) / total
-            loss += part_loss * scale
-            d_hidden = span_logits_vjp(
-                d_start * scale, d_end * scale, out.hidden, live, grads
-            )
-            backward(live, cfg, out.cache, d_hidden.astype(out.hidden.dtype), grads)
-        return loss, sum(lengths)
+            scale = len(golds) / len(batch)
+            d_hidden = span_logits_vjp(d_start * scale, d_end * scale, hidden, live, grads)
+            return part_loss * scale, d_hidden.astype(hidden.dtype)
+
+        members = [e.ids for e in batch]
+        slices = _microbatches([int(m.size) for m in members], phase.microbatch, cap)
+        return _run_microbatches(live, cfg, grads, members, slices, head)
 
     return _train_loop(
         live,
@@ -821,24 +831,6 @@ def _triplet_digest(trips) -> str:
     return h.hexdigest()
 
 
-def embed_triplet_batch(params, cfg, batch):
-    """Pack a triplet batch and mean-pool; returns (pooled, packed, group sizes).
-
-    Member order is all queries, then all positives, then each triplet's
-    negatives in triplet order.
-    """
-    members = [t.query for t in batch]
-    members += [t.positive for t in batch]
-    neg_counts = []
-    for t in batch:
-        members.extend(t.negatives)
-        neg_counts.append(len(t.negatives))
-    packed = pack(members)
-    out = forward(params, cfg, packed, want_cache=True)
-    pooled = pool_mean_packed(out.hidden, packed.boundaries)
-    return pooled, packed, out, neg_counts
-
-
 def train_embedder(
     params: dict[str, np.ndarray],
     cfg: ArchConfig,
@@ -851,33 +843,37 @@ def train_embedder(
     """Contrastive fine-tune over mean-pooled embeddings.
 
     In-batch positives plus each triplet's explicit negatives form the
-    candidate pool.  The whole batch runs as one forward pass; microbatch
-    splitting would change the candidate set, so it is not applied here.
+    candidate pool.  A step's members, all queries, then all positives, then
+    each triplet's negatives in order, run as one slice, whatever
+    ``microbatch`` and the cache cap say: splitting the forward would split
+    the pool that InfoNCE normalises over.
     """
+    if not temperature > 0:
+        raise ConfigError(f"temperature must be positive, got {temperature}")
+    if phase.batch_tokens_or_sequences < 2:
+        raise ConfigError("a contrastive batch needs at least 2 triplets, "
+                          f"got {phase.batch_tokens_or_sequences}")
     trips = _as_triplets(triplets, min(cfg.max_seq_len, phase.max_seq_len))
     live = _copy_tensors(params)
 
     def compute(items, grads):
         batch = [trips[g] for g, _ in items]
-        pooled, packed, out, neg_counts = embed_triplet_batch(live, cfg, batch)
         b = len(batch)
-        q, p, negs = pooled[:b], pooled[b : 2 * b], pooled[2 * b :]
-        loss, d_q, d_p, d_n = info_nce(
-            q,
-            p,
-            negs if negs.shape[0] else None,
-            temperature=temperature,
-            with_grads=True,
-        )
-        parts = [d_q, d_p]
-        if negs.shape[0]:
-            parts.append(d_n)
-        d_pooled = np.concatenate(parts, axis=0)
-        d_hidden = pool_mean_packed_vjp(
-            d_pooled.astype(out.hidden.dtype), packed.boundaries, packed.total_tokens
-        )
-        backward(live, cfg, out.cache, d_hidden, grads)
-        return loss, packed.total_tokens
+        members = [t.query for t in batch] + [t.positive for t in batch]
+        members += [n for t in batch for n in t.negatives]
+
+        def head(sl, packed, hidden, grads):
+            pooled = pool_mean_packed(hidden, packed.boundaries)
+            # No explicit negatives: an empty block, which info_nce skips.
+            loss, *d_parts = info_nce(pooled[:b], pooled[b : 2 * b], pooled[2 * b :],
+                                      temperature=temperature, with_grads=True)
+            d_pooled = np.concatenate([d for d in d_parts if d is not None], axis=0)
+            d_hidden = pool_mean_packed_vjp(
+                d_pooled.astype(hidden.dtype), packed.boundaries, packed.total_tokens
+            )
+            return loss, d_hidden
+
+        return _run_microbatches(live, cfg, grads, members, [slice(None)], head)
 
     return _train_loop(
         live,

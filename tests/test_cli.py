@@ -369,6 +369,24 @@ def test_embed_train(trained, capsys):
     assert (out / "ckpt_final.pbt").exists()
 
 
+@pytest.mark.parametrize("flag, overrides", [
+    (["--temperature", "0"], {}),
+    ([], {"train.batch_tokens_or_sequences": 1, "train.microbatch": 1}),
+], ids=("temperature", "batch"))
+def test_embed_train_refuses_bad_settings_as_config_errors(trained, tmp_path, capsys,
+                                                           flag, overrides):
+    triplets = tmp_path / "triplets.jsonl"
+    triplets.write_text(json.dumps({"query": "a cat sat", "positive": "a cat sat on the mat"})
+                        + "\n", encoding="utf-8")
+    job = _write_job(tmp_path / "embed.cfg", **{"train.token_budget": 128, **overrides})
+    out = tmp_path / "embed"
+    rc = main(["embed-train", "--ckpt", str(trained["ckpt"]), "--vocab", str(trained["vocab"]),
+               "--data", str(triplets), "--out", str(out), "--config", str(job), *flag])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def _write_pairs(path):
     recs = [
         {"question": "the code is", "context": "the secret code is omega today",

@@ -687,6 +687,21 @@ def test_resume_refuses_a_new_mask_policy_or_dropout(tiny_cfg, tmp_path):
     assert resumed.extra == {"objective": "mlm", "mask_policy": "all_mask", "dropout_rate": 0.1}
 
 
+def test_resume_keeps_the_checkpoints_other_extra_keys(tiny_cfg, tmp_path):
+    # A merged checkpoint records the adapter phases it absorbed; a masked
+    # run resumed from it writes its own keys and keeps that one.
+    data = toy_dataset(n=8)
+    half = run_mlm(tiny_cfg, data, quick_phase(token_budget=300)).checkpoint
+    half.extra = {**half.extra, "absorbed_phases": ["mntp"]}
+    half.phase = dataclasses.replace(half.phase, token_budget=600)
+    save_checkpoint(half, tmp_path / "merged.pbt")
+    resumed = resume_masked(load_checkpoint(tmp_path / "merged.pbt"), data, mask_id=MASK_ID,
+                            special_ids=SPECIALS).checkpoint
+    assert resumed.tokens_seen >= 600 > half.tokens_seen
+    assert resumed.extra == {"objective": "mlm", "mask_policy": "all_mask",
+                             "dropout_rate": 0.0, "absorbed_phases": ["mntp"]}
+
+
 def test_resume_accepts_a_new_microbatch_budget_and_optimizer(tiny_cfg):
     data = toy_dataset(n=8)
     half = run_mlm(tiny_cfg, data, quick_phase(token_budget=300)).checkpoint
@@ -860,6 +875,40 @@ def test_triplet_with_no_explicit_negatives_trains_in_batch(tiny_cfg):
                             trips, quick_phase(token_budget=100,
                                                batch_tokens_or_sequences=4))
     assert result.checkpoint.step >= 1
+
+
+@pytest.mark.parametrize("setting, kw, batch", [
+    ("temperature", {"temperature": 0.0}, 3),
+    ("temperature", {"temperature": -0.05}, 3),
+    ("temperature", {"temperature": float("nan")}, 3),
+    ("at least 2 triplets", {}, 1),
+], ids=("zero", "negative", "nan", "batch"))
+def test_embedder_refuses_bad_settings_before_a_step(tiny_cfg, tmp_path, setting, kw, batch):
+    with pytest.raises(ConfigError, match=setting):
+        train_embedder(model.init_params(tiny_cfg, seed=0), tiny_cfg, triplets(),
+                       quick_phase(batch_tokens_or_sequences=batch), out_dir=tmp_path / "run",
+                       **kw)
+    assert not (tmp_path / "run").exists()
+
+
+def test_contrastive_step_is_one_forward_of_every_member(tiny_cfg, monkeypatch):
+    # Queries, positives and every explicit negative share one candidate
+    # pool, so a step runs them as one slice under any cache budget and
+    # whatever microbatch says.
+    trips = triplets(n=6, seed=2, n_negs=2)
+    phase = quick_phase(token_budget=150, batch_tokens_or_sequences=3, microbatch=1)
+    per_token = model.cache_bytes_per_token(tiny_cfg, 8, False)
+
+    def run():
+        return train_embedder(_float64_params(tiny_cfg), tiny_cfg, trips, phase)
+
+    runs = _runs_per_budget(monkeypatch, (None, per_token), run)
+    (whole, whole_calls), (tight, tight_calls) = runs.values()
+    steps = whole.checkpoint.step
+    assert steps >= 2
+    assert whole_calls == tight_calls == [2 * 3 + 3 * 2] * steps
+    assert_params_equal(whole.checkpoint.params, tight.checkpoint.params)
+    assert whole.metrics == tight.metrics
 
 
 def test_embedder_rejects_empty_member_sequence(tiny_cfg):
