@@ -216,32 +216,11 @@ def cmd_merge_adapters(args) -> int:
 
 
 def cmd_embed_train(args) -> int:
-    from .tokenizer import encode, load_vocab
-    from .trainer import Triplet, load_checkpoint, train_embedder
+    from .tokenizer import load_vocab
+    from .trainer import load_checkpoint, read_triplets, train_embedder
 
     ckpt = load_checkpoint(args.ckpt)
-    vocab = load_vocab(args.vocab)
-    try:
-        lines = Path(args.data).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"cannot read triplets {args.data}: {e}") from e
-    triplets = []
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            triplets.append(
-                Triplet(
-                    query=encode(rec["query"], vocab),
-                    positive=encode(rec["positive"], vocab),
-                    negatives=tuple(
-                        encode(t, vocab) for t in rec.get("negatives", [])
-                    ),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
-            raise DataError(f"{args.data}:{lineno}: malformed triplet: {e}") from e
+    triplets = read_triplets(args.data, load_vocab(args.vocab))
     _, phase = _load_job(args)
     result = train_embedder(
         ckpt.params,

@@ -11,6 +11,10 @@ call holds a scaled copy of the whole q.  The backward pass recomputes each
 block's probabilities instead of saving them.  The same code serves every
 float dtype; float64 is what the gradient checks run on.
 
+The model passes (heads, total, head_dim) views of token-major memory.  Each
+output is allocated like its input, so it keeps that layout, and numpy hands
+a block whose rows are contiguous to the same gemm either way: same bits.
+
 Large calls run on the pinned worker pool of ``pool.py``, which the layer
 stack in ``model.py`` shares.  The forward pass hands out query blocks,
 which write disjoint output rows.  The backward pass hands out whole packed
@@ -120,7 +124,7 @@ def _backward_member(q, k, v, d_out, dq, dk, dv, scale, kind, window, blocks):
 
 
 def attn_forward(q, k, v, boundaries, kind, window, scale):
-    """q, k, v: (heads, total, head_dim); returns the attention output, same shape."""
+    """q, k, v: (heads, total, head_dim); returns the attention output, laid out like q."""
     members = _blocks(boundaries, kind, window)
     blocks = [blk for m in members for blk in m]
     out = np.empty_like(q)
@@ -130,7 +134,7 @@ def attn_forward(q, k, v, boundaries, kind, window, scale):
 
 
 def attn_backward(q, k, v, d_out, boundaries, kind, window, scale):
-    """Recompute-based backward pass; returns (dq, dk, dv)."""
+    """Recompute-based backward pass; returns (dq, dk, dv), each laid out like its input."""
     members = _blocks(boundaries, kind, window)
     heads = q.shape[0]
     large = _pairs(heads, members) >= PARALLEL_MIN_PAIRS

@@ -5,9 +5,12 @@ Parameters live in a flat ``dict[str, np.ndarray]`` keyed by dotted names
 PackedBatch and, with ``want_cache``, retains per layer what the backward
 pass cannot rebuild cheaply: each norm's cache (xhat and 1/std for layer
 norm, the input and 1/rms for RMS norm), the rotated q and k, v, the merged
-attention context, the FFN's gate|value product and its gate CDF.  It keeps
-no norm output: ``backward`` rebuilds each one from its norm's cache with
-the forward's own ops, bit for bit.  ``backward`` consumes the cache,
+attention context, the FFN's gate|value product and its gate CDF.  q, k, v
+and the context are token-major; the kernels and RoPE read and write
+(heads, tokens, head_dim) views of it (``_heads``), so the merged context and
+the q/k/v gradients are (tokens, hidden) views (``_rows``), not copies.
+It keeps no norm output: ``backward`` rebuilds each one from its norm's
+cache with the forward's own ops, bit for bit.  ``backward`` consumes the cache,
 releasing each layer's entry once used, so a cache serves one backward pass;
 it accumulates gradients into a dict, for the tensors that are its keys
 only.  Low-rank adapter pairs (``extra_linear``) make a linear use
@@ -438,33 +441,32 @@ def _layer_spec(cfg: ArchConfig, layer: int) -> MaskSpec:
     return MaskSpec("sliding_window", window=cfg.local_window)
 
 
-def _split_heads(x, n_heads, head_dim):
-    t = x.shape[0]
-    return np.ascontiguousarray(x.reshape(t, n_heads, head_dim).transpose(1, 0, 2))
+def _heads(x, n_heads):
+    """A (heads, tokens, head_dim) view of token-major (tokens, heads * head_dim) rows."""
+    return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
 
 
-def _merge_heads(x):
-    h, t, d = x.shape
-    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, h * d)
+def _rows(x):
+    """The (tokens, heads * head_dim) rows under a ``_heads`` view, as a view."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
 def _attn_backward(d_out, cache, layer, params, cfg, positions, boundaries, grads, extra):
     x, qr, kr, v, merged, spec, table, scale = cache
     p = f"layers.{layer}.attn"
     # Each gradient temporary is dropped once its product is taken.
-    d_ctx = _split_heads(_linear_backward(d_out, merged, params, f"{p}.wo", grads, extra),
-                         cfg.n_heads, cfg.head_dim)
+    d_ctx = _heads(_linear_backward(d_out, merged, params, f"{p}.wo", grads, extra), cfg.n_heads)
     dqr, dkr, dv = kernels.attn_backward(qr, kr, v, d_ctx, boundaries, spec.code, spec.window, scale)
     del d_ctx
-    dq = _merge_heads(apply_rope(dqr, positions, table, inverse=True))
+    dq = _rows(apply_rope(dqr, positions, table, inverse=True))
     del dqr
     dx = _linear_backward(dq, x, params, f"{p}.wq", grads, extra)
     del dq
-    dk = _merge_heads(apply_rope(dkr, positions, table, inverse=True))
+    dk = _rows(apply_rope(dkr, positions, table, inverse=True))
     del dkr
     dx += _linear_backward(dk, x, params, f"{p}.wk", grads, extra)
     del dk
-    dx += _linear_backward(_merge_heads(dv), x, params, f"{p}.wv", grads, extra)
+    dx += _linear_backward(_rows(dv), x, params, f"{p}.wv", grads, extra)
     return dx
 
 
@@ -551,8 +553,9 @@ def _validate_batch(batch: PackedBatch, cfg: ArchConfig):
 def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
     """The embedding gather, the blocks and the final norm over a flat token
     stream.  Each attention sublayer runs through the core ``attend(q, k, v,
-    spec, scale)`` over heads-first (heads, tokens, head_dim) q, k and v;
-    ``masks`` holds each layer's attention-output dropout mask or None.
+    spec, scale)`` over (heads, tokens, head_dim) views of token-major q, k
+    and v, and returns its context in that layout; ``masks`` holds each
+    layer's attention-output dropout mask or None.
 
     Per layer, block by block: norm1, then the q/k/v projections and RoPE,
     written into full-length q, k and v; the core runs over them whole; then,
@@ -575,7 +578,7 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
     scale = 1.0 / math.sqrt(cfg.head_dim)
 
     def heads(x, lp, name):
-        return _split_heads(_linear(x, lp, name, None), cfg.n_heads, cfg.head_dim)
+        return _heads(_linear(x, lp, name, None), cfg.n_heads)
 
     def kept(result):
         # A sublayer's output, and its cache only when keeping.
@@ -600,7 +603,7 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
         lp = {name: _weight(params, name, extra) for name in params if name.startswith(f"{p}.")}
         table = build_rope_table(cfg.rope_theta_for_layer(i), cfg.head_dim, cfg.max_seq_len)
         spec = _layer_spec(cfg, i)
-        q, k, v = (np.empty((cfg.n_heads, n, cfg.head_dim), dtype=h.dtype) for _ in range(3))
+        q, k, v = (_heads(np.empty_like(h), cfg.n_heads) for _ in range(3))  # token-major
         for b in blocks:
             x, n1c = kept(_norm_forward(h[b], lp, f"{p}.norm1", cfg)) if pre else (h[b], None)
             q[:, b] = apply_rope(heads(x, lp, f"{p}.attn.wq"), positions[b], table)
@@ -611,7 +614,7 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
         qkv = (q, k, v) if keep else ()
         del q, k, v
         for b in blocks:
-            merged = _merge_heads(ctx[:, b])
+            merged = _rows(ctx[:, b])
             a = _linear(merged, lp, f"{p}.attn.wo", None)
             if masks[i] is not None:
                 a *= masks[i][b]
@@ -783,7 +786,7 @@ def attention_padded(q, k, v, lengths, spec: MaskSpec, scale: float):
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores)
     probs /= probs.sum(axis=-1, keepdims=True)
-    return probs @ v
+    return np.matmul(probs, v, out=np.empty_like(q))  # in q's memory layout
 
 
 def forward_padded(

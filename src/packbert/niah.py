@@ -19,7 +19,7 @@ from .errors import ConfigError, DataError
 from .model import forward, predict_span, span_logits
 from .packing import pack
 from .tokenizer import Vocab, count_tokens, encode, encode_with_offsets
-from .util import PURPOSE_NIAH, derived_rng
+from .util import PURPOSE_NIAH, derived_rng, read_jsonl
 
 logger = logging.getLogger("packbert.niah")
 
@@ -260,55 +260,18 @@ def write_examples(path, examples) -> None:
 
 
 def read_examples(path) -> list[HaystackExample]:
-    out = []
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"cannot read examples {path}: {e}") from e
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            out.append(
-                HaystackExample(
-                    question=rec["question"],
-                    paragraphs=tuple(rec["paragraphs"]),
-                    needle_index=int(rec["needle_index"]),
-                    gold_start=int(rec["gold_start"]),
-                    gold_end=int(rec["gold_end"]),
-                    answer=rec["answer"],
-                    total_tokens=int(rec["total_tokens"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}:{lineno}: malformed example: {e}") from e
-    return out
+    fields = {"question": str, "paragraphs": list, "needle_index": int, "gold_start": int,
+              "gold_end": int, "answer": str, "total_tokens": int}
+    return read_jsonl(path, "example", fields,
+                      lambda r: HaystackExample(**{**r, "paragraphs": tuple(r["paragraphs"])}))
 
 
 def read_qa_pairs(path) -> list[QAPair]:
     """SQuAD-style records: question, context, answer, answer_start."""
-    out = []
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"cannot read QA pairs {path}: {e}") from e
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            out.append(
-                QAPair(
-                    question=rec["question"],
-                    needle=rec["context"],
-                    answer=rec["answer"],
-                    answer_start=int(rec["answer_start"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}:{lineno}: malformed QA pair: {e}") from e
-    return out
+    fields = {"question": str, "context": str, "answer": str, "answer_start": int}
+    return read_jsonl(path, "QA pair", fields, lambda r: QAPair(
+        question=r["question"], needle=r["context"], answer=r["answer"],
+        answer_start=r["answer_start"]))
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,11 @@ def apply_rope(
 ) -> np.ndarray:
     """Rotate head vectors by their position's angles.
 
-    ``vectors`` is (..., T, head_dim); ``positions`` is (T,).  ``inverse``
-    applies the transpose rotation (used by the backward pass: the rotation
-    is orthogonal, so the gradient is rotated by the negative angle).
+    ``vectors`` is (..., T, head_dim), read in place in any layout with a
+    contiguous last axis, such as the model's (heads, T, head_dim) views of
+    token-major memory; the result keeps that layout.  ``positions`` is (T,).
+    ``inverse`` applies the transpose rotation (used by the backward pass:
+    the rotation is orthogonal, so the gradient is rotated by the negative angle).
     """
     vectors = np.asarray(vectors)
     positions = np.asarray(positions, dtype=np.int64)
@@ -83,5 +85,8 @@ def apply_rope(
     rot = _complex_table(table.theta, table.head_dim, table.max_positions, real.str)[positions]
     if inverse:
         rot = rot.conj()
-    pairs = np.ascontiguousarray(vectors, dtype=real).view(rot.dtype)
-    return (pairs * rot).view(real)
+    vectors = np.asarray(vectors, dtype=real)
+    if vectors.strides[-1] != real.itemsize:  # the complex view needs contiguous pairs
+        vectors = np.ascontiguousarray(vectors)
+    pairs = vectors.view(rot.dtype)
+    return np.multiply(pairs, rot, out=np.empty_like(pairs)).view(real)

@@ -71,6 +71,7 @@ from .objectives import MASK_POLICIES, info_nce, mlm_loss, mlm_mask, mntp_target
 from .optim import OptState, lr_at, step as opt_step
 from .packing import pack
 from .tensor_store import link_tensors, meta_entry, read_tensors, write_tensors
+from .tokenizer import encode
 from .util import (
     PURPOSE_DROP,
     PURPOSE_MASK,
@@ -78,6 +79,7 @@ from .util import (
     dataset_digest,
     derived_rng,
     derived_seed,
+    read_jsonl,
 )
 
 logger = logging.getLogger("packbert.trainer")
@@ -366,7 +368,8 @@ def _run_microbatches(
 
     ``head(sl, packed, hidden, grads)`` returns a slice's weighted loss and
     d(loss)/d(hidden), adding its own weights' gradients.  Its activations
-    die when it returns, so backward peaks without them.
+    die when it returns, so backward peaks without them, and the slice's
+    output and d(hidden) die before the next slice's forward.
     """
     loss = 0.0
     for sl in slices:
@@ -376,6 +379,7 @@ def _run_microbatches(
         part_loss, d_hidden = head(sl, packed, out.hidden, grads)
         loss += part_loss
         backward(live, cfg, out.cache, d_hidden, grads)
+        del out, d_hidden
     return loss
 
 
@@ -804,6 +808,14 @@ class Triplet:
     query: np.ndarray
     positive: np.ndarray
     negatives: tuple  # tuple of id arrays, possibly empty
+
+
+def read_triplets(path, vocab) -> list[Triplet]:
+    """JSONL records of a query, a positive and, optionally, a list of negatives, encoded."""
+    fields = {"query": str, "positive": str, "negatives": list}
+    return read_jsonl(path, "triplet", fields, lambda r: Triplet(
+        query=encode(r["query"], vocab), positive=encode(r["positive"], vocab),
+        negatives=tuple(encode(t, vocab) for t in r["negatives"])), defaults={"negatives": []})
 
 
 def _as_triplets(triplets, limit: int) -> list[Triplet]:

@@ -1,4 +1,4 @@
-"""Deterministic hashing and RNG-stream derivation shared across modules.
+"""Deterministic hashing, RNG-stream derivation and the JSONL reader shared across modules.
 
 Every stochastic choice in the pipeline flows through a Philox generator
 keyed by (seed, purpose, index), so any single decision can be replayed
@@ -8,8 +8,12 @@ without replaying the whole run.
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
+
+from .errors import DataError
 
 _U64 = (1 << 64) - 1
 
@@ -70,6 +74,43 @@ def params_digest(params: dict) -> str:
         h.update(repr(arr.shape).encode("ascii"))
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+def _json_typed(value, kind) -> bool:
+    """Whether a JSON value is a str, an int (neither a bool nor a float) or a
+    list of strs, as ``kind`` (str, int or list) asks."""
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(s, str) for s in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def read_jsonl(path, what: str, fields: dict, build, defaults=None) -> list:
+    """``build(record)`` per non-blank line of a JSONL file of ``what`` records.
+
+    ``fields`` maps each key a record must hold to its type, str, int or list
+    (of strings); a key of ``defaults`` may be absent.  ``build`` gets those
+    keys only.  An unreadable file, a line that is not a JSON object, a
+    missing or mistyped field, and a TypeError or ValueError from ``build``
+    raise DataError, naming ``path:line`` for a line.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read {what}s {path}: {e}") from e
+    out = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rec = {**(defaults or {}), **json.loads(line)}  # TypeError unless an object
+            for key, kind in fields.items():
+                if key not in rec or not _json_typed(rec[key], kind):
+                    name = "list of str" if kind is list else kind.__name__
+                    raise DataError(f"{key!r} must be {name}")
+            out.append(build({key: rec[key] for key in fields}))
+        except (TypeError, ValueError) as e:  # a JSONDecodeError or DataError among them
+            raise DataError(f"{path}:{lineno}: malformed {what}: {e}") from e
+    return out
 
 
 def blas_threads() -> int | None:

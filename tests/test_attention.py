@@ -190,8 +190,14 @@ POOL_LAYOUTS = {
     # hand out one task per head, which must match the whole member's bits.
     "one_long_4_heads": (1000,),
     "three_4_heads": (300, 700, 500),
+    # Head-first views of (tokens, heads, head_dim) memory, as the layer stack
+    # passes them: the same bits as contiguous copies, in the views' layout.
+    "one_long_4_heads_token_major": (1000,),
+    "three_4_heads_token_major": (100, 300, 200),
+    "three_1_head_token_major": (100, 300, 200),
 }
-POOL_HEADS = {"one_long_4_heads": 4, "three_4_heads": 4}
+POOL_HEADS = {"one_long_4_heads": 4, "three_4_heads": 4, "one_long_4_heads_token_major": 4,
+              "three_4_heads_token_major": 4, "three_1_head_token_major": 1}
 
 
 @pytest.mark.parametrize("layout", POOL_LAYOUTS)
@@ -203,17 +209,22 @@ def test_pool_matches_serial_bit_for_bit(spec, dtype, layout, pool_workers):
     rng = np.random.default_rng(18)
     q, k, v = rand_qkv(rng, POOL_HEADS.get(layout, 2), int(b[-1]), 16, dtype=dtype)
     d_out = rng.normal(size=q.shape).astype(dtype)
+    arrays = (q, k, v, d_out)
+    if layout.endswith("token_major"):
+        arrays = tuple(np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+                       for x in arrays)
 
-    def run():
+    def run(q, k, v, d_out):
         out = kernels.attn_forward(q, k, v, b, spec.code, spec.window, 0.3)
         return (out, *kernels.attn_backward(q, k, v, d_out, b, spec.code, spec.window, 0.3))
 
     pool_workers(1)
-    serial = run()
+    serial = run(q, k, v, d_out)
     for workers in (1, 2, 3):
         pool_workers(workers)
-        for name, got, want in zip(("out", "dq", "dk", "dv"), run(), serial):
+        for name, got, want in zip(("out", "dq", "dk", "dv"), run(*arrays), serial):
             assert got.dtype == dtype
+            assert got.strides == arrays[0].strides, (workers, name)  # the input's layout
             assert np.array_equal(got, want), (workers, name)
     assert pool._pool[0] == 3  # the last calls ran on a pool of three
 

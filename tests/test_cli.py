@@ -387,6 +387,40 @@ def test_embed_train_refuses_bad_settings_as_config_errors(trained, tmp_path, ca
     assert not out.exists()
 
 
+_TRIPLET = {"query": "a cat sat", "positive": "a cat sat on the mat"}
+_EXAMPLE = {"question": "the code is", "paragraphs": ["rain fell", "the secret code is omega"],
+            "needle_index": 1, "gold_start": 6, "gold_end": 6, "answer": "omega",
+            "total_tokens": 7}
+_PAIR = {"question": "the code is", "context": "the secret code is omega today",
+         "answer": "omega", "answer_start": 19}
+
+
+@pytest.mark.parametrize("command, record", [
+    ("embed-train", {**_TRIPLET, "query": 5}),
+    ("embed-train", {**_TRIPLET, "negatives": "abcd"}),
+    ("niah-eval", {**_EXAMPLE, "paragraphs": "a b c"}),
+    ("niah-eval", {**_EXAMPLE, "gold_start": 1.9}),
+    ("niah-gen", {**_PAIR, "question": 5}),
+], ids=("int_query", "string_negatives", "string_paragraphs", "float_gold_start",
+        "int_question"))
+def test_mistyped_jsonl_field_is_a_data_error(trained, tmp_path, capsys, command, record):
+    good = {"embed-train": _TRIPLET, "niah-eval": _EXAMPLE, "niah-gen": _PAIR}[command]
+    data = tmp_path / "records.jsonl"
+    data.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = {
+        "embed-train": ["--ckpt", trained["ckpt"], "--data", data, "--out", out],
+        "niah-eval": ["--ckpt", trained["ckpt"], "--examples", data],
+        "niah-gen": ["--pairs", data, "--split", "test", "--out", out],
+    }[command]
+    rc = main([command, "--vocab", str(trained["vocab"]), *map(str, args)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "data error" in err
+    assert f"{data}:2: malformed" in err
+    assert not out.exists()
+
+
 def _write_pairs(path):
     recs = [
         {"question": "the code is", "context": "the secret code is omega today",

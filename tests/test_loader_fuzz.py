@@ -1,7 +1,12 @@
-"""Seeded fuzz of every loader: a damaged file is refused with DataError, never accepted.
+"""Seeded fuzz of every loader: a damaged container is refused with DataError, never accepted.
 
 So is an intact, checksum-valid file whose metadata lacks or mistypes an entry, or
-whose tensors do not fit its stored config."""
+whose tensors do not fit its stored config.  A damaged JSONL file carries no
+checksum, so a byte flipped inside a string can leave it valid: it is refused with
+DataError or read into records whose every field has its type, never anything else."""
+
+import functools
+import json
 
 import numpy as np
 import pytest
@@ -11,8 +16,10 @@ from packbert.adapters import init_adapters, load_adapters, save_adapters
 from packbert.cli import main
 from packbert.data_pipeline import read_sequences, write_sequences
 from packbert.errors import DataError
+from packbert.niah import read_examples, read_qa_pairs
 from packbert.tensor_store import read_tensors, write_tensors
-from packbert.trainer import load_checkpoint, train_mlm
+from packbert.tokenizer import toy_vocab
+from packbert.trainer import load_checkpoint, read_triplets, train_mlm
 
 from conftest import quick_phase
 
@@ -75,6 +82,71 @@ def test_every_damaged_file_raises_data_error(tiny_cfg, tmp_path, make, load):
         else:
             accepted.append(case)
     assert accepted == [] and other == []
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _all_str(*xs):
+    return all(isinstance(x, str) for x in xs)
+
+
+def _ids(*seqs):
+    return all(isinstance(s, list) and all(map(_is_int, s)) for s in seqs)
+
+
+_WORDS = ("the", "code", "is", "omega", "rain", "fell", "a", "cat", "sat")
+# name -> (records, reader, whether a read record's fields have their types)
+JSONL_READERS = {
+    "examples": (
+        [{"question": f"the code {i}", "paragraphs": ["rain fell", "the code is omega"],
+          "needle_index": 1, "gold_start": 2 + i, "gold_end": 5 + i, "answer": "omega",
+          "total_tokens": 6 + i} for i in range(6)],
+        read_examples,
+        lambda e: (_all_str(e.question, e.answer, *e.paragraphs) and isinstance(e.paragraphs, tuple)
+                   and all(map(_is_int, (e.needle_index, e.gold_start, e.gold_end,
+                                         e.total_tokens)))),
+    ),
+    "qa_pairs": (
+        [{"question": f"what {i}", "context": "the code is omega", "answer": "omega",
+          "answer_start": 12} for i in range(6)],
+        read_qa_pairs,
+        lambda p: _all_str(p.question, p.needle, p.answer) and _is_int(p.answer_start),
+    ),
+    "triplets": (
+        [{"query": "a cat", "positive": "a cat sat", "negatives": ["rain fell"] * (i % 3)}
+         for i in range(6)],
+        functools.partial(read_triplets, vocab=toy_vocab(_WORDS)),
+        lambda t: _ids(t.query, t.positive, *t.negatives) and isinstance(t.negatives, tuple),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", JSONL_READERS)
+def test_every_damaged_jsonl_file_is_refused_or_well_typed(tmp_path, name):
+    records, read, typed = JSONL_READERS[name]
+    raw = "".join(json.dumps(r) + "\n" for r in records).encode("utf-8")
+    good = tmp_path / "good.jsonl"
+    good.write_bytes(raw)
+    assert len(read(good)) == len(records)
+    rng = np.random.default_rng(2025)
+    target = tmp_path / "damaged.jsonl"
+    refused, mistyped, other = 0, [], []
+    for case in range(CASES):
+        target.write_bytes(_damaged(raw, rng))
+        try:
+            got = read(target)
+        except DataError:
+            refused += 1
+            continue
+        except Exception as e:  # any other exception type is a failure to report
+            other.append((case, repr(e)))
+        else:
+            if not all(map(typed, got)):
+                mistyped.append(case)
+    assert mistyped == [] and other == []
+    assert refused > CASES // 4  # the damage reaches the parser, not only string contents
 
 
 def test_inspect_exits_2_on_damaged_checkpoint(tiny_cfg, tmp_path, capsys):

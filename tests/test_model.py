@@ -405,6 +405,26 @@ def test_cache_bytes_per_token_counts_the_forward_cache(tiny_cfg, dtype, block_s
     assert got == want * batch.total_tokens
 
 
+def test_cached_attention_state_is_token_major(tiny_cfg, monkeypatch):
+    # q, k, v and the context live in (tokens, heads, head_dim) memory that the
+    # kernels read through head-first views, so the merged context is the
+    # kernel's output itself, not a copy of it.
+    cfg = dataclasses.replace(tiny_cfg, n_heads=4, head_dim=16)
+    params = model.init_params(cfg, seed=2)
+    rng = np.random.default_rng(6)
+    batch = pack([rng.integers(0, 256, size=n, dtype=np.int32) for n in (30, 50, 20)])
+    outputs, attn_forward = [], kernels.attn_forward
+    monkeypatch.setattr(kernels, "attn_forward",
+                        lambda *a: outputs.append(attn_forward(*a)) or outputs[-1])
+    cache = model.forward(params, cfg, batch, want_cache=True).cache
+    assert len(outputs) == cfg.n_layers
+    for (_, ac, *_), ctx in zip(cache["layers"], outputs):
+        for x in (*ac[1:4], ctx):
+            assert x.shape == (4, 100, 16)
+            assert x.transpose(1, 0, 2).flags.c_contiguous
+        assert ac[4].shape == (100, 64) and np.shares_memory(ac[4], ctx)
+
+
 # --- the layer stack on the worker pool ---
 
 POOL_ROWS = 4099  # four row blocks: three of 1,025 rows and a ragged 1,024

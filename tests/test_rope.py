@@ -88,6 +88,28 @@ def test_batched_shapes_match_loop(table):
             )
 
 
+@pytest.mark.parametrize("inverse", (False, True), ids=("rotate", "inverse"))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+def test_head_first_view_of_token_major_memory(table, dtype, inverse):
+    # The layer stack rotates (heads, T, head_dim) views of (T, heads, head_dim)
+    # memory: read in place, with the contiguous call's bits, in the view's layout.
+    rng = np.random.default_rng(8)
+    view = rng.normal(size=(40, 4, 64)).astype(dtype).transpose(1, 0, 2)
+    positions = rng.integers(0, 256, size=40)
+    out = apply_rope(view, positions, table, inverse=inverse)
+    assert out.dtype == dtype and out.strides == view.strides
+    np.testing.assert_array_equal(
+        out, apply_rope(np.ascontiguousarray(view), positions, table, inverse=inverse))
+
+
+def test_input_without_a_contiguous_last_axis(table):
+    rng = np.random.default_rng(9)
+    v = rng.normal(size=(64, 10)).astype(np.float32).T  # (10, 64), last axis strided
+    positions = np.arange(10)
+    np.testing.assert_array_equal(apply_rope(v, positions, table),
+                                  apply_rope(np.ascontiguousarray(v), positions, table))
+
+
 def test_width_mismatch_rejected(table):
     with pytest.raises(ValueError):
         apply_rope(np.zeros((4, 32)), np.arange(4), table)
