@@ -6,8 +6,9 @@ cover only the keys it may see: the whole member for global attention,
 ``[i0 - w/2, i1 + w/2)`` for a sliding window of width ``w`` and
 ``[lo, i1)`` for causal attention.  Window layers therefore cost
 O(total * window), and no worker holds more than a (heads, BLOCK, member
-length) score block.  Each query block is scaled as it is scored, so no
-call holds a scaled copy of the whole q.  The backward pass recomputes each
+length) score block; in a global or causal forward call large enough for
+the pool, one head's (BLOCK, member length) block.  Each query block is
+scaled as it is scored, so no call holds a scaled copy of the whole q.  The backward pass recomputes each
 block's probabilities instead of saving them.  The same code serves every
 float dtype; float64 is what the gradient checks run on.
 
@@ -17,9 +18,12 @@ a block whose rows are contiguous to the same gemm either way: same bits.
 
 Large calls run on the pinned worker pool of ``pool.py``, which the layer
 stack in ``model.py`` shares.  The forward pass hands out query blocks,
-which write disjoint output rows.  The backward pass hands out whole packed
-members, longest first, which own disjoint dq/dk/dv rows, and walks a
-member's blocks in order; a global or causal call with fewer members than
+which write disjoint output rows; a global or causal call hands out one
+(query block, head) task per head, since its score blocks span whole
+members, while window blocks stay whole, as their short blocks gain nothing
+per head.  The backward pass hands out whole packed members, longest
+first, which own disjoint dq/dk/dv rows, and walks a member's blocks in
+order; a global or causal call with fewer members than
 twice the workers hands out one (member, head) task per head instead.  Block
 boundaries never depend on the worker count, and a head's arithmetic is the
 same alone or beside the others, so the results are bit-identical for any
@@ -126,10 +130,18 @@ def _backward_member(q, k, v, d_out, dq, dk, dv, scale, kind, window, blocks):
 def attn_forward(q, k, v, boundaries, kind, window, scale):
     """q, k, v: (heads, total, head_dim); returns the attention output, laid out like q."""
     members = _blocks(boundaries, kind, window)
-    blocks = [blk for m in members for blk in m]
+    heads = q.shape[0]
+    large = _pairs(heads, members) >= PARALLEL_MIN_PAIRS
+    per_head = large and heads > 1 and kind != KIND_WINDOW
+    split = [slice(h, h + 1) for h in range(heads)] if per_head else [slice(None)]
+    tasks = [(h, blk) for m in members for blk in m for h in split]
     out = np.empty_like(q)
-    step = functools.partial(_forward_block, q, k, v, out, scale, kind, window)
-    pool._run(step, blocks, _pairs(q.shape[0], members) >= PARALLEL_MIN_PAIRS)
+
+    def step(task):
+        h, block = task
+        _forward_block(q[h], k[h], v[h], out[h], scale, kind, window, block)
+
+    pool._run(step, tasks, large)
     return out
 
 

@@ -79,12 +79,19 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def head_chunk_rows(vocab: int) -> int:
+    """Rows in one chunk of the vocabulary head: 2**19 logits, 4 MiB of
+    float64, so 128 rows at 4,096 classes.  The trainer runs the head,
+    mlm_loss and their backward one such chunk at a time."""
+    return max(1, (1 << 19) // vocab)
+
+
 def mlm_loss(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over non-ignored positions.
 
-    Returns (loss, d_logits); d_logits is zero at ignored rows.  The float64
-    softmax runs in chunks of 2**20 // vocab rows (8 MiB); each row's values
-    do not depend on the chunking, and the per-row losses are averaged once.
+    Returns (loss, d_logits); d_logits is zero at ignored rows.  The softmax
+    runs in float64 over the active rows at once, so callers pass a row
+    chunk, not a whole batch; each row's values do not depend on the others.
     """
     labels = np.asarray(labels)
     active = labels != IGNORE
@@ -92,22 +99,21 @@ def mlm_loss(logits: np.ndarray, labels: np.ndarray):
     if n == 0:
         raise ValueError("mlm_loss requires at least one non-ignored label")
     all_active = n == labels.size
-    rows = None if all_active else np.flatnonzero(active)
-    d = np.empty_like(logits) if all_active else np.zeros_like(logits)
-    chunk = max(1, (1 << 20) // logits.shape[-1])
-    row_loss = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, chunk):
-        part = slice(lo, lo + chunk) if all_active else rows[lo : lo + chunk]
-        z = logits[part].astype(np.float64)
-        picked = (np.arange(z.shape[0]), labels[part])
-        z -= z.max(axis=-1, keepdims=True)
-        gold_z = z[picked]
-        np.exp(z, out=z)
-        sums = z.sum(axis=-1, keepdims=True)
-        row_loss[lo : lo + z.shape[0]] = np.log(sums[:, 0]) - gold_z
-        z *= 1.0 / (sums * n)  # softmax / n
-        z[picked] -= 1.0 / n
-        d[part] = z
+    rows = slice(None) if all_active else np.flatnonzero(active)
+    z = logits[rows].astype(np.float64)
+    picked = (np.arange(n), labels[rows])
+    z -= z.max(axis=-1, keepdims=True)
+    gold_z = z[picked]
+    np.exp(z, out=z)
+    sums = z.sum(axis=-1, keepdims=True)
+    row_loss = np.log(sums[:, 0]) - gold_z
+    z *= 1.0 / (sums * n)  # softmax / n
+    z[picked] -= 1.0 / n
+    if all_active:
+        d = z.astype(logits.dtype, copy=False)
+    else:
+        d = np.zeros_like(logits)
+        d[rows] = z
     return float(np.mean(row_loss)), d
 
 

@@ -29,7 +29,10 @@ batch's candidates, and a split forward would split that pool.
 The engine moves one dict of trained tensors: every parameter for full
 training, or, when ``train_masked`` is given ``extra_linear``, only the
 adapter pairs, whose gradients the backward pass computes directly while
-the base weights stay frozen and get none.
+the base weights stay frozen and get none.  ``train_masked`` trains the
+weights it is given in place; the span and contrastive trainers train a
+copy.  The masked objectives' vocabulary head runs one row chunk at a time,
+so its logits never cover a whole slice.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,7 +71,15 @@ from .model import (
     span_logits_vjp,
     validate_params,
 )
-from .objectives import MASK_POLICIES, info_nce, mlm_loss, mlm_mask, mntp_targets, _log_softmax
+from .objectives import (
+    MASK_POLICIES,
+    _log_softmax,
+    head_chunk_rows,
+    info_nce,
+    mlm_loss,
+    mlm_mask,
+    mntp_targets,
+)
 from .optim import OptState, lr_at, step as opt_step
 from .packing import pack
 from .tensor_store import link_tensors, meta_entry, read_tensors, write_tensors
@@ -383,6 +395,51 @@ def _run_microbatches(
     return loss
 
 
+def _vocab_head(hidden, rows, targets, live, grads, total: int):
+    """Cross-entropy of the vocabulary head at ``hidden[rows]`` against
+    ``targets``, as this slice's share of a mean over ``total`` rows.
+
+    Returns (weighted loss, d(loss)/d(hidden)) and adds the head's weight
+    gradient into ``grads``.  The rows run in chunks of ``head_chunk_rows``:
+    each chunk's logits, float64 softmax and logit gradient die before the
+    next chunk's logits are formed.
+    """
+    d_hidden = np.zeros_like(hidden)
+    chunk = head_chunk_rows(live["tok_emb"].shape[0])
+    loss = 0.0
+    for lo in range(0, rows.size, chunk):
+        part = rows[lo : lo + chunk]
+        x = hidden[part]
+        part_loss, d_logits = mlm_loss(mlm_logits(x, live), targets[lo : lo + chunk])
+        weight = part.size / total
+        d_logits *= weight
+        d_hidden[part] = mlm_logits_vjp(d_logits, x, live, grads)
+        loss += part_loss * weight
+    return loss, d_hidden
+
+
+def _open_metrics(path: Path, resume_step: int | None):
+    """The metrics log, opened to append a record per step.
+
+    A fresh run (``resume_step`` None) replaces any old log.  A resumed run
+    continues it after the records of steps up to its checkpoint's and drops
+    the rest, which a run that went on past that checkpoint logged, so each
+    step keeps one record.
+    """
+    if resume_step is None:
+        return open(path, "w", encoding="utf-8")
+    with open(path, "a+b") as f:
+        f.seek(0)
+        keep = 0
+        for line in f:
+            step = re.match(rb"step=(\d+) .*\n", line)
+            if step is None or int(step[1]) > resume_step:
+                break
+            keep += len(line)
+        f.truncate(keep)
+    return open(path, "a", encoding="utf-8")
+
+
 def _train_loop(
     params: dict[str, np.ndarray],
     trained: dict[str, np.ndarray],
@@ -479,9 +536,8 @@ def _train_loop(
     metrics_file = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        # A resumed run continues the log; a fresh run replaces any old one.
-        mode = "a" if resume_from is not None else "w"
-        metrics_file = open(out_path / "metrics.txt", mode, encoding="utf-8")
+        metrics_file = _open_metrics(out_path / "metrics.txt",
+                                     None if resume_from is None else resume_from.step)
 
     # Checkpoints hold the live arrays, not copies: an interval checkpoint is
     # written before the next step moves them, and nothing moves them after
@@ -583,10 +639,12 @@ def train_masked(
     "mntp" trains the position one to the left of each mask instead, which
     is the form a converted decoder is adapted with.
 
-    Given ``extra_linear`` ({weight name: (A, B, scale)}, as ``forward``
-    takes it), only its A and B arrays are trained, in place; ``params``
-    stay frozen and are what the checkpoints hold.  Otherwise a copy of
-    ``params`` is trained.
+    The tensors are trained in place, and no copy is made.  Without
+    ``extra_linear``, the ``params`` dict is trained and is the result's
+    ``checkpoint.params``; a caller that needs its initial weights keeps
+    a copy.  Given ``extra_linear`` ({weight name: (A, B, scale)}, as
+    ``forward`` takes it), only its A and B arrays are trained; ``params``
+    stay frozen and are what the checkpoints hold.
     """
     if objective not in MASKED_OBJECTIVES:
         raise ConfigError(f"unknown objective {objective!r}")
@@ -597,11 +655,8 @@ def train_masked(
     limit = min(cfg.max_seq_len, phase.max_seq_len)
     seqs = [arr for (arr,) in _id_arrays(([s] for s in dataset), limit, "sequence")]
     digest = dataset_digest(seqs)
-    if extra_linear is None:
-        live = trained = _copy_tensors(params)
-    else:
-        live, trained = params, adapter_params(extra_linear)
-    cap = microbatch_token_cap(cfg, live["tok_emb"].itemsize, dropout_rate > 0.0)
+    trained = params if extra_linear is None else adapter_params(extra_linear)
+    cap = microbatch_token_cap(cfg, params["tok_emb"].itemsize, dropout_rate > 0.0)
 
     def rows_and_targets(seq, masked):
         if objective == "mlm":
@@ -632,19 +687,12 @@ def train_masked(
                 "raise mask_rate or batch size"
             )
 
-        def head(sl, packed, out_hidden, grads):
+        def head(sl, packed, hidden, grads):
             rows = np.concatenate(
                 [r + int(packed.boundaries[s]) for s, r in enumerate(all_rows[sl])]
             )
-            hidden = out_hidden[rows]
-            logits = mlm_logits(hidden, live)
-            part_loss, d_logits = mlm_loss(logits, np.concatenate(all_targets[sl]))
-            del logits
-            weight = rows.size / total_active
-            d_logits *= weight
-            d_hidden = np.zeros_like(out_hidden)
-            d_hidden[rows] = mlm_logits_vjp(d_logits, hidden, live, grads)
-            return part_loss * weight, d_hidden
+            targets = np.concatenate(all_targets[sl])
+            return _vocab_head(hidden, rows, targets, params, grads, total_active)
 
         # A slice with no masked row has no loss: it costs no forward.
         lengths = [int(c.size) for c in corrupted]
@@ -653,11 +701,11 @@ def train_masked(
             if any(r.size for r in all_rows[sl])
         ]
         seeds = [derived_seed(phase.seed, PURPOSE_DROP, inst) for _, inst in items]
-        return _run_microbatches(live, cfg, grads, corrupted, slices, head, seeds=seeds,
+        return _run_microbatches(params, cfg, grads, corrupted, slices, head, seeds=seeds,
                                  dropout_rate=dropout_rate, extra_linear=extra_linear)
 
     return _train_loop(
-        live,
+        params,
         trained,
         cfg,
         phase,
@@ -689,11 +737,13 @@ def resume_masked(
 
     The dataset must be the one the checkpoint was trained on; any change
     of content or order is refused, as is a ``mask_policy`` or
-    ``dropout_rate`` other than the one the checkpoint records.
+    ``dropout_rate`` other than the one the checkpoint records.  The run
+    trains a copy of the checkpoint's weights, so one checkpoint can seed
+    several resumes.
     """
     objective = checkpoint.extra.get("objective", "mlm")
     return train_masked(
-        checkpoint.params,
+        _copy_tensors(checkpoint.params),
         checkpoint.cfg,
         dataset,
         checkpoint.phase,

@@ -180,6 +180,35 @@ def test_global_memory_is_bounded_by_a_query_block(pool_workers):
         assert peak < 16 * 2**20, f"{workers} workers: peak {peak / 2**20:.1f} MiB"
 
 
+def test_global_forward_holds_one_head_score_block_per_worker(pool_workers):
+    # The moderngbert_134m shape: 12 heads of 64 over one 8,192-token member.
+    # A 128-row score block of every head is 48 MiB; one head's is 4 MiB.  One
+    # worker, as two would share the CPUs with a multi-threaded BLAS here.
+    rng = np.random.default_rng(19)
+    q, k, v = rand_qkv(rng, 12, 8192, 64)
+    pool_workers(1)
+    out, _, peak = traced_peak(lambda: attn(q, k, v, GLOBAL_SPEC, whole(8192), 0.125))
+    assert out.nbytes == 24 * 2**20
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_forward_head_tasks_match_whole_blocks_bit_for_bit(spec, dtype, pool_workers):
+    # Global and causal calls run one (query block, head) task per head; a
+    # whole block scores all heads in one batched product.
+    b = np.array([0, 300, 700, 1200], dtype=np.int64)
+    rng = np.random.default_rng(20)
+    q, k, v = rand_qkv(rng, 4, 1200, 16, dtype=dtype)
+    want = np.empty_like(q)
+    for member in kernels._blocks(b, spec.code, spec.window):
+        for block in member:
+            kernels._forward_block(q, k, v, want, 0.3, spec.code, spec.window, block)
+    for workers in (1, 2):
+        pool_workers(workers)
+        assert np.array_equal(attn(q, k, v, spec, b, 0.3), want), workers
+
+
 # --- worker pool ---
 
 POOL_LAYOUTS = {

@@ -7,13 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import packbert
+from packbert import model, objectives, trainer
 from packbert.cli import main
 from packbert.data_pipeline import read_sequences
 from packbert.tokenizer import save_vocab, toy_vocab
 from packbert.trainer import load_checkpoint, save_checkpoint
+
+from conftest import traced_peak
 
 SUBCOMMANDS = (
     "tokenize", "dedup", "filter", "split-long", "pretrain", "extend",
@@ -266,6 +270,46 @@ def test_pretrain_reports_progress(trained, capsys):
     assert "loss=" in metrics
     ckpt = load_checkpoint(trained["ckpt"])
     assert ckpt.tokens_seen >= 512
+
+
+def test_pretrain_trains_its_one_copy_of_the_weights(workspace, monkeypatch):
+    # A weights-heavy shape: 4 layers of hidden 256 (2.6M parameters, 10.5 MB
+    # a copy) over one step of 4 short members, whose cache and head are tiny.
+    job = _write_job(workspace["root"] / "heavy.cfg", **{
+        "arch.n_layers": 4, "arch.hidden": 256, "arch.n_heads": 4,
+        "arch.intermediate": 512, "train.token_budget": 1, "train.microbatch": 4,
+    })
+    seen = {}
+    real = trainer.train_masked
+
+    def recording(params, *args, **kwargs):
+        seen["given"] = params
+        seen["result"] = real(params, *args, **kwargs)
+        return seen["result"]
+
+    monkeypatch.setattr(trainer, "train_masked", recording)
+
+    def pretrain(out):
+        return main(["pretrain", "--config", str(job), "--vocab", str(workspace["vocab"]),
+                     "--data", str(workspace["data"]), "--out", str(workspace["root"] / out)])
+
+    assert pretrain("heavy-warm") == 0  # caches fill outside the measurement
+    rc, _, peak = traced_peak(lambda: pretrain("heavy"))
+    assert rc == 0
+    ckpt = seen["result"].checkpoint
+    assert ckpt.step == 1
+    assert all(np.shares_memory(ckpt.params[k], seen["given"][k]) for k in ckpt.params)
+    # The weights, two moments and the gradients; the step's forward cache and
+    # its one head chunk; and half a copy of slack for the per-tensor
+    # temporaries of the init and the optimizer.  A fifth copy would not fit.
+    cfg = ckpt.cfg
+    weights = sum(t.nbytes for t in ckpt.params.values())
+    tokens = sum(len(ids) for ids in read_sequences(workspace["data"]))
+    cache = tokens * model.cache_bytes_per_token(cfg, 4, False)
+    head = min(tokens, objectives.head_chunk_rows(cfg.vocab_size)) * cfg.vocab_size * 16
+    bound = 4.5 * weights + cache + head
+    assert bound < 5 * weights
+    assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
 def test_inspect_prints_metadata(trained, capsys):

@@ -202,7 +202,8 @@ def _one_shot_mlm_loss(logits, labels):
 @pytest.mark.parametrize("ignored", (False, True), ids=("all_active", "with_ignored"))
 @pytest.mark.parametrize("n", (1, 255, 256, 257, 3 * 256 + 5))
 def test_chunked_loss_equals_one_shot_bit_for_bit(n, ignored):
-    # Over 4,096 classes mlm_loss takes 2**20 // 4096 = 256 rows per chunk.
+    # mlm_loss takes its rows at once; the trainer hands it row chunks of the
+    # head (tests/test_trainer.py), and each row's bits are its own.
     vocab = 4096
     rng = np.random.default_rng(n)
     rows = 2 * n + 3 if ignored else n

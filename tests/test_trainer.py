@@ -1,5 +1,6 @@
 """Training engine: determinism, provenance, resume, and the task heads."""
 
+import collections
 import dataclasses
 import logging
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from packbert import config, model, optim, trainer, util
+from packbert import config, model, objectives, optim, trainer, util
 from packbert.errors import ConfigError, DataError, TrainingError
 from packbert.tensor_store import read_tensors, write_tensors
 from packbert.trainer import (
@@ -542,6 +543,168 @@ def test_step_over_the_budget_holds_one_microbatch_of_cache(tiny_cfg, monkeypatc
                               + 3 * cfg.intermediate + 2)
     bound = state + budget + one_layer
     assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+# --- the vocabulary head in row chunks ---
+
+HEAD_VOCAB = 4096
+CHUNK = objectives.head_chunk_rows(HEAD_VOCAB)
+
+
+def _head_case(n, tied):
+    """float64 head weights, a slice's hidden rows, n masked rows and targets."""
+    rng = np.random.default_rng(n)
+    params = {"tok_emb": rng.normal(size=(HEAD_VOCAB, 16))}
+    if not tied:
+        params["mlm_head.w"] = rng.normal(size=(16, HEAD_VOCAB))
+    hidden = rng.normal(size=(2 * n + 7, 16))
+    rows = np.sort(rng.permutation(hidden.shape[0])[:n])
+    return params, hidden, rows, rng.integers(0, HEAD_VOCAB, size=n)
+
+
+def _one_shot_head(hidden, rows, targets, params, total):
+    """The head over all rows at once, from the same three public ops."""
+    grads = model.zeros_like_params(params)
+    x = hidden[rows]
+    loss, d_logits = objectives.mlm_loss(model.mlm_logits(x, params), targets)
+    weight = rows.size / total
+    d_logits *= weight
+    d_hidden = np.zeros_like(hidden)
+    d_hidden[rows] = model.mlm_logits_vjp(d_logits, x, params, grads)
+    return loss * weight, d_hidden, grads
+
+
+@pytest.mark.parametrize("tied", (True, False), ids=("tied", "untied"))
+@pytest.mark.parametrize("n", (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5))
+def test_chunked_head_equals_one_shot(n, tied):
+    params, hidden, rows, targets = _head_case(n, tied)
+    total = n + 3  # another slice holds three more rows of the step's mean
+    grads = model.zeros_like_params(params)
+    loss, d_hidden = trainer._vocab_head(hidden, rows, targets, params, grads, total)
+    want_loss, want_d_hidden, want_grads = _one_shot_head(hidden, rows, targets, params, total)
+    pairs = [(d_hidden, want_d_hidden)] + [(grads[k], want_grads[k]) for k in grads]
+    if n <= CHUNK:  # one chunk: the same ops on the same arrays
+        assert loss == want_loss
+        assert all(got.tobytes() == want.tobytes() for got, want in pairs)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_chunked_head_calls_the_traced_names_once_per_chunk(monkeypatch):
+    # The benchmark's tracer wraps these names where the trainer looks them up.
+    calls = collections.Counter()
+    for name in ("mlm_logits", "mlm_loss", "mlm_logits_vjp"):
+        def counting(*args, _name=name, _real=getattr(trainer, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(trainer, name, counting)
+    params, hidden, rows, targets = _head_case(3 * CHUNK + 5, tied=True)
+    grads = model.zeros_like_params(params)
+    trainer._vocab_head(hidden, rows, targets, params, grads, rows.size)
+    assert calls == {"mlm_logits": 4, "mlm_loss": 4, "mlm_logits_vjp": 4}
+
+
+@pytest.mark.parametrize("tied", (True, False), ids=("tied", "untied"))
+@pytest.mark.parametrize("objective", trainer.MASKED_OBJECTIVES)
+def test_chunked_head_trains_the_one_shot_step(tiny_cfg, objective, tied, monkeypatch):
+    # Two 2-member slices of 20-40 token members, about 18 masked rows each:
+    # 3-row chunks against chunks larger than any slice.
+    rng = np.random.default_rng(21)
+    data = [rng.integers(5, 256, size=int(rng.integers(20, 41)), dtype=np.int32)
+            for _ in range(8)]
+    phase = quick_phase(token_budget=1, batch_tokens_or_sequences=4, microbatch=2)
+    real_step = trainer.opt_step
+
+    def first_step(chunk_rows):
+        monkeypatch.setattr(trainer, "head_chunk_rows", lambda vocab: chunk_rows)
+        seen = []
+
+        def capture(trained, grads, opt, lr):
+            seen.append({k: g.copy() for k, g in grads.items()})
+            real_step(trained, grads, opt, lr)
+
+        monkeypatch.setattr(trainer, "opt_step", capture)
+        params = {k: v.astype(np.float64)
+                  for k, v in model.init_params(tiny_cfg, seed=0, tied=tied).items()}
+        result = train_masked(params, tiny_cfg, data, phase, objective=objective,
+                              mask_id=MASK_ID, special_ids=SPECIALS)
+        assert result.checkpoint.step == len(seen) == 1
+        return result.metrics[0][2], seen[0]
+
+    loss, grads = first_step(3)
+    want_loss, want_grads = first_step(1 << 20)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+    assert grads.keys() == want_grads.keys()
+    for k, want in want_grads.items():
+        np.testing.assert_allclose(grads[k], want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max(), err_msg=k)
+
+
+def test_masked_step_holds_one_chunk_of_the_head(tiny_cfg):
+    # A head-heavy shape: 16,384 classes over 4 members of 500 tokens, 30%
+    # masked.  The whole head of about 600 rows, logits and their gradient,
+    # is about 79 MB of float32 beside a forward cache of about 13 MB.
+    cfg = dataclasses.replace(tiny_cfg, vocab_size=16384, max_seq_len=512)
+    rng = np.random.default_rng(22)
+    data = [rng.integers(5, cfg.vocab_size, size=500, dtype=np.int32) for _ in range(4)]
+    tokens = 4 * 500
+    phase = quick_phase(token_budget=tokens, batch_tokens_or_sequences=4, microbatch=4,
+                        mask_rate=0.3)
+    params = model.init_params(cfg, seed=0)
+
+    def step():
+        return train_mlm(params, cfg, data, phase, mask_id=MASK_ID, special_ids=SPECIALS)
+
+    step()  # caches fill outside the measurement
+    result, _, peak = traced_peak(step)
+    assert result.checkpoint.step == 1
+    # The weights, two moments and the gradients; the step's forward cache;
+    # two head chunks of float32 logits, their float64 softmax and float32
+    # gradient; and one layer's working set.
+    state = 4 * sum(t.nbytes for t in params.values())
+    cache = tokens * model.cache_bytes_per_token(cfg, 4, False)
+    chunk = objectives.head_chunk_rows(cfg.vocab_size) * cfg.vocab_size * (4 + 8 + 4)
+    one_layer = tokens * (6 * cfg.hidden + 3 * cfg.intermediate) * 4
+    bound = state + cache + 2 * chunk + one_layer
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+def test_resume_from_an_interval_checkpoint_logs_each_step_once(tiny_cfg, tmp_path):
+    # 16 steps, a checkpoint every 4; the resume from step 4 runs steps 5-16
+    # again into the same directory, whose log already holds them.
+    data = toy_dataset(n=8, lo=10, hi=11)
+    run_mlm(tiny_cfg, data, _steps_phase(16), out_dir=tmp_path, checkpoint_interval_tokens=160)
+    uninterrupted = (tmp_path / "metrics.txt").read_text()
+    ckpt = load_checkpoint(tmp_path / "ckpt_step00000004.pbt")
+    resumed = resume_masked(ckpt, data, mask_id=MASK_ID, special_ids=SPECIALS, out_dir=tmp_path)
+    assert [m[0] for m in resumed.metrics] == list(range(5, 17))
+    assert _logged_steps(tmp_path) == list(range(1, 17))
+    assert (tmp_path / "metrics.txt").read_text() == uninterrupted
+
+
+def test_train_masked_trains_the_dict_it_is_given(tiny_cfg):
+    params = model.init_params(tiny_cfg, seed=0)
+    before = {k: v.copy() for k, v in params.items()}
+    result = run_mlm(tiny_cfg, toy_dataset(), quick_phase(token_budget=200))
+    trained = train_mlm(params, tiny_cfg, toy_dataset(), quick_phase(token_budget=200),
+                        mask_id=MASK_ID, special_ids=SPECIALS)
+    assert trained.checkpoint.params is params
+    assert_params_equal(params, result.checkpoint.params)
+    assert any(not np.array_equal(params[k], before[k]) for k in params)
+
+
+def test_resume_trains_a_copy_of_the_checkpoint(tiny_cfg):
+    data = toy_dataset(n=8)
+    half = run_mlm(tiny_cfg, data, quick_phase(token_budget=300)).checkpoint
+    half.phase = quick_phase(token_budget=600)
+    kept = {k: v.copy() for k, v in half.params.items()}
+    first = resume_masked(half, data, mask_id=MASK_ID, special_ids=SPECIALS).checkpoint
+    second = resume_masked(half, data, mask_id=MASK_ID, special_ids=SPECIALS).checkpoint
+    assert_params_equal(half.params, kept)
+    assert_params_equal(first.params, second.params)
+    assert not any(np.shares_memory(first.params[k], half.params[k]) for k in kept)
 
 
 def test_lr_metric_matches_schedule(tiny_cfg):
