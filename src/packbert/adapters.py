@@ -209,7 +209,8 @@ def load_adapters(path) -> AdapterSet:
 
 
 def merge_into_checkpoint(ckpt: Checkpoint, adapter_sets) -> Checkpoint:
-    """New checkpoint with adapters folded into the weights.
+    """New checkpoint with adapters folded into the weights, under the
+    bidirectional attention they were trained with.
 
     Absorbed phase tags accumulate in the metadata so a merged model
     remembers what went into it.
@@ -220,4 +221,4 @@ def merge_into_checkpoint(ckpt: Checkpoint, adapter_sets) -> Checkpoint:
     absorbed = list(extra.get("absorbed_phases", []))
     absorbed.extend(a.phase_tag for a in sets)
     extra["absorbed_phases"] = absorbed
-    return dataclasses.replace(ckpt, params=merged, extra=extra)
+    return dataclasses.replace(ckpt, params=merged, cfg=enable_bidirectional(ckpt.cfg), extra=extra)

@@ -176,9 +176,7 @@ def cmd_mntp(args) -> int:
     from .trainer import load_checkpoint
 
     ckpt = load_checkpoint(args.ckpt)
-    cfg = ckpt.cfg
-    if args.bidirectional:
-        cfg = enable_bidirectional(cfg)
+    cfg = enable_bidirectional(ckpt.cfg)  # a no-op on a bidirectional checkpoint
     vocab = load_vocab(args.vocab)
     dataset = read_sequences(args.data)
     _, phase = _load_job(args)
@@ -260,6 +258,8 @@ def cmd_niah_eval(args) -> int:
     from .tokenizer import load_vocab
     from .trainer import load_checkpoint
 
+    if args.max_answer_len < 1:
+        raise ConfigError(f"--max-answer-len must be >= 1, got {args.max_answer_len}")
     ckpt = load_checkpoint(args.ckpt)
     vocab = load_vocab(args.vocab)
     examples = read_examples(args.examples)
@@ -451,8 +451,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rank", type=int, default=16)
     p.add_argument("--alpha", type=float, default=32.0)
     p.add_argument("--phase-tag", default="ext1")
-    p.add_argument("--bidirectional", action="store_true",
-                   help="replace a causal mask with full attention first")
 
     p = add("merge-adapters", cmd_merge_adapters, "fold adapters into the weights")
     p.add_argument("--ckpt", required=True)

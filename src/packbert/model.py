@@ -3,8 +3,8 @@
 Parameters live in a flat ``dict[str, np.ndarray]`` keyed by dotted names
 ("layers.3.attn.wq", "final_norm.scale", ...).  ``forward`` runs over a
 PackedBatch and, with ``want_cache``, retains per layer what the backward
-pass cannot rebuild cheaply: each norm's cache (xhat and 1/std for layer
-norm, the input and 1/rms for RMS norm), the rotated q and k, v, the merged
+pass cannot rebuild cheaply: each norm's cache (xhat and 1/std, where an
+RMS norm's std is its rms, uncentred), the rotated q and k, v, the merged
 attention context, the FFN's gate|value product and its gate CDF.  q, k, v
 and the context are token-major; the kernels and RoPE read and write
 (heads, tokens, head_dim) views of it (``_heads``), so the merged context and
@@ -301,46 +301,33 @@ def act_grad(x: np.ndarray, s: np.ndarray, kind: str) -> np.ndarray:
     return g
 
 
-def _norm_out_block(y, xin, r, scale, offset, b):
-    """Rows b of a norm's output from its cache (xin, r): xhat * scale + offset
-    for layer norm, x * r * scale for RMS norm (``offset`` None)."""
+def _norm_out_block(y, xhat, scale, offset, b):
+    """Rows b of a norm's output from its xhat: xhat * scale, plus the offset
+    of a layer norm (``offset`` None for RMS norm)."""
+    np.multiply(xhat[b], scale, out=y[b])
     if offset is not None:
-        np.multiply(xin[b], scale, out=y[b])
         y[b] += offset
-    else:
-        np.multiply(xin[b], r[b], out=y[b])
-        y[b] *= scale
 
 
 def _norm_forward(x, params, prefix, cfg):
-    """The norm of x and its cache: (xhat, 1 / std) for layer norm, (x, 1 / rms)
-    for RMS norm."""
+    """The norm of x and its cache (xhat, 1 / std).  A layer norm centres each
+    row first; an RMS norm does not, so its std is the rms."""
     scale = params[f"{prefix}.scale"]
-    offset = params[f"{prefix}.offset"] if cfg.norm == "layer_norm" else None
+    ln = cfg.norm == "layer_norm"
+    offset = params[f"{prefix}.offset"] if ln else None
     eps = cfg.norm_eps
     y = np.empty(x.shape, dtype=np.result_type(x, scale))
+    xhat = np.empty_like(x)
     r = np.empty((x.shape[0], 1), dtype=x.dtype)  # 1 / std of each row
-    if cfg.norm == "layer_norm":
-        xhat = np.empty_like(x)
-
-        def block(b):
-            mean = x[b].mean(axis=-1, keepdims=True)
-            xc = x[b] - mean
-            var = (xc * xc).mean(axis=-1, keepdims=True)
-            np.divide(1.0, np.sqrt(var + eps), out=r[b])
-            np.multiply(xc, r[b], out=xhat[b])
-            _norm_out_block(y, xhat, r, scale, offset, b)
-
-        _rowwise(block, x)
-        return y, (xhat, r)
 
     def block(b):
-        xb = x[b]
-        np.divide(1.0, np.sqrt((xb * xb).mean(axis=-1, keepdims=True) + eps), out=r[b])
-        _norm_out_block(y, x, r, scale, offset, b)
+        xc = x[b] - x[b].mean(axis=-1, keepdims=True) if ln else x[b]
+        np.divide(1.0, np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps), out=r[b])
+        np.multiply(xc, r[b], out=xhat[b])
+        _norm_out_block(y, xhat, scale, offset, b)
 
     _rowwise(block, x)
-    return y, (x, r)
+    return y, (xhat, r)
 
 
 def _norm_output(cache, params, prefix, cfg):
@@ -348,9 +335,9 @@ def _norm_output(cache, params, prefix, cfg):
     forward's own ops, so bit for bit."""
     scale = params[f"{prefix}.scale"]
     offset = params[f"{prefix}.offset"] if cfg.norm == "layer_norm" else None
-    xin, r = cache
-    y = np.empty(xin.shape, dtype=np.result_type(xin, scale))
-    _rowwise(lambda b: _norm_out_block(y, xin, r, scale, offset, b), xin)
+    xhat = cache[0]
+    y = np.empty(xhat.shape, dtype=np.result_type(xhat, scale))
+    _rowwise(lambda b: _norm_out_block(y, xhat, scale, offset, b), xhat)
     return y
 
 
@@ -358,31 +345,26 @@ def _norm_backward(dy, cache, params, prefix, cfg, grads):
     """d x of a norm; if its scale is in ``grads`` (the offset goes with it), the
     scale and offset gradients sum per-block partials in block order."""
     scale = params[f"{prefix}.scale"]
-    xin, r = cache  # (xhat, 1 / std) for layer norm, (x, 1 / rms) for RMS norm
+    xhat, r = cache
     ln = cfg.norm == "layer_norm"
     trained = f"{prefix}.scale" in grads
     blocks = _rowwise_blocks(dy)
     d_scale = np.empty((len(blocks), dy.shape[1]), dtype=dy.dtype)
     d_offset = np.empty_like(d_scale) if ln else None
-    dx = np.empty(dy.shape, dtype=np.result_type(dy, scale, xin))
+    dx = np.empty(dy.shape, dtype=np.result_type(dy, scale, xhat))
 
     def block(task):
         i, b = task
-        g, xb, rb = dy[b], xin[b], r[b]
-        if ln:
-            if trained:
-                d_scale[i] = (g * xb).sum(axis=0)
+        g, xb = dy[b], xhat[b]
+        if trained:
+            d_scale[i] = (g * xb).sum(axis=0)
+            if ln:
                 d_offset[i] = g.sum(axis=0)
-            dxhat = g * scale
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xb).mean(axis=-1, keepdims=True)
-            np.multiply(rb, dxhat - m1 - xb * m2, out=dx[b])
-        else:
-            if trained:
-                d_scale[i] = (g * xb * rb).sum(axis=0)
-            gs = g * scale
-            m = (gs * xb).mean(axis=-1, keepdims=True)
-            np.subtract(rb * gs, xb * (rb ** 3) * m, out=dx[b])
+        dxhat = g * scale
+        m = (dxhat * xb).mean(axis=-1, keepdims=True)
+        if ln:
+            dxhat -= dxhat.mean(axis=-1, keepdims=True)
+        np.multiply(r[b], dxhat - xb * m, out=dx[b])
 
     pool._run(block, list(enumerate(blocks)))
     if trained:
@@ -567,9 +549,11 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
     dropped before the next block runs.  With ``keep``, the stream is one
     block, whose caches are what ``backward`` needs.  Each op treats rows
     alone, so the bits are the same either way wherever BLAS takes the same
-    path for a block as for the whole.  A layer's adapter sums are formed
-    once, not per block.  Returns the final hidden states, the per-layer
-    caches and the final norm's cache; without ``keep``, the caches are None.
+    path for a block as for the whole.  No cache holds a view of the
+    residual stream, so the residual adds and the final norm write into it in
+    place either way.  A layer's adapter sums are formed once, not per block.
+    Returns the final hidden states, the per-layer caches and the final
+    norm's cache; without ``keep``, an empty list and None.
     """
     h = params["tok_emb"][tokens]
     n = h.shape[0]
@@ -584,14 +568,6 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
         # A sublayer's output, and its cache only when keeping.
         out, cache = result
         return out, (cache if keep else None)
-
-    def residual(h, b, x):
-        # A kept RMS norm caches its input, which in a pre-norm stack is the
-        # residual stream, so a kept stack adds into a new stream.
-        if keep:
-            return h + x
-        h[b] += x
-        return h
 
     # A cached attention or FFN tuple keeps its input slot empty: the input is
     # a norm output (or, in layer 0 of a post-norm stack, the embedding
@@ -619,10 +595,10 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
             if masks[i] is not None:
                 a *= masks[i][b]
             if pre:
-                h = residual(h, b, a)
+                h[b] += a
                 y2, n2c = kept(_norm_forward(h[b], lp, f"{p}.norm2", cfg))
                 f, fc = kept(_ffn_forward(y2, i, lp, cfg, None))
-                h = residual(h, b, f)
+                h[b] += f
             else:
                 a += h[b]
                 h[b], n1c = kept(_norm_forward(a, lp, f"{p}.norm1", cfg))
@@ -634,12 +610,9 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
                 layer_caches.append((n1c, ac, n2c, (None, *fc[1:]), masks[i]))
             del merged, a, f  # freed before the next block allocates its own
         del ctx
-    if keep:
-        out, fn_cache = _norm_forward(h, params, "final_norm", cfg)
-        return out, layer_caches, fn_cache
     for b in blocks:
-        h[b] = _norm_forward(h[b], params, "final_norm", cfg)[0]
-    return h, None, None
+        h[b], fn_cache = kept(_norm_forward(h[b], params, "final_norm", cfg))
+    return h, layer_caches, fn_cache
 
 
 def forward(
@@ -690,7 +663,7 @@ def forward(
 def cache_bytes_per_token(cfg: ArchConfig, itemsize: int, dropout: bool) -> int:
     """Bytes that ``forward(want_cache=True)`` keeps per token, in ``itemsize``-byte values.
 
-    Per layer: two norm caches of hidden + 1 values (xhat or x, and 1 / std),
+    Per layer: two norm caches of hidden + 1 values (xhat and 1 / std),
     the rotated q and k, v and the merged context (n_heads * head_dim each),
     the FFN's gate|value product and its gate CDF (3 * intermediate), and,
     with dropout, the attention-output mask (hidden).  The final norm keeps

@@ -461,6 +461,8 @@ def _train_loop(
     a step's gradients into ``grads`` and returns its loss; ``lengths``, the
     items' token counts, order and count a step's tokens."""
     problems = validate_phase(phase)
+    if checkpoint_interval_tokens < 0:
+        problems.append(f"checkpoint interval must be >= 0 tokens, got {checkpoint_interval_tokens}")
     if problems:
         raise ConfigError("; ".join(problems))
     n_items = len(lengths)

@@ -12,8 +12,10 @@ import pytest
 
 import packbert
 from packbert import model, objectives, trainer
+from packbert.adapters import load_adapters, runtime_extras
 from packbert.cli import main
 from packbert.data_pipeline import read_sequences
+from packbert.packing import pack
 from packbert.tokenizer import save_vocab, toy_vocab
 from packbert.trainer import load_checkpoint, save_checkpoint
 
@@ -312,6 +314,16 @@ def test_pretrain_trains_its_one_copy_of_the_weights(workspace, monkeypatch):
     assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
+def test_negative_checkpoint_interval_is_rejected_before_any_step(workspace, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["pretrain", "--config", str(_write_job(tmp_path / "job.cfg")),
+               "--vocab", str(workspace["vocab"]), "--data", str(workspace["data"]),
+               "--out", str(out), "--ckpt-interval", "-1"])
+    assert rc == 1
+    assert "checkpoint interval" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inspect_prints_metadata(trained, capsys):
     rc = main(["inspect", "--ckpt", str(trained["ckpt"])])
     out = capsys.readouterr().out
@@ -384,6 +396,30 @@ def test_mntp_and_merge(trained, capsys):
     assert rc == 0
     assert "absorbed phases" in capsys.readouterr().out
     assert load_checkpoint(merged).extra.get("absorbed_phases") == ["ext1"]
+
+
+def test_mntp_and_merge_convert_a_causal_checkpoint(trained, tmp_path, capsys):
+    # The walkthrough's chain as written: mntp on a causal checkpoint needs no
+    # flag, and the merged checkpoint keeps the bidirectional attention that
+    # the adapters were trained under.
+    base = load_checkpoint(trained["ckpt"])
+    causal = tmp_path / "causal.pbt"
+    save_checkpoint(dataclasses.replace(
+        base, cfg=dataclasses.replace(base.cfg, attention_mode="causal")), causal)
+    job = _write_job(tmp_path / "mntp.cfg", **{"train.token_budget": 256})
+    adapters, merged = tmp_path / "mntp.pbt", tmp_path / "merged.pbt"
+    assert main(["mntp", "--ckpt", str(causal), "--vocab", str(trained["vocab"]),
+                 "--data", str(trained["data"]), "--out", str(adapters),
+                 "--config", str(job), "--rank", "2"]) == 0
+    assert main(["merge-adapters", "--ckpt", str(causal), "--adapters", str(adapters),
+                 "--out", str(merged)]) == 0
+    capsys.readouterr()
+    out = load_checkpoint(merged)
+    assert out.cfg == base.cfg  # the bidirectional config the adapters were trained under
+    batch = pack(read_sequences(trained["data"])[:3])
+    want = model.forward(base.params, out.cfg, batch,
+                         extra_linear=runtime_extras(load_adapters(adapters))).hidden
+    assert np.array_equal(model.forward(out.params, out.cfg, batch).hidden, want)
 
 
 def test_embed_train(trained, capsys):
@@ -507,6 +543,24 @@ def test_niah_eval_runs(trained, capsys):
     assert rc == 0
     assert "examples=3 exact_match=" in out
     assert "bucket=<1024" in out
+
+
+@pytest.mark.parametrize("value", ("0", "-3"))
+def test_niah_eval_rejects_a_short_answer_limit_as_usage(trained, tmp_path, monkeypatch,
+                                                          capsys, value):
+    pairs = _write_pairs(tmp_path / "pairs.jsonl")
+    examples = tmp_path / "niah.jsonl"
+    assert main(["niah-gen", "--pairs", str(pairs), "--vocab", str(trained["vocab"]),
+                 "--split", "train", "--seed", "1", "--out", str(examples)]) == 0
+    capsys.readouterr()
+    loaded, load = [], trainer.load_checkpoint
+    monkeypatch.setattr(trainer, "load_checkpoint", lambda path: loaded.append(path) or load(path))
+    rc = main(["niah-eval", "--ckpt", str(trained["ckpt"]), "--vocab", str(trained["vocab"]),
+               "--examples", str(examples), "--max-answer-len", value])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert "--max-answer-len" in out.err and out.out == ""
+    assert loaded == []  # refused before the checkpoint is read
 
 
 def test_niah_eval_reads_characters_only_where_the_span_lands(trained, monkeypatch, capsys):

@@ -372,6 +372,30 @@ def test_backward_consumes_its_cache(tiny_cfg, rand_batch):
         model.backward(params, tiny_cfg, out.cache, d_hidden)
 
 
+@pytest.mark.parametrize("norm", config.NORMS)
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+def test_every_norm_caches_xhat_and_inverse_std(tiny_cfg, dtype, norm):
+    # Both norms keep (xhat, 1 / std); only a layer norm centres its rows.  No
+    # cache holds the norm's input, which in a pre-norm stack is the residual
+    # stream, so the stack can add into that stream in place.
+    cfg = dataclasses.replace(tiny_cfg, norm=norm)
+    rng = np.random.default_rng(8)
+    params = {"n.scale": (1.0 + 0.2 * rng.normal(size=cfg.hidden)).astype(dtype)}
+    if norm == "layer_norm":
+        params["n.offset"] = (0.2 * rng.normal(size=cfg.hidden)).astype(dtype)
+    x = (rng.normal(size=(37, cfg.hidden)) * 2.0 + 0.5).astype(dtype)
+    y, (xhat, r) = model._norm_forward(x, params, "n", cfg)
+    assert xhat.shape == x.shape and r.shape == (37, 1)
+    assert xhat.dtype == r.dtype == dtype
+    assert not np.shares_memory(xhat, x)
+    xc = x - x.mean(axis=-1, keepdims=True) if norm == "layer_norm" else x
+    rtol = 1e-6 if dtype == np.float32 else 1e-14
+    np.testing.assert_allclose(r, 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True)
+                                                + cfg.norm_eps), rtol=rtol)
+    np.testing.assert_allclose(xhat, xc * r, rtol=rtol, atol=rtol)
+    assert np.array_equal(model._norm_output((xhat, r), params, "n", cfg), y)
+
+
 def _held_arrays(obj, found):
     """The distinct arrays under ``obj``'s tuples and lists, each by its own buffer."""
     if isinstance(obj, np.ndarray):
