@@ -355,7 +355,7 @@ def cmd_bench(args) -> int:
 def cmd_inspect(args) -> int:
     from .config import arch_to_pairs, format_pairs, phase_to_pairs
     from .model import cache_bytes_per_token
-    from .trainer import load_checkpoint, microbatch_token_cap
+    from .trainer import load_checkpoint, microbatch_token_cap, verify_provenance
 
     ckpt = load_checkpoint(args.ckpt)
     print(f"phase_id={ckpt.phase_id} step={ckpt.step} tokens_seen={ckpt.tokens_seen}")
@@ -379,9 +379,9 @@ def cmd_inspect(args) -> int:
     # The phase, in the job-file namespace: the one source of the optimizer settings.
     print(format_pairs((f"train.{k}", v) for k, v in phase_to_pairs(ckpt.phase)).rstrip())
     log = ckpt.provenance
-    steps = f" steps {log[0].step}..{log[len(log) - 1].step}" if len(log) else ""
+    steps = f" steps {log[0].step}..{log[-1].step}" if log else ""
     try:
-        log.verify(ckpt.phase.seed)
+        verify_provenance(log, ckpt.phase.seed)
         verdict = "ok"
     except TrainingError as e:
         verdict = f"FAILED ({e})"

@@ -375,9 +375,9 @@ def _norm_backward(dy, cache, params, prefix, cfg, grads):
 
 
 def _weight(params, name, extra):
-    """W, or W + s A B if ``extra`` holds a pair (A, B, s) for it.  Formed per call,
-    the sum costs one weight's size; a separate s (x A) B term would cost passes
-    over every output row."""
+    """W, or W + s A B if ``extra`` holds a pair (A, B, s) for it.  The sum costs
+    one weight's size; a separate s (x A) B term would cost passes over every
+    output row."""
     w = params[name]
     if extra is not None and name in extra:
         a_mat, b_mat, s = extra[name]
@@ -385,8 +385,9 @@ def _weight(params, name, extra):
     return w
 
 
-def _linear(x, params, name, extra):
-    return _matmul(x, _weight(params, name, extra))
+def _linear(x, params, name):
+    """x W; ``_layer_stack`` passes each layer's weights with their adapter sums formed."""
+    return _matmul(x, params[name])
 
 
 def _linear_backward(dy, x, params, name, grads, extra):
@@ -452,13 +453,13 @@ def _attn_backward(d_out, cache, layer, params, cfg, positions, boundaries, grad
     return dx
 
 
-def _ffn_forward(x, layer, params, cfg, extra):
+def _ffn_forward(x, layer, params, cfg):
     p = f"layers.{layer}.ffn"
-    z = _linear(x, params, f"{p}.wu", extra)
+    z = _linear(x, params, f"{p}.wu")
     gate, value = z[:, : cfg.intermediate], z[:, cfg.intermediate:]
     act, s = act_forward(gate, cfg.activation)
     _rowwise(lambda r: np.multiply(act[r], value[r], out=act[r]), act)  # act * value
-    out = _linear(act, params, f"{p}.wd", extra)
+    out = _linear(act, params, f"{p}.wd")
     return out, (x, gate, value, s)
 
 
@@ -562,7 +563,7 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
     scale = 1.0 / math.sqrt(cfg.head_dim)
 
     def heads(x, lp, name):
-        return _heads(_linear(x, lp, name, None), cfg.n_heads)
+        return _heads(_linear(x, lp, name), cfg.n_heads)
 
     def kept(result):
         # A sublayer's output, and its cache only when keeping.
@@ -591,18 +592,18 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
         del q, k, v
         for b in blocks:
             merged = _rows(ctx[:, b])
-            a = _linear(merged, lp, f"{p}.attn.wo", None)
+            a = _linear(merged, lp, f"{p}.attn.wo")
             if masks[i] is not None:
                 a *= masks[i][b]
             if pre:
                 h[b] += a
                 y2, n2c = kept(_norm_forward(h[b], lp, f"{p}.norm2", cfg))
-                f, fc = kept(_ffn_forward(y2, i, lp, cfg, None))
+                f, fc = kept(_ffn_forward(y2, i, lp, cfg))
                 h[b] += f
             else:
                 a += h[b]
                 h[b], n1c = kept(_norm_forward(a, lp, f"{p}.norm1", cfg))
-                f, fc = kept(_ffn_forward(h[b], i, lp, cfg, None))
+                f, fc = kept(_ffn_forward(h[b], i, lp, cfg))
                 f += h[b]
                 h[b], n2c = kept(_norm_forward(f, lp, f"{p}.norm2", cfg))
             if keep:

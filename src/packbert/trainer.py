@@ -120,32 +120,13 @@ def _record_digest(seed: int, step: int, ids) -> str:
     return h.hexdigest()
 
 
-class ProvenanceLog:
-    """Append-only record of which sequences fed each optimizer step."""
-
-    def __init__(self, records=()):
-        self.records: list[ProvenanceRecord] = list(records)
-
-    def append(self, record: ProvenanceRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProvenanceLog) and self.records == other.records
-
-    def verify(self, seed: int) -> None:
-        """Recompute every record digest; mismatch means the log was edited."""
-        for rec in self.records:
-            want = _record_digest(seed, rec.step, rec.sequence_ids)
-            if want != rec.digest:
-                raise TrainingError(
-                    f"provenance digest mismatch at step {rec.step}; log does not replay"
-                )
+def verify_provenance(records, seed: int) -> None:
+    """Recompute every record digest; a mismatch means the log was edited."""
+    for rec in records:
+        if _record_digest(seed, rec.step, rec.sequence_ids) != rec.digest:
+            raise TrainingError(
+                f"provenance digest mismatch at step {rec.step}; log does not replay"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +154,7 @@ class Checkpoint:
     dataset_digest: str
     n_provenance: int  # must equal len(provenance)
     extra: dict = field(default_factory=dict)
-    provenance: ProvenanceLog = field(default_factory=ProvenanceLog)  # the run's full history
+    provenance: list[ProvenanceRecord] = field(default_factory=list)  # the run's full history
 
 
 def _copy_tensors(d: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -183,9 +164,8 @@ def _copy_tensors(d: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 _PROVENANCE_KEYS = ("step", "tokens", "n_ids", "ids", "digest")
 
 
-def _provenance_tensors(log: ProvenanceLog) -> dict[str, np.ndarray]:
+def _provenance_tensors(recs: list[ProvenanceRecord]) -> dict[str, np.ndarray]:
     """The log as int32/uint8 tensors; per-step token counts fit int32, running totals may not."""
-    recs = log.records
     cumulative = np.array([r.token_count for r in recs], dtype=np.int64)
     digests = b"".join(bytes.fromhex(r.digest) for r in recs)
     return {
@@ -197,7 +177,7 @@ def _provenance_tensors(log: ProvenanceLog) -> dict[str, np.ndarray]:
     }
 
 
-def _provenance_from_tensors(prov: dict[str, np.ndarray], path) -> ProvenanceLog:
+def _provenance_from_tensors(prov: dict[str, np.ndarray], path) -> list[ProvenanceRecord]:
     if sorted(prov) != sorted(_PROVENANCE_KEYS):
         raise DataError(f"{path} has provenance tensors {sorted(prov)}")
     steps, tokens, n_ids, ids, digest = (prov[k] for k in _PROVENANCE_KEYS)
@@ -214,10 +194,10 @@ def _provenance_from_tensors(prov: dict[str, np.ndarray], path) -> ProvenanceLog
     bounds = zip((ends - n_ids).tolist(), ends.tolist())
     counts = np.cumsum(tokens, dtype=np.int64).tolist()
     flat = ids.tolist()
-    return ProvenanceLog(
+    return [
         ProvenanceRecord(step, count, tuple(flat[lo:hi]), bytes(d).hex())
         for step, count, (lo, hi), d in zip(steps.tolist(), counts, bounds, digest)
-    )
+    ]
 
 
 _COUNTER_KEYS = ("step", "tokens_seen", "epoch", "pos_in_epoch", "consumed", "n_provenance")
@@ -298,7 +278,7 @@ def load_checkpoint(path) -> Checkpoint:
 @dataclass
 class TrainResult:
     checkpoint: Checkpoint  # the final state
-    provenance: ProvenanceLog  # this call's records only; a resume excludes the prior ones
+    provenance: list[ProvenanceRecord]  # this call's records only; a resume excludes the prior ones
     metrics: list[tuple[int, int, float, float]]  # (step, tokens, loss, lr)
 
 
@@ -310,21 +290,29 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return derived_rng(seed, PURPOSE_ORDER, epoch).permutation(n)
 
 
-def _id_arrays(items, limit: int, kind: str) -> list[list[np.ndarray]]:
+def _id_arrays(items, limit: int, vocab: int, kind: str) -> list[list[np.ndarray]]:
     """Each item's member id lists as 1-D int32 arrays.
 
-    An empty, non-1-D or over-limit member is a DataError naming its item.
+    An empty, non-1-D or over-limit member, or an id outside [0, ``vocab``),
+    is a DataError naming its item, raised before any step runs.
     """
     out = []
     for i, members in enumerate(items):
-        arrs = [np.asarray(m, dtype=np.int32) for m in members]
-        for arr in arrs:
+        arrs = []
+        for m in members:
+            arr = np.asarray(m)
             if arr.ndim != 1 or arr.size == 0:
                 raise DataError(f"{kind} {i} holds an empty or non-1-D sequence")
             if arr.size > limit:
                 raise DataError(
                     f"{kind} {i} holds {arr.size} tokens, over the {limit}-token limit"
                 )
+            # Checked before the int32 cast, which could wrap a wide id into range.
+            lo, hi = arr.min(), arr.max()
+            if lo < 0 or hi >= vocab:
+                raise DataError(f"{kind} {i} holds token id {lo if lo < 0 else hi}, "
+                                f"outside the vocabulary [0, {vocab})")
+            arrs.append(arr.astype(np.int32, copy=False))
         out.append(arrs)
     return out
 
@@ -478,7 +466,7 @@ def _train_loop(
         # The record digests are keyed by the seed, and the epoch positions
         # count whole batches: a resume that changes either would diverge.
         # The last record says what the run used, however the phase was edited.
-        if len(resume_from.provenance):
+        if resume_from.provenance:
             last = resume_from.provenance[-1]
             if _record_digest(phase.seed, last.step, last.sequence_ids) != last.digest:
                 raise ConfigError(f"resume changes seed: the checkpoint's records do not "
@@ -509,7 +497,7 @@ def _train_loop(
             phase_id=phase_id,
             # Keys this trainer does not write, such as absorbed_phases, stay.
             extra={**resume_from.extra, **extra_meta},
-            provenance=ProvenanceLog(resume_from.provenance.records),
+            provenance=list(resume_from.provenance),
         )
         if {k: m.shape for k, m in ck.opt.m.items()} != {k: t.shape for k, t in trained.items()}:
             raise TrainingError("checkpoint moments do not match the trained tensors; resume refused")
@@ -607,7 +595,7 @@ def _train_loop(
             save_checkpoint(ck, path)
     return TrainResult(
         checkpoint=ck,
-        provenance=ProvenanceLog(ck.provenance.records[prior:]),
+        provenance=ck.provenance[prior:],
         metrics=metrics,
     )
 
@@ -655,7 +643,7 @@ def train_masked(
     if not 0.0 <= dropout_rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     limit = min(cfg.max_seq_len, phase.max_seq_len)
-    seqs = [arr for (arr,) in _id_arrays(([s] for s in dataset), limit, "sequence")]
+    seqs = [arr for (arr,) in _id_arrays(([s] for s in dataset), limit, cfg.vocab_size, "sequence")]
     digest = dataset_digest(seqs)
     trained = params if extra_linear is None else adapter_params(extra_linear)
     cap = microbatch_token_cap(cfg, params["tok_emb"].itemsize, dropout_rate > 0.0)
@@ -814,9 +802,10 @@ def train_span_qa(
 ) -> TrainResult:
     """Fine-tune start/end span extraction with per-document cross-entropy."""
     limit = min(cfg.max_seq_len, phase.max_seq_len)
-    docs = _id_arrays(([e.ids] for e in examples), limit, "example")
+    docs = _id_arrays(([e.ids] for e in examples), limit, cfg.vocab_size, "example")
     exs = [SpanExample(ids, int(e.start), int(e.end)) for (ids,), e in zip(docs, examples)]
-    digest = dataset_digest([e.ids for e in exs])
+    # The documents, then each example's gold (start, end): the labels count too.
+    digest = dataset_digest([e.ids for e in exs] + [np.array([e.start, e.end]) for e in exs])
     live = _copy_tensors(params)
     cap = microbatch_token_cap(cfg, live["tok_emb"].itemsize, False)
 
@@ -870,29 +859,16 @@ def read_triplets(path, vocab) -> list[Triplet]:
         negatives=tuple(encode(t, vocab) for t in r["negatives"])), defaults={"negatives": []})
 
 
-def _as_triplets(triplets, limit: int) -> list[Triplet]:
+def _as_triplets(triplets, limit: int, vocab: int) -> list[Triplet]:
     groups = ([t.query, t.positive, *t.negatives] for t in triplets)
     return [
         Triplet(query=q, positive=p, negatives=tuple(negs))
-        for q, p, *negs in _id_arrays(groups, limit, "triplet")
+        for q, p, *negs in _id_arrays(groups, limit, vocab, "triplet")
     ]
 
 
 def _triplet_tokens(t: Triplet) -> int:
     return int(t.query.size + t.positive.size + sum(n.size for n in t.negatives))
-
-
-def _triplet_digest(trips) -> str:
-    # Negative counts are part of the structure, so flattening must not let
-    # two datasets with shuffled negative ownership collide.
-    h = hashlib.blake2b(digest_size=16)
-    h.update(len(trips).to_bytes(8, "little"))
-    for t in trips:
-        h.update(len(t.negatives).to_bytes(4, "little"))
-        for arr in (t.query, t.positive, *t.negatives):
-            h.update(arr.size.to_bytes(8, "little"))
-            h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
 
 
 def train_embedder(
@@ -917,7 +893,11 @@ def train_embedder(
     if phase.batch_tokens_or_sequences < 2:
         raise ConfigError("a contrastive batch needs at least 2 triplets, "
                           f"got {phase.batch_tokens_or_sequences}")
-    trips = _as_triplets(triplets, min(cfg.max_seq_len, phase.max_seq_len))
+    trips = _as_triplets(triplets, min(cfg.max_seq_len, phase.max_seq_len), cfg.vocab_size)
+    # Each triplet's negative count leads its arrays, so the flat list decodes
+    # one way only: moving a negative to another triplet changes the digest.
+    digest = dataset_digest([a for t in trips for a in
+                             (np.array([len(t.negatives)]), t.query, t.positive, *t.negatives)])
     live = _copy_tensors(params)
 
     def compute(items, grads):
@@ -947,7 +927,7 @@ def train_embedder(
         lengths=[_triplet_tokens(t) for t in trips],
         compute=compute,
         phase_id="embed",
-        data_digest=_triplet_digest(trips),
+        data_digest=digest,
         out_dir=out_dir,
         extra_meta={"objective": "embed", "temperature": temperature},
     )
@@ -955,7 +935,7 @@ def train_embedder(
 
 def retrieval_accuracy(params, cfg, triplets) -> float:
     """Fraction of triplets whose positive outranks every explicit negative."""
-    trips = _as_triplets(triplets, cfg.max_seq_len)
+    trips = _as_triplets(triplets, cfg.max_seq_len, cfg.vocab_size)
     if not trips:
         raise DataError("no triplets to evaluate")
     hits = 0

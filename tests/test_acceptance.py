@@ -262,8 +262,8 @@ def test_criterion_05_resume_determinism(tmp_path):
         and np.array_equal(resumed.checkpoint.opt.v[k], full.checkpoint.opt.v[k])
         for k in full.checkpoint.params
     )
-    stitched = list(half.provenance.records) + list(resumed.provenance.records)
-    replay_equal = stitched == list(full.provenance.records)
+    stitched = half.provenance + resumed.provenance
+    replay_equal = stitched == full.provenance
     ok = params_equal and opt_equal and replay_equal
     verdict(5, "interrupt and resume", ok,
             f"params bit-exact={params_equal}, optimizer state bit-exact="

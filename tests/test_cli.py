@@ -14,7 +14,7 @@ import packbert
 from packbert import model, objectives, trainer
 from packbert.adapters import load_adapters, runtime_extras
 from packbert.cli import main
-from packbert.data_pipeline import read_sequences
+from packbert.data_pipeline import read_sequences, write_sequences
 from packbert.packing import pack
 from packbert.tokenizer import save_vocab, toy_vocab
 from packbert.trainer import load_checkpoint, save_checkpoint
@@ -324,6 +324,26 @@ def test_negative_checkpoint_interval_is_rejected_before_any_step(workspace, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad_id", (300, -1), ids=("over_vocab", "negative"))
+def test_pretrain_rejects_a_bad_token_id_before_any_step(workspace, tmp_path, capsys, bad_id):
+    # tiny_test's vocabulary holds ids 0-255; the bad id sits in one of 64
+    # sequences, so no step may run before it is found.
+    rng = np.random.default_rng(0)
+    seqs = [rng.integers(5, 256, size=12, dtype=np.int32) for _ in range(64)]
+    seqs[37][5] = bad_id
+    data = tmp_path / "bad.pbseq"
+    write_sequences(data, seqs)
+    out = tmp_path / "run"
+    rc = main(["pretrain", "--config", str(_write_job(tmp_path / "job.cfg")),
+               "--vocab", str(workspace["vocab"]), "--data", str(data),
+               "--out", str(out), "--ckpt-interval", "80"])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"sequence 37 holds token id {bad_id}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_inspect_prints_metadata(trained, capsys):
     rc = main(["inspect", "--ckpt", str(trained["ckpt"])])
     out = capsys.readouterr().out
@@ -349,8 +369,8 @@ def test_inspect_sizes_a_microbatch(trained, capsys):
 
 def test_inspect_reports_tampered_provenance(trained, capsys):
     ckpt = load_checkpoint(trained["ckpt"])
-    first = ckpt.provenance.records[0]
-    ckpt.provenance.records[0] = dataclasses.replace(
+    first = ckpt.provenance[0]
+    ckpt.provenance[0] = dataclasses.replace(
         first, sequence_ids=tuple(reversed(first.sequence_ids)))
     path = trained["root"] / "tampered.pbt"
     save_checkpoint(ckpt, path)

@@ -142,14 +142,15 @@ def test_adapter_extras_match_fd(tiny_cfg):
         x = rng.normal(size=(5, params[name].shape[0]))
         w_out = rng.normal(size=(5, params[name].shape[1]))
         dx = model._linear_backward(w_out, x, params, name, {}, extra)
+        summed = {name: model._weight(params, name, extra)}
         eps = 1e-6
         for _ in range(6):
             idx = tuple(int(rng.integers(n)) for n in x.shape)
             orig = x[idx]
             x[idx] = orig + eps
-            up = np.sum(model._linear(x, params, name, extra) * w_out)
+            up = np.sum(model._linear(x, summed, name) * w_out)
             x[idx] = orig - eps
-            down = np.sum(model._linear(x, params, name, extra) * w_out)
+            down = np.sum(model._linear(x, summed, name) * w_out)
             x[idx] = orig
             fd = (up - down) / (2 * eps)
             assert abs(fd - dx[idx]) <= 1e-6 * max(1.0, abs(fd)), (name, idx)
@@ -209,7 +210,7 @@ def test_ffn_matches_fd(tiny_cfg, activation):
     w_out = rng.normal(size=(5, cfg.hidden))
 
     def loss(p, xs):
-        out, cache = model._ffn_forward(xs, 0, p, cfg, None)
+        out, cache = model._ffn_forward(xs, 0, p, cfg)
         return float(np.sum(out * w_out)), cache
 
     _, cache = loss(params, x)

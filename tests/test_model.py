@@ -470,12 +470,12 @@ def pooled_layer_ops(dtype, norm, activation):
     grads = model.zeros_like_params(params)
     got = {}
     wq = "layers.0.attn.wq"
-    got["linear"] = model._linear(x, params, wq, None)
+    got["linear"] = model._linear(x, params, wq)
     got["linear_dx"] = model._linear_backward(dy, x, params, wq, grads, None)
     y, cache = model._norm_forward(x, params, "layers.0.norm1", cfg)
     got["norm"] = y
     got["norm_dx"] = model._norm_backward(dy, cache, params, "layers.0.norm1", cfg, grads)
-    f, cache = model._ffn_forward(x, 0, params, cfg, None)
+    f, cache = model._ffn_forward(x, 0, params, cfg)
     got["ffn"] = f
     got["ffn_dx"] = model._ffn_backward(dy, cache, 0, params, cfg, grads, None)
     gate = (x[:, :2 * cfg.intermediate] * 3.0)[:, : cfg.intermediate]  # a column slice, as in the FFN
@@ -493,7 +493,7 @@ def pooled_layer_ops(dtype, norm, activation):
     extra = {wk: (rng.normal(size=(cfg.hidden, 4)).astype(dtype),
                   rng.normal(size=(4, cfg.hidden)).astype(dtype), 2.0)}
     grads.update({k: np.zeros_like(v) for k, v in model.adapter_params(extra).items()})
-    got["adapter_linear"] = model._linear(x, params, wk, extra)
+    got["adapter_linear"] = model._linear(x, {wk: model._weight(params, wk, extra)}, wk)
     got["adapter_linear_dx"] = model._linear_backward(dy, x, params, wk, grads, extra)
     got.update({f"grad {k}": v for k, v in grads.items() if v.any()})
     return got

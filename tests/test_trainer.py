@@ -14,7 +14,6 @@ from packbert.errors import ConfigError, DataError, TrainingError
 from packbert.tensor_store import read_tensors, write_tensors
 from packbert.trainer import (
     Checkpoint,
-    ProvenanceLog,
     ProvenanceRecord,
     SpanExample,
     Triplet,
@@ -28,6 +27,7 @@ from packbert.trainer import (
     train_masked,
     train_mlm,
     train_span_qa,
+    verify_provenance,
 )
 
 from conftest import quick_phase, traced_peak
@@ -125,6 +125,43 @@ def test_empty_dataset_rejected(tiny_cfg):
         run_mlm(tiny_cfg, [], quick_phase())
 
 
+def _bad_id_runs(cfg, bad_id):
+    """(trainer name, run(out_dir), item named in the error) per trainer, each
+    with one token id ``bad_id`` in its last item."""
+    params = model.init_params(cfg, seed=0)
+    seqs = toy_dataset(n=8)
+    seqs[7][3] = bad_id
+    spans = span_examples()
+    spans[5].ids[1] = bad_id
+    trips = triplets()
+    trips[5].negatives[1][0] = bad_id
+    phase = quick_phase(batch_tokens_or_sequences=2)
+    return [
+        ("masked", lambda out: train_mlm(params, cfg, seqs, phase, mask_id=MASK_ID,
+                                         special_ids=SPECIALS, out_dir=out), "sequence 7"),
+        ("span", lambda out: train_span_qa(params, cfg, spans, phase, out_dir=out), "example 5"),
+        ("embed", lambda out: train_embedder(params, cfg, trips, phase, out_dir=out), "triplet 5"),
+    ]
+
+
+@pytest.mark.parametrize("bad_id", (256, 10_000, -1), ids=("vocab", "far", "negative"))
+def test_bad_token_id_is_rejected_before_any_step(tiny_cfg, tmp_path, monkeypatch, bad_id):
+    monkeypatch.setattr(trainer, "_run_microbatches",
+                        lambda *a, **k: pytest.fail("a step ran"))
+    for name, run, item in _bad_id_runs(tiny_cfg, bad_id):
+        with pytest.raises(DataError, match=f"{item} holds token id {bad_id}"):
+            run(tmp_path / name)
+        assert not (tmp_path / name).exists(), name
+
+
+def test_wide_token_id_is_not_wrapped_into_the_vocabulary(tiny_cfg):
+    # 2**32 + 7 is 7 once cast to int32; the check reads the id as given.
+    seqs = [s.astype(np.int64) for s in toy_dataset(n=8)]
+    seqs[2][0] = 2**32 + 7
+    with pytest.raises(DataError, match=f"sequence 2 holds token id {2**32 + 7}"):
+        run_mlm(tiny_cfg, seqs, quick_phase())
+
+
 def test_batch_larger_than_dataset_rejected(tiny_cfg):
     data = toy_dataset(n=2)
     with pytest.raises(TrainingError):
@@ -138,7 +175,7 @@ def test_partial_batch_dropped_and_logged(tiny_cfg, caplog):
                         microbatch=4)
     with caplog.at_level(logging.INFO, logger="packbert"):
         result = run_mlm(tiny_cfg, data, phase)
-    for rec in result.provenance.records:
+    for rec in result.provenance:
         assert len(rec.sequence_ids) == 4
     assert any("dropp" in m.lower() for m in caplog.messages)
 
@@ -148,9 +185,9 @@ def test_epoch_reshuffles_order(tiny_cfg):
     phase = quick_phase(token_budget=4000, batch_tokens_or_sequences=4)
     result = run_mlm(tiny_cfg, data, phase)
     # At ~12 tokens/seq, 4000 tokens needs > 2 epochs of 8 sequences.
-    epoch0 = [i for rec in result.provenance.records[:2]
+    epoch0 = [i for rec in result.provenance[:2]
               for i in rec.sequence_ids]
-    epoch1 = [i for rec in result.provenance.records[2:4]
+    epoch1 = [i for rec in result.provenance[2:4]
               for i in rec.sequence_ids]
     assert sorted(epoch0) == sorted(epoch1) == list(range(8))
     assert epoch0 != epoch1  # same pool, fresh permutation
@@ -164,7 +201,7 @@ def test_provenance_token_counts_are_cumulative_lengths(tiny_cfg):
     phase = quick_phase(token_budget=2000, batch_tokens_or_sequences=4)
     result = run_mlm(tiny_cfg, data, phase)
     running = 0
-    for rec in result.provenance.records:
+    for rec in result.provenance:
         running += sum(len(data[i]) for i in rec.sequence_ids)
         assert rec.token_count == running
     assert result.checkpoint.tokens_seen == running
@@ -173,15 +210,15 @@ def test_provenance_token_counts_are_cumulative_lengths(tiny_cfg):
 def test_provenance_verify_and_tamper_detection(tiny_cfg):
     phase = quick_phase(token_budget=400)
     result = run_mlm(tiny_cfg, toy_dataset(), phase)
-    result.provenance.verify(phase.seed)
-    tampered = ProvenanceLog(list(result.provenance.records))
-    good = tampered.records[0]
-    tampered.records[0] = ProvenanceRecord(
+    verify_provenance(result.provenance, phase.seed)
+    tampered = list(result.provenance)
+    good = tampered[0]
+    tampered[0] = ProvenanceRecord(
         step=good.step, token_count=good.token_count,
         sequence_ids=tuple(reversed(good.sequence_ids)), digest=good.digest,
     )
     with pytest.raises(TrainingError):
-        tampered.verify(phase.seed)
+        verify_provenance(tampered, phase.seed)
 
 
 def test_checkpoint_provenance_roundtrip(tiny_cfg, tmp_path):
@@ -194,7 +231,7 @@ def test_checkpoint_provenance_roundtrip(tiny_cfg, tmp_path):
     back = load_checkpoint(path)
     assert back.provenance == result.provenance
     assert back.n_provenance == len(result.provenance)
-    back.provenance.verify(ck.phase.seed)
+    verify_provenance(back.provenance, ck.phase.seed)
 
 
 def test_checkpoint_provenance_count_must_match(tiny_cfg, tmp_path):
@@ -737,8 +774,7 @@ def test_resume_reproduces_uninterrupted_run(tiny_cfg, tmp_path):
     assert resumed.checkpoint.tokens_seen == full.checkpoint.tokens_seen
     # Fresh log holds only post-resume records; concatenation replays the
     # uninterrupted history.
-    stitched = list(half.provenance.records) + list(resumed.provenance.records)
-    assert stitched == list(full.provenance.records)
+    assert half.provenance + resumed.provenance == full.provenance
 
 
 def test_resumed_phase_sets_the_optimizer(tiny_cfg, tmp_path):
@@ -779,7 +815,7 @@ def test_resume_into_same_dir_keeps_full_provenance(tiny_cfg, tmp_path):
     back = load_checkpoint(tmp_path / "ckpt_final.pbt")
     assert back.n_provenance == 24
     assert back.provenance == full.provenance
-    back.provenance.verify(back.phase.seed)
+    verify_provenance(back.provenance, back.phase.seed)
 
 
 def test_failed_checkpoint_write_leaves_previous_checkpoint(tiny_cfg, tmp_path, monkeypatch):
@@ -799,9 +835,9 @@ def test_failed_checkpoint_write_leaves_previous_checkpoint(tiny_cfg, tmp_path, 
     first, second = targets
     assert (first, second) == ("ckpt_step00000004.pbt", "ckpt_step00000008.pbt")
     ck = load_checkpoint(tmp_path / first)
-    assert [r.step for r in ck.provenance.records] == [1, 2, 3, 4]
+    assert [r.step for r in ck.provenance] == [1, 2, 3, 4]
     assert ck.n_provenance == 4
-    ck.provenance.verify(ck.phase.seed)
+    verify_provenance(ck.provenance, ck.phase.seed)
     assert sorted(p.name for p in tmp_path.iterdir()) == [first, "metrics.txt"]
 
 
@@ -873,7 +909,7 @@ def test_resume_accepts_a_new_microbatch_budget_and_optimizer(tiny_cfg):
     resumed = resume_masked(half, data, mask_id=MASK_ID, special_ids=SPECIALS).checkpoint
     assert resumed.tokens_seen >= 600 > half.tokens_seen
     assert resumed.opt.betas == (0.8, 0.9)
-    resumed.provenance.verify(resumed.phase.seed)
+    verify_provenance(resumed.provenance, resumed.phase.seed)
 
 
 def test_resume_reads_objective_from_checkpoint(tiny_cfg):
@@ -964,6 +1000,19 @@ def test_span_qa_empty_rejected(tiny_cfg):
     with pytest.raises(DataError):
         train_span_qa(model.init_params(tiny_cfg, seed=0), tiny_cfg, [],
                       quick_phase())
+
+
+def test_span_digest_covers_gold_spans(tiny_cfg):
+    examples = span_examples()
+    moved = [dataclasses.replace(examples[0], end=examples[0].start), *examples[1:]]
+    assert moved[0].end != examples[0].end
+
+    def digest(exs):
+        return train_span_qa(model.init_params(tiny_cfg, seed=0), tiny_cfg, exs,
+                             quick_phase(token_budget=0)).checkpoint.dataset_digest
+
+    assert digest(examples) == digest(list(examples))
+    assert digest(moved) != digest(examples)
 
 
 def test_span_qa_deterministic(tiny_cfg):
@@ -1072,6 +1121,23 @@ def test_contrastive_step_is_one_forward_of_every_member(tiny_cfg, monkeypatch):
     assert whole_calls == tight_calls == [2 * 3 + 3 * 2] * steps
     assert_params_equal(whole.checkpoint.params, tight.checkpoint.params)
     assert whole.metrics == tight.metrics
+
+
+def test_moving_a_negative_changes_the_embed_digest(tiny_cfg):
+    # The same arrays in the same order, but the first triplet's second
+    # negative now belongs to the second triplet.
+    trips = triplets(n=4, n_negs=2)
+    t0, t1 = trips[0], trips[1]
+    moved = [Triplet(t0.query, t0.positive, t0.negatives[:1]),
+             Triplet(t1.query, t1.positive, (t0.negatives[1], *t1.negatives)), *trips[2:]]
+
+    def digest(ts):
+        return train_embedder(model.init_params(tiny_cfg, seed=0), tiny_cfg, ts,
+                              quick_phase(token_budget=0, batch_tokens_or_sequences=2)
+                              ).checkpoint.dataset_digest
+
+    assert digest(trips) == digest(triplets(n=4, n_negs=2))
+    assert digest(moved) != digest(trips)
 
 
 def test_embedder_rejects_empty_member_sequence(tiny_cfg):
