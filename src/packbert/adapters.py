@@ -6,7 +6,7 @@ is an exact identity. Training and inference both pass the pairs beside the
 weights (``runtime_extras``), so the base is never modified; the backward
 pass computes the gradients of A and B directly, and none for the frozen
 base. ``apply_adapters`` folds the deltas into a copy of the weights, for
-``merge-adapters``.
+``merge-adapters``, through the forward pass's own ``model._weight``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ArchConfig
 from .errors import ConfigError, DataError
-from .model import adapter_key, adapter_params
+from .model import _weight, adapter_key, adapter_params
 from .tensor_store import meta_entry, read_tensors, write_tensors
 from .trainer import Checkpoint, TrainResult, _copy_tensors, train_masked
 
@@ -80,11 +80,6 @@ def init_adapters(
     )
 
 
-def adapter_delta(aset: AdapterSet, name: str) -> np.ndarray:
-    a, b = aset.tensors[name]
-    return (a @ b) * np.asarray(aset.scale, dtype=a.dtype)
-
-
 def apply_adapters(params: dict, adapter_sets) -> dict:
     """Merge one or more adapters into copies of the base weights.
 
@@ -93,16 +88,16 @@ def apply_adapters(params: dict, adapter_sets) -> dict:
     """
     merged = _copy_tensors(params)
     for aset in adapter_sets:
-        for name in aset.tensors:
+        extra = runtime_extras(aset)
+        for name, (a, b, _) in extra.items():
             if name not in merged:
                 raise ConfigError(f"adapter targets unknown tensor {name!r}")
-            delta = adapter_delta(aset, name)
-            if delta.shape != merged[name].shape:
+            if (a.shape[0], b.shape[1]) != merged[name].shape:
                 raise ConfigError(
-                    f"adapter delta for {name} has shape {delta.shape}, "
+                    f"adapter delta for {name} has shape {(a.shape[0], b.shape[1])}, "
                     f"weight is {merged[name].shape}"
                 )
-            merged[name] = merged[name] + delta
+            merged[name] = _weight(merged, name, extra)
     return merged
 
 

@@ -25,13 +25,20 @@ def _doc_text(paragraphs) -> str:
     return "\n\n".join(paragraphs)
 
 
-def _load_job(args):
-    from .config import TrainPhaseConfig, read_job_config
+def _load_job(args, trains=None):
+    """(arch, phase) of the --config job file; the phase defaults if it names
+    none.  ``trains`` is the architecture that a later phase trains, which an
+    architecture the file names must equal."""
+    from .config import TrainPhaseConfig, arch_to_pairs, read_job_config
 
     if getattr(args, "config", None):
         arch, phase = read_job_config(args.config)
     else:
         arch, phase = None, None
+    if trains is not None and arch is not None and arch != trains:
+        field, value = next((f, v) for f, v in arch_to_pairs(arch) if getattr(trains, f) != v)
+        raise ConfigError(f"{args.config} names {field} = {value!r}, but this phase "
+                          f"trains {field} = {getattr(trains, field)!r}")
     return arch, phase if phase is not None else TrainPhaseConfig()
 
 
@@ -177,9 +184,9 @@ def cmd_mntp(args) -> int:
 
     ckpt = load_checkpoint(args.ckpt)
     cfg = enable_bidirectional(ckpt.cfg)  # a no-op on a bidirectional checkpoint
+    _, phase = _load_job(args, cfg)
     vocab = load_vocab(args.vocab)
     dataset = read_sequences(args.data)
-    _, phase = _load_job(args)
     adapters, result = train_mntp_adapter(
         ckpt.params,
         cfg,
@@ -218,8 +225,8 @@ def cmd_embed_train(args) -> int:
     from .trainer import load_checkpoint, read_triplets, train_embedder
 
     ckpt = load_checkpoint(args.ckpt)
+    _, phase = _load_job(args, ckpt.cfg)
     triplets = read_triplets(args.data, load_vocab(args.vocab))
-    _, phase = _load_job(args)
     result = train_embedder(
         ckpt.params,
         ckpt.cfg,
@@ -285,8 +292,8 @@ def cmd_qa_finetune(args) -> int:
     from .trainer import SpanExample, load_checkpoint, train_span_qa
 
     ckpt = load_checkpoint(args.ckpt)
+    _, phase = _load_job(args, ckpt.cfg)
     vocab = load_vocab(args.vocab)
-    _, phase = _load_job(args)
     limit = min(ckpt.cfg.max_seq_len, phase.max_seq_len)
     examples, skipped = [], 0
     for ex in read_examples(args.examples):

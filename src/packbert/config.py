@@ -17,6 +17,7 @@ it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -220,9 +221,22 @@ def preset(name: str) -> ArchConfig:
         ) from None
 
 
+def _non_finite(cfg) -> list[str]:
+    """A violation per float field of the dataclass ``cfg`` (a float pair
+    counts) that holds an infinity or a NaN."""
+    v = []
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        if field.type in ("float", "tuple[float, float]") and not all(
+            math.isfinite(x) for x in (value if isinstance(value, tuple) else (value,))
+        ):
+            v.append(f"{field.name} must be finite, got {value!r}")
+    return v
+
+
 def validate(cfg: ArchConfig) -> list[str]:
     """Check ArchConfig invariants; returns a list of violations (empty = ok)."""
-    v: list[str] = []
+    v = _non_finite(cfg)
     for field, positive in (
         ("vocab_size", True),
         ("n_layers", True),
@@ -269,7 +283,7 @@ def validate(cfg: ArchConfig) -> list[str]:
 
 def validate_phase(phase: TrainPhaseConfig) -> list[str]:
     """Check TrainPhaseConfig invariants; returns violations (empty = ok)."""
-    v: list[str] = []
+    v = _non_finite(phase)
     if not 0.0 < phase.mask_rate < 1.0:
         v.append(f"mask_rate must be in (0,1), got {phase.mask_rate!r}")
     if phase.schedule not in SCHEDULES:

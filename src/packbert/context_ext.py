@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .config import ArchConfig
+from .config import ArchConfig, validate
 from .errors import ConfigError
 
 
@@ -29,9 +29,10 @@ def extend(
         raise ConfigError(
             f"cannot shrink max_seq_len from {cfg.max_seq_len} to {new_max_len}"
         )
-    if new_theta <= 0:
-        raise ConfigError(f"rotation base must be positive, got {new_theta}")
     new_cfg = dataclasses.replace(
         cfg, rope_theta_global=float(new_theta), max_seq_len=int(new_max_len)
     )
+    violations = validate(new_cfg)
+    if violations:
+        raise ConfigError("invalid extended config: " + "; ".join(violations))
     return params, new_cfg

@@ -1,10 +1,11 @@
 """Blocked softmax attention over packed batches.
 
-Each packed member is processed in ``BLOCK``-row query blocks, or
-``WINDOW_BLOCK``-row blocks for sliding-window layers.  A block's scores
-cover only the keys it may see: the whole member for global attention,
-``[i0 - w/2, i1 + w/2)`` for a sliding window of width ``w`` and
-``[lo, i1)`` for causal attention.  Window layers therefore cost
+A call's mask is packing's ``(kind, window)`` pair, which both entry points
+check (``check_mask``) before any work.  Each packed member is processed in
+``BLOCK``-row query blocks, or ``WINDOW_BLOCK``-row blocks for sliding-window
+layers.  A block's scores cover only the keys it may see: the whole member
+for global attention, ``[i0 - w/2, i1 + w/2)`` for a sliding window of width
+``w`` and ``[lo, i1)`` for causal attention.  Window layers therefore cost
 O(total * window), and no worker holds more than a (heads, BLOCK, member
 length) score block; in a global or causal forward call large enough for
 the pool, one head's (BLOCK, member length) block.  Each query block is
@@ -37,7 +38,7 @@ import functools
 import numpy as np
 
 from . import pool
-from .packing import KIND_CAUSAL, KIND_GLOBAL, KIND_WINDOW
+from .packing import KIND_CAUSAL, KIND_GLOBAL, KIND_WINDOW, check_mask
 
 BLOCK = 128
 # A window block of b rows scores b * (b + w) keys, of which about b * (w + 1)
@@ -51,8 +52,7 @@ PARALLEL_MIN_PAIRS = 1 << 17
 
 def _blocks(boundaries, kind, window):
     """Per packed member, its (i0, i1, j0, j1): query blocks and the key spans they may see."""
-    if kind not in (KIND_GLOBAL, KIND_WINDOW, KIND_CAUSAL):
-        raise ValueError(f"unknown mask kind code {kind}")
+    check_mask(kind, window)
     half = window // 2
     step = WINDOW_BLOCK if kind == KIND_WINDOW else BLOCK
     b = np.asarray(boundaries).tolist()

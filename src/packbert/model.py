@@ -10,7 +10,9 @@ and the context are token-major; the kernels and RoPE read and write
 (heads, tokens, head_dim) views of it (``_heads``), so the merged context and
 the q/k/v gradients are (tokens, hidden) views (``_rows``), not copies.
 It keeps no norm output: ``backward`` rebuilds each one from its norm's
-cache with the forward's own ops, bit for bit.  ``backward`` consumes the cache,
+cache with the forward's own ops, bit for bit.  A layer's entry holds arrays
+only: both passes take the layer's mask (packing's kind and window) and rope
+table from the config (``_layer_attn``).  ``backward`` consumes the cache,
 releasing each layer's entry once used, so a cache serves one backward pass;
 it accumulates gradients into a dict, for the tensors that are its keys
 only.  Low-rank adapter pairs (``extra_linear``) make a linear use
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ArchConfig
-from .packing import MaskSpec, PackedBatch, mask_matrix
+from .packing import KIND_CAUSAL, KIND_GLOBAL, KIND_WINDOW, PackedBatch, mask_matrix
 from .rope import apply_rope, build_rope_table
 from . import kernels, pool
 
@@ -416,12 +418,14 @@ def _linear_backward(dy, x, params, name, grads, extra):
 # --- attention / ffn blocks --------------------------------------------------
 
 
-def _layer_spec(cfg: ArchConfig, layer: int) -> MaskSpec:
+def _layer_attn(cfg: ArchConfig, layer: int):
+    """Layer ``layer``'s mask kind and window, and its rope table."""
+    table = build_rope_table(cfg.rope_theta_for_layer(layer), cfg.head_dim, cfg.max_seq_len)
     if cfg.attention_mode == "causal":
-        return MaskSpec("causal")
+        return KIND_CAUSAL, 0, table
     if cfg.layer_is_global(layer):
-        return MaskSpec("global_bidirectional")
-    return MaskSpec("sliding_window", window=cfg.local_window)
+        return KIND_GLOBAL, 0, table
+    return KIND_WINDOW, cfg.local_window, table
 
 
 def _heads(x, n_heads):
@@ -435,11 +439,13 @@ def _rows(x):
 
 
 def _attn_backward(d_out, cache, layer, params, cfg, positions, boundaries, grads, extra):
-    x, qr, kr, v, merged, spec, table, scale = cache
+    x, qr, kr, v, merged = cache
     p = f"layers.{layer}.attn"
+    kind, window, table = _layer_attn(cfg, layer)
     # Each gradient temporary is dropped once its product is taken.
     d_ctx = _heads(_linear_backward(d_out, merged, params, f"{p}.wo", grads, extra), cfg.n_heads)
-    dqr, dkr, dv = kernels.attn_backward(qr, kr, v, d_ctx, boundaries, spec.code, spec.window, scale)
+    dqr, dkr, dv = kernels.attn_backward(qr, kr, v, d_ctx, boundaries, kind, window,
+                                         1.0 / math.sqrt(cfg.head_dim))
     del d_ctx
     dq = _rows(apply_rope(dqr, positions, table, inverse=True))
     del dqr
@@ -536,9 +542,9 @@ def _validate_batch(batch: PackedBatch, cfg: ArchConfig):
 def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
     """The embedding gather, the blocks and the final norm over a flat token
     stream.  Each attention sublayer runs through the core ``attend(q, k, v,
-    spec, scale)`` over (heads, tokens, head_dim) views of token-major q, k
-    and v, and returns its context in that layout; ``masks`` holds each
-    layer's attention-output dropout mask or None.
+    kind, window, scale)`` over (heads, tokens, head_dim) views of
+    token-major q, k and v, and returns its context in that layout; ``masks``
+    holds each layer's attention-output dropout mask or None.
 
     Per layer, block by block: norm1, then the q/k/v projections and RoPE,
     written into full-length q, k and v; the core runs over them whole; then,
@@ -578,8 +584,7 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
         p = f"layers.{i}"
         # The layer's weights, each with its adapter sum, as the blocks' params.
         lp = {name: _weight(params, name, extra) for name in params if name.startswith(f"{p}.")}
-        table = build_rope_table(cfg.rope_theta_for_layer(i), cfg.head_dim, cfg.max_seq_len)
-        spec = _layer_spec(cfg, i)
+        kind, window, table = _layer_attn(cfg, i)
         q, k, v = (_heads(np.empty_like(h), cfg.n_heads) for _ in range(3))  # token-major
         for b in blocks:
             x, n1c = kept(_norm_forward(h[b], lp, f"{p}.norm1", cfg)) if pre else (h[b], None)
@@ -587,7 +592,7 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
             k[:, b] = apply_rope(heads(x, lp, f"{p}.attn.wk"), positions[b], table)
             v[:, b] = heads(x, lp, f"{p}.attn.wv")
         del x
-        ctx = attend(q, k, v, spec, scale)
+        ctx = attend(q, k, v, kind, window, scale)
         qkv = (q, k, v) if keep else ()
         del q, k, v
         for b in blocks:
@@ -607,7 +612,7 @@ def _layer_stack(params, cfg, tokens, positions, attend, masks, extra, keep):
                 f += h[b]
                 h[b], n2c = kept(_norm_forward(f, lp, f"{p}.norm2", cfg))
             if keep:
-                ac = (None, *qkv, merged, spec, table, scale)
+                ac = (None, *qkv, merged)
                 layer_caches.append((n1c, ac, n2c, (None, *fc[1:]), masks[i]))
             del merged, a, f  # freed before the next block allocates its own
         del ctx
@@ -636,24 +641,22 @@ def forward(
     """
     _validate_batch(batch, cfg)
     boundaries = batch.boundaries
-    positions = batch.positions
 
-    def attend(q, k, v, spec, scale):
+    def attend(q, k, v, kind, window, scale):
         # Looked up per call, so a wrapper bound to kernels.attn_forward sees it.
-        return kernels.attn_forward(q, k, v, boundaries, spec.code, spec.window, scale)
+        return kernels.attn_forward(q, k, v, boundaries, kind, window, scale)
 
     masks = [None] * cfg.n_layers
     if dropout_rate > 0.0 and seq_seeds is not None:
         dtype = params["tok_emb"].dtype
         masks = _dropout_masks(batch, cfg, cfg.n_layers, dropout_rate, seq_seeds, dtype)
     out, layer_caches, fn_cache = _layer_stack(
-        params, cfg, batch.tokens, positions, attend, masks, extra_linear, want_cache
+        params, cfg, batch.tokens, batch.positions, attend, masks, extra_linear, want_cache
     )
     if not want_cache:
         return ForwardOutput(hidden=out)
     cache = {
         "batch": batch,
-        "positions": positions,
         "layers": layer_caches,
         "final_norm": fn_cache,
         "extra": extra_linear,
@@ -668,7 +671,7 @@ def cache_bytes_per_token(cfg: ArchConfig, itemsize: int, dropout: bool) -> int:
     the rotated q and k, v and the merged context (n_heads * head_dim each),
     the FFN's gate|value product and its gate CDF (3 * intermediate), and,
     with dropout, the attention-output mask (hidden).  The final norm keeps
-    hidden + 1.  Rope tables and the batch are shared, not per token.
+    hidden + 1.  The batch is shared, not per token.
     """
     per_layer = 2 * cfg.hidden + 4 * cfg.n_heads * cfg.head_dim + 3 * cfg.intermediate + 2
     if dropout:
@@ -695,7 +698,7 @@ def backward(
     if grads is None:
         grads = zeros_like_params(params)
     batch: PackedBatch = cache["batch"]
-    positions = cache["positions"]
+    positions = batch.positions
     boundaries = batch.boundaries
     extra = cache["extra"]
     dh = _norm_backward(d_hidden, cache.pop("final_norm"), params, "final_norm", cfg, grads)
@@ -733,27 +736,27 @@ def backward(
     return grads
 
 
-def padded_mask(max_len: int, lengths: np.ndarray, spec: MaskSpec) -> np.ndarray:
+def padded_mask(max_len: int, lengths: np.ndarray, kind: int, window: int) -> np.ndarray:
     """(batch, max_len, max_len) boolean mask for the padded path.
 
-    A real query attends to allowed(i, j) among real keys.  PAD rows keep a
-    self-connection so their softmax stays finite; their outputs are never
-    read.
+    A real query attends to the real keys that ``mask_matrix`` allows.  PAD
+    rows keep a self-connection so their softmax stays finite; their outputs
+    are never read.
     """
-    base = mask_matrix(max_len, spec)  # (L, L)
+    base = mask_matrix(max_len, kind, window)  # (L, L)
     key_ok = np.arange(max_len)[None, :] < np.asarray(lengths)[:, None]  # (B, L)
     mask = base[None, :, :] & key_ok[:, None, :]
     diag = np.eye(max_len, dtype=bool)
     return mask | diag[None, :, :]
 
 
-def attention_padded(q, k, v, lengths, spec: MaskSpec, scale: float):
+def attention_padded(q, k, v, lengths, kind: int, window: int, scale: float):
     """Dense attention over padded tensors: q, k, v are (batch, heads, L, D).
 
     Every slot costs compute, PAD included; this is the conventional padded
     execution model.
     """
-    mask = padded_mask(q.shape[2], lengths, spec)[:, None, :, :]  # (B,1,L,L)
+    mask = padded_mask(q.shape[2], lengths, kind, window)[:, None, :, :]  # (B,1,L,L)
     scores = (q @ np.swapaxes(k, 2, 3)) * scale
     neg = np.array(-np.inf, dtype=scores.dtype)
     scores = np.where(mask, scores, neg)
@@ -792,8 +795,9 @@ def forward_padded(
     def by_member(x):  # (heads, batch * max_len, d) -> (batch, heads, max_len, d)
         return x.reshape(cfg.n_heads, bsz, max_len, -1).transpose(1, 0, 2, 3)
 
-    def attend(q, k, v, spec, scale):
-        ctx = attention_padded(by_member(q), by_member(k), by_member(v), lengths, spec, scale)
+    def attend(q, k, v, kind, window, scale):
+        ctx = attention_padded(by_member(q), by_member(k), by_member(v), lengths,
+                               kind, window, scale)
         return ctx.transpose(1, 0, 2, 3).reshape(cfg.n_heads, bsz * max_len, -1)
 
     positions = np.tile(np.arange(max_len, dtype=np.int64), bsz)

@@ -4,6 +4,11 @@ A PackedBatch is the concatenation of variable-length sequences plus the
 prefix-sum offsets of the members.  Attention over a PackedBatch must never
 mix members; the boundary array is the single source of truth for that
 block-diagonal structure.
+
+Within a member, a layer's mask is an integer kind (``KIND_GLOBAL``,
+``KIND_WINDOW``, ``KIND_CAUSAL``) plus a window width: the one mask vocabulary,
+from ``model._layer_attn`` to the kernels, which refuse a pair that
+``check_mask`` refuses.  ``mask_matrix`` is its dense form.
 """
 
 from __future__ import annotations
@@ -14,62 +19,34 @@ import numpy as np
 
 from .errors import DataError
 
-MASK_KINDS = ("global_bidirectional", "sliding_window", "causal")
-
-# Integer codes the attention kernels take.
-KIND_GLOBAL = 0
-KIND_WINDOW = 1
-KIND_CAUSAL = 2
-
-_KIND_CODE = {
-    "global_bidirectional": KIND_GLOBAL,
-    "sliding_window": KIND_WINDOW,
-    "causal": KIND_CAUSAL,
-}
+# Which keys a query at member position i may see, as the attention kernels
+# take it: a kind and, for KIND_WINDOW, an even window w > 0.
+KIND_GLOBAL = 0  # every key of the member
+KIND_WINDOW = 1  # keys j with |i - j| <= w / 2
+KIND_CAUSAL = 2  # keys j <= i
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    """Which key positions a query may attend to, within one member sequence."""
-
-    kind: str
-    window: int = 0
-
-    def __post_init__(self):
-        if self.kind not in MASK_KINDS:
-            raise ValueError(f"unknown mask kind {self.kind!r}; expected one of {MASK_KINDS}")
-        if self.kind == "sliding_window":
-            if self.window <= 0 or self.window % 2 != 0:
-                raise ValueError(f"sliding_window requires an even window > 0, got {self.window}")
-
-    @property
-    def code(self) -> int:
-        return _KIND_CODE[self.kind]
+def check_mask(kind: int, window: int) -> None:
+    """Raise ValueError unless (kind, window) names a mask; a window kind
+    needs an even window > 0, and other kinds ignore the window."""
+    if kind not in (KIND_GLOBAL, KIND_WINDOW, KIND_CAUSAL):
+        raise ValueError(f"unknown mask kind {kind!r}")
+    if kind == KIND_WINDOW and (window <= 0 or window % 2 != 0):
+        raise ValueError(f"a window mask needs an even window > 0, got {window}")
 
 
-GLOBAL_SPEC = MaskSpec("global_bidirectional")
-CAUSAL_SPEC = MaskSpec("causal")
+def mask_matrix(n: int, kind: int, window: int) -> np.ndarray:
+    """Boolean (n, n) mask of one n-token member; [i, j] True = i may see j.
 
-
-def allowed(i: int, j: int, spec: MaskSpec) -> bool:
-    """May query position i attend to key position j (same member assumed)?"""
-    if i < 0 or j < 0:
-        raise ValueError(f"positions must be non-negative, got ({i}, {j})")
-    if spec.kind == "global_bidirectional":
-        return True
-    if spec.kind == "sliding_window":
-        return abs(i - j) <= spec.window // 2
-    return j <= i
-
-
-def mask_matrix(n: int, spec: MaskSpec) -> np.ndarray:
-    """Boolean (n, n) matrix of allowed(i, j); True = attend."""
+    The dense reference of the kernels' masks, for the padded path and tests.
+    """
+    check_mask(kind, window)
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
-    if spec.kind == "global_bidirectional":
+    if kind == KIND_GLOBAL:
         return np.ones((n, n), dtype=bool)
-    if spec.kind == "sliding_window":
-        return np.abs(i - j) <= spec.window // 2
+    if kind == KIND_WINDOW:
+        return np.abs(i - j) <= window // 2
     return j <= i
 
 

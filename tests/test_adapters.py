@@ -9,7 +9,6 @@ from packbert import config, model
 from packbert.adapters import (
     TARGETS,
     AdapterSet,
-    adapter_delta,
     apply_adapters,
     enable_bidirectional,
     init_adapters,
@@ -86,7 +85,7 @@ def test_delta_shape_and_scale(tiny_cfg):
     name = "layers.0.attn.wq"
     a, b = aset.tensors[name]
     b[:] = 1.0
-    d = adapter_delta(aset, name)
+    d = apply_adapters(params, [aset])[name] - params[name]
     assert d.shape == params[name].shape
     np.testing.assert_allclose(d, (a @ b) * aset.scale, atol=1e-7)
 

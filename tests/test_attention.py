@@ -10,20 +10,24 @@ import pytest
 
 from packbert import kernels, pool
 from packbert.model import attention_padded, padded_mask
-from packbert.packing import CAUSAL_SPEC, GLOBAL_SPEC, MaskSpec, mask_matrix
+from packbert.packing import KIND_CAUSAL, KIND_GLOBAL, KIND_WINDOW, mask_matrix
 
 from conftest import traced_peak
 
-WINDOW_SPEC = MaskSpec("sliding_window", window=8)
-ALL_SPECS = (GLOBAL_SPEC, WINDOW_SPEC, CAUSAL_SPEC)
+# Masks as the kernels take them: (kind, window).
+GLOBAL = (KIND_GLOBAL, 0)
+WINDOW = (KIND_WINDOW, 8)
+CAUSAL = (KIND_CAUSAL, 0)
+ALL_MASKS = (GLOBAL, WINDOW, CAUSAL)
+ALL_IDS = ("global_bidirectional", "sliding_window", "causal")
 
 
-def attn(q, k, v, spec, boundaries, scale):
-    return kernels.attn_forward(q, k, v, boundaries, spec.code, spec.window, scale)
+def attn(q, k, v, mask, boundaries, scale):
+    return kernels.attn_forward(q, k, v, boundaries, *mask, scale)
 
 
-def attn_vjp(q, k, v, d_out, spec, boundaries, scale):
-    return kernels.attn_backward(q, k, v, d_out, boundaries, spec.code, spec.window, scale)
+def attn_vjp(q, k, v, d_out, mask, boundaries, scale):
+    return kernels.attn_backward(q, k, v, d_out, boundaries, *mask, scale)
 
 
 def whole(total):
@@ -38,14 +42,14 @@ def rand_qkv(rng, heads, total, dim, dtype=np.float32):
             rng.normal(size=shape).astype(dtype))
 
 
-def brute_force(q, k, v, spec, boundaries, scale):
+def brute_force(q, k, v, mask, boundaries, scale):
     """Dense per-member softmax in float64; the independent oracle."""
     h, total, d = q.shape
     out = np.zeros((h, total, d))
     for s in range(len(boundaries) - 1):
         lo, hi = int(boundaries[s]), int(boundaries[s + 1])
         n = hi - lo
-        m = mask_matrix(n, spec)
+        m = mask_matrix(n, *mask)
         for head in range(h):
             scores = (q[head, lo:hi].astype(np.float64)
                       @ k[head, lo:hi].astype(np.float64).T) * scale
@@ -57,12 +61,12 @@ def brute_force(q, k, v, spec, boundaries, scale):
     return out
 
 
-def brute_force_vjp(q, k, v, d_out, spec, boundaries, scale):
+def brute_force_vjp(q, k, v, d_out, mask, boundaries, scale):
     """Dense per-member attention gradients (dq, dk, dv) in float64."""
     q, k, v, d_out = (x.astype(np.float64) for x in (q, k, v, d_out))
     dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        m = mask_matrix(hi - lo, spec)
+        m = mask_matrix(hi - lo, *mask)
         scores = (q[:, lo:hi] @ k[:, lo:hi].transpose(0, 2, 1)) * scale
         scores[:, ~m] = -np.inf
         p = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -81,13 +85,13 @@ def boundaries():
     return np.array([0, 7, 12, 30], dtype=np.int64)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-def test_forward_matches_brute_force(spec, boundaries):
+@pytest.mark.parametrize("mask", ALL_MASKS, ids=ALL_IDS)
+def test_forward_matches_brute_force(mask, boundaries):
     rng = np.random.default_rng(0)
     q, k, v = rand_qkv(rng, 2, 30, 16)
     scale = 1.0 / 4.0
-    got = attn(q, k, v, spec, boundaries, scale)
-    want = brute_force(q, k, v, spec, boundaries, scale)
+    got = attn(q, k, v, mask, boundaries, scale)
+    want = brute_force(q, k, v, mask, boundaries, scale)
     np.testing.assert_allclose(got, want, atol=2e-6)
 
 
@@ -95,19 +99,10 @@ def test_forward_matches_brute_force(spec, boundaries):
 # the other kinds, and one spanning several blocks; windows far narrower than a
 # block, and one wider than most members.
 EDGE_LENGTHS = (1, 63, 64, 65, 127, 128, 129, 300)
-EDGE_SPECS = (
-    GLOBAL_SPEC,
-    CAUSAL_SPEC,
-    MaskSpec("sliding_window", window=2),
-    MaskSpec("sliding_window", window=8),
-    MaskSpec("sliding_window", window=256),
-)
+EDGE_MASKS = (GLOBAL, CAUSAL, (KIND_WINDOW, 2), (KIND_WINDOW, 8), (KIND_WINDOW, 256))
+EDGE_IDS = ("global_bidirectional", "causal", "window2", "window8", "window256")
 # dtype -> (forward atol, backward atol) against the float64 oracle.
 EDGE_TOL = {np.float32: (2e-6, 1e-5), np.float64: (1e-12, 1e-11)}
-
-
-def _spec_id(spec):
-    return spec.kind if spec.kind != "sliding_window" else f"window{spec.window}"
 
 
 @pytest.fixture(scope="module")
@@ -116,38 +111,38 @@ def edge_boundaries():
 
 
 @pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
-@pytest.mark.parametrize("spec", EDGE_SPECS, ids=_spec_id)
-def test_block_edges_forward_matches_brute_force(spec, dtype, edge_boundaries):
+@pytest.mark.parametrize("mask", EDGE_MASKS, ids=EDGE_IDS)
+def test_block_edges_forward_matches_brute_force(mask, dtype, edge_boundaries):
     rng = np.random.default_rng(14)
     q, k, v = rand_qkv(rng, 2, int(edge_boundaries[-1]), 16, dtype=dtype)
-    got = attn(q, k, v, spec, edge_boundaries, 0.25)
+    got = attn(q, k, v, mask, edge_boundaries, 0.25)
     assert got.dtype == dtype
-    want = brute_force(q, k, v, spec, edge_boundaries, 0.25)
+    want = brute_force(q, k, v, mask, edge_boundaries, 0.25)
     np.testing.assert_allclose(got, want, rtol=0, atol=EDGE_TOL[dtype][0])
 
 
 @pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
-@pytest.mark.parametrize("spec", EDGE_SPECS, ids=_spec_id)
-def test_block_edges_backward_matches_brute_force(spec, dtype, edge_boundaries):
+@pytest.mark.parametrize("mask", EDGE_MASKS, ids=EDGE_IDS)
+def test_block_edges_backward_matches_brute_force(mask, dtype, edge_boundaries):
     rng = np.random.default_rng(15)
     q, k, v = rand_qkv(rng, 2, int(edge_boundaries[-1]), 16, dtype=dtype)
     d_out = rng.normal(size=q.shape).astype(dtype)
-    got = attn_vjp(q, k, v, d_out, spec, edge_boundaries, 0.25)
-    want = brute_force_vjp(q, k, v, d_out, spec, edge_boundaries, 0.25)
+    got = attn_vjp(q, k, v, d_out, mask, edge_boundaries, 0.25)
+    want = brute_force_vjp(q, k, v, d_out, mask, edge_boundaries, 0.25)
     for name, g, w in zip("qkv", got, want):
         assert g.dtype == dtype, name
         np.testing.assert_allclose(g, w, rtol=0, atol=EDGE_TOL[dtype][1], err_msg=name)
 
 
-@pytest.mark.parametrize("spec", EDGE_SPECS[:3], ids=_spec_id)
-def test_long_member_backward_matches_finite_differences(spec):
+@pytest.mark.parametrize("mask", EDGE_MASKS[:3], ids=EDGE_IDS[:3])
+def test_long_member_backward_matches_finite_differences(mask):
     # One 300-token member: three query blocks, so dk and dv sum over blocks.
     rng = np.random.default_rng(16)
     h, t, d = 1, 300, 4
     q, k, v = (rng.normal(size=(h, t, d)) for _ in range(3))
     d_out = rng.normal(size=(h, t, d))
     b, scale = whole(t), 0.5
-    grads = dict(zip("qkv", attn_vjp(q, k, v, d_out, spec, b, scale)))
+    grads = dict(zip("qkv", attn_vjp(q, k, v, d_out, mask, b, scale)))
     eps = 1e-6
     for name in "qkv":
         for pos in (0, 127, 128, 200, 299):
@@ -158,7 +153,7 @@ def test_long_member_backward_matches_finite_differences(spec):
                 moved = inputs[name].copy()
                 moved[idx] += sign * eps
                 args = {**inputs, name: moved}
-                sides.append(float(np.sum(attn(args["q"], args["k"], args["v"], spec, b, scale) * d_out)))
+                sides.append(float(np.sum(attn(args["q"], args["k"], args["v"], mask, b, scale) * d_out)))
             fd = (sides[0] - sides[1]) / (2 * eps)
             assert abs(fd - grads[name][idx]) <= 1e-6 * max(1.0, abs(fd)), (name, pos)
 
@@ -171,8 +166,8 @@ def test_global_memory_is_bounded_by_a_query_block(pool_workers):
     d_out = rng.normal(size=q.shape).astype(np.float32)
 
     def forward_and_backward():
-        attn(q, k, v, GLOBAL_SPEC, whole(4096), 0.25)
-        attn_vjp(q, k, v, d_out, GLOBAL_SPEC, whole(4096), 0.25)
+        attn(q, k, v, GLOBAL, whole(4096), 0.25)
+        attn_vjp(q, k, v, d_out, GLOBAL, whole(4096), 0.25)
 
     for workers in (1, 2):
         pool_workers(workers)
@@ -187,26 +182,26 @@ def test_global_forward_holds_one_head_score_block_per_worker(pool_workers):
     rng = np.random.default_rng(19)
     q, k, v = rand_qkv(rng, 12, 8192, 64)
     pool_workers(1)
-    out, _, peak = traced_peak(lambda: attn(q, k, v, GLOBAL_SPEC, whole(8192), 0.125))
+    out, _, peak = traced_peak(lambda: attn(q, k, v, GLOBAL, whole(8192), 0.125))
     assert out.nbytes == 24 * 2**20
     assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-def test_forward_head_tasks_match_whole_blocks_bit_for_bit(spec, dtype, pool_workers):
+@pytest.mark.parametrize("mask", ALL_MASKS, ids=ALL_IDS)
+def test_forward_head_tasks_match_whole_blocks_bit_for_bit(mask, dtype, pool_workers):
     # Global and causal calls run one (query block, head) task per head; a
     # whole block scores all heads in one batched product.
     b = np.array([0, 300, 700, 1200], dtype=np.int64)
     rng = np.random.default_rng(20)
     q, k, v = rand_qkv(rng, 4, 1200, 16, dtype=dtype)
     want = np.empty_like(q)
-    for member in kernels._blocks(b, spec.code, spec.window):
+    for member in kernels._blocks(b, *mask):
         for block in member:
-            kernels._forward_block(q, k, v, want, 0.3, spec.code, spec.window, block)
+            kernels._forward_block(q, k, v, want, 0.3, *mask, block)
     for workers in (1, 2):
         pool_workers(workers)
-        assert np.array_equal(attn(q, k, v, spec, b, 0.3), want), workers
+        assert np.array_equal(attn(q, k, v, mask, b, 0.3), want), workers
 
 
 # --- worker pool ---
@@ -231,8 +226,8 @@ POOL_HEADS = {"one_long_4_heads": 4, "three_4_heads": 4, "one_long_4_heads_token
 
 @pytest.mark.parametrize("layout", POOL_LAYOUTS)
 @pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-def test_pool_matches_serial_bit_for_bit(spec, dtype, layout, pool_workers):
+@pytest.mark.parametrize("mask", ALL_MASKS, ids=ALL_IDS)
+def test_pool_matches_serial_bit_for_bit(mask, dtype, layout, pool_workers):
     lengths = POOL_LAYOUTS[layout]
     b = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     rng = np.random.default_rng(18)
@@ -244,8 +239,8 @@ def test_pool_matches_serial_bit_for_bit(spec, dtype, layout, pool_workers):
                        for x in arrays)
 
     def run(q, k, v, d_out):
-        out = kernels.attn_forward(q, k, v, b, spec.code, spec.window, 0.3)
-        return (out, *kernels.attn_backward(q, k, v, d_out, b, spec.code, spec.window, 0.3))
+        out = kernels.attn_forward(q, k, v, b, *mask, 0.3)
+        return (out, *kernels.attn_backward(q, k, v, d_out, b, *mask, 0.3))
 
     pool_workers(1)
     serial = run(q, k, v, d_out)
@@ -266,15 +261,15 @@ def test_pool_stress_with_more_workers_than_cpus(pool_workers):
     b = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     q, k, v = rand_qkv(rng, 2, int(b[-1]), 8)
     d_out = rng.normal(size=q.shape).astype(np.float32)
-    spec = MaskSpec("sliding_window", window=16)
+    mask = (KIND_WINDOW, 16)
     pool_workers(1)
-    want = kernels.attn_backward(q, k, v, d_out, b, spec.code, spec.window, 0.5)
+    want = kernels.attn_backward(q, k, v, d_out, b, *mask, 0.5)
     pool_workers((os.cpu_count() or 1) + 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            got = kernels.attn_backward(q, k, v, d_out, b, spec.code, spec.window, 0.5)
+            got = kernels.attn_backward(q, k, v, d_out, b, *mask, 0.5)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
     finally:
         sys.setswitchinterval(interval)
@@ -285,7 +280,7 @@ def test_worker_exception_surfaces_from_the_call(pool_workers, monkeypatch):
     rng = np.random.default_rng(19)
     q, k, v = rand_qkv(rng, 2, 400, 8)
     b = np.array([0, 150, 400], dtype=np.int64)
-    serial = kernels.attn_forward(q, k, v, b, GLOBAL_SPEC.code, 0, 0.5)
+    serial = kernels.attn_forward(q, k, v, b, *GLOBAL, 0.5)
     real = kernels._exp_scores
 
     def fail_off_main_thread(*args):
@@ -295,12 +290,12 @@ def test_worker_exception_surfaces_from_the_call(pool_workers, monkeypatch):
 
     monkeypatch.setattr(kernels, "_exp_scores", fail_off_main_thread)
     with pytest.raises(RuntimeError, match="worker failed"):
-        kernels.attn_forward(q, k, v, b, GLOBAL_SPEC.code, 0, 0.5)
+        kernels.attn_forward(q, k, v, b, *GLOBAL, 0.5)
     with pytest.raises(RuntimeError, match="worker failed"):
-        kernels.attn_backward(q, k, v, q, b, GLOBAL_SPEC.code, 0, 0.5)
+        kernels.attn_backward(q, k, v, q, b, *GLOBAL, 0.5)
     # The pool survives a failed call.
     monkeypatch.setattr(kernels, "_exp_scores", real)
-    again = kernels.attn_forward(q, k, v, b, GLOBAL_SPEC.code, 0, 0.5)
+    again = kernels.attn_forward(q, k, v, b, *GLOBAL, 0.5)
     assert np.array_equal(again, serial)
 
 
@@ -319,8 +314,8 @@ def test_single_position_returns_v():
     q = np.full((1, 1, 4), 0.3, dtype=np.float32)
     k = np.full((1, 1, 4), -2.0, dtype=np.float32)
     v = np.arange(4, dtype=np.float32).reshape(1, 1, 4)
-    for spec in ALL_SPECS:
-        out = attn(q, k, v, spec, whole(1), 0.5)
+    for mask in ALL_MASKS:
+        out = attn(q, k, v, mask, whole(1), 0.5)
         np.testing.assert_allclose(out, v, atol=1e-7)
 
 
@@ -328,13 +323,13 @@ def test_member_isolation_witness(boundaries):
     # Perturbing every token of one member leaves the others bit-identical.
     rng = np.random.default_rng(3)
     q, k, v = rand_qkv(rng, 2, 30, 16)
-    base = attn(q, k, v, GLOBAL_SPEC, boundaries, 0.25)
+    base = attn(q, k, v, GLOBAL, boundaries, 0.25)
     q2, k2, v2 = q.copy(), k.copy(), v.copy()
     lo, hi = 7, 12  # member 1
     q2[:, lo:hi] += rng.normal(size=(2, hi - lo, 16)).astype(np.float32)
     k2[:, lo:hi] += rng.normal(size=(2, hi - lo, 16)).astype(np.float32)
     v2[:, lo:hi] += rng.normal(size=(2, hi - lo, 16)).astype(np.float32)
-    pert = attn(q2, k2, v2, GLOBAL_SPEC, boundaries, 0.25)
+    pert = attn(q2, k2, v2, GLOBAL, boundaries, 0.25)
     np.testing.assert_array_equal(base[:, :7], pert[:, :7])
     np.testing.assert_array_equal(base[:, 12:], pert[:, 12:])
     assert not np.array_equal(base[:, lo:hi], pert[:, lo:hi])
@@ -345,12 +340,12 @@ def test_causal_prefix_invariance_witness():
     rng = np.random.default_rng(4)
     q, k, v = rand_qkv(rng, 1, 12, 8)
     b, scale = whole(12), 8 ** -0.5
-    base = attn(q, k, v, CAUSAL_SPEC, b, scale)
+    base = attn(q, k, v, CAUSAL, b, scale)
     for j in (5, 11):
         k2, v2 = k.copy(), v.copy()
         k2[:, j] += 1.0
         v2[:, j] -= 3.0
-        pert = attn(q, k2, v2, CAUSAL_SPEC, b, scale)
+        pert = attn(q, k2, v2, CAUSAL, b, scale)
         np.testing.assert_array_equal(base[:, :j], pert[:, :j])
         assert not np.array_equal(base[:, j:], pert[:, j:])
 
@@ -359,10 +354,10 @@ def test_bidirectional_fails_prefix_invariance():
     rng = np.random.default_rng(5)
     q, k, v = rand_qkv(rng, 1, 12, 8)
     b, scale = whole(12), 8 ** -0.5
-    base = attn(q, k, v, GLOBAL_SPEC, b, scale)
+    base = attn(q, k, v, GLOBAL, b, scale)
     k2 = k.copy()
     k2[:, 11] += 1.0
-    pert = attn(q, k2, v, GLOBAL_SPEC, b, scale)
+    pert = attn(q, k2, v, GLOBAL, b, scale)
     assert not np.array_equal(base[:, :11], pert[:, :11])
 
 
@@ -371,10 +366,10 @@ def test_sliding_window_boundary_inclusive():
     rng = np.random.default_rng(6)
     q, k, v = rand_qkv(rng, 1, 10, 8)
     b, scale = whole(10), 8 ** -0.5
-    base = attn(q, k, v, WINDOW_SPEC, b, scale)
+    base = attn(q, k, v, WINDOW, b, scale)
     v2 = v.copy()
     v2[:, 5] += 10.0
-    pert = attn(q, k, v2, WINDOW_SPEC, b, scale)
+    pert = attn(q, k, v2, WINDOW, b, scale)
     np.testing.assert_array_equal(base[:, 0], pert[:, 0])  # 5 out of range of 0
     assert not np.array_equal(base[:, 1], pert[:, 1])  # |1-5| = 4 in range
 
@@ -385,13 +380,13 @@ def test_backward_matches_finite_differences():
     q, k, v = (rng.normal(size=(h, t, d)) for _ in range(3))
     b = np.array([0, 4, 9], dtype=np.int64)
     d_out = rng.normal(size=(h, t, d))
-    spec = MaskSpec("sliding_window", window=4)
+    mask = (KIND_WINDOW, 4)
     scale = 6 ** -0.5
-    dq, dk, dv = attn_vjp(q, k, v, d_out, spec, b, scale)
+    dq, dk, dv = attn_vjp(q, k, v, d_out, mask, b, scale)
     eps = 1e-6
 
     def loss(q_, k_, v_):
-        return float(np.sum(attn(q_, k_, v_, spec, b, scale) * d_out))
+        return float(np.sum(attn(q_, k_, v_, mask, b, scale) * d_out))
 
     for arr, grad, name in ((q, dq, "q"), (k, dk, "k"), (v, dv, "v")):
         idx = (0, int(rng.integers(t)), int(rng.integers(d)))
@@ -407,7 +402,7 @@ def test_backward_matches_finite_differences():
 def test_float64_stays_float64():
     rng = np.random.default_rng(8)
     q, k, v = rand_qkv(rng, 1, 6, 4, dtype=np.float64)
-    out = attn(q, k, v, GLOBAL_SPEC, whole(6), 0.5)
+    out = attn(q, k, v, GLOBAL, whole(6), 0.5)
     assert out.dtype == np.float64
 
 
@@ -418,6 +413,16 @@ def test_unknown_kind_code_rejected():
         kernels.attn_forward(q, q, q, b, 7, 0, 1.0)
     with pytest.raises(ValueError):
         kernels.attn_backward(q, q, q, q, b, 7, 0, 1.0)
+
+
+@pytest.mark.parametrize("window", (0, -2, 7))
+def test_window_kind_refuses_a_window_that_is_not_even_and_positive(window):
+    q = np.zeros((1, 4, 8), dtype=np.float32)
+    b = np.array([0, 4], dtype=np.int64)
+    with pytest.raises(ValueError, match="even window"):
+        kernels.attn_forward(q, q, q, b, KIND_WINDOW, window, 1.0)
+    with pytest.raises(ValueError, match="even window"):
+        kernels.attn_backward(q, q, q, q, b, KIND_WINDOW, window, 1.0)
 
 
 # --- packed vs padded equivalence ---
@@ -434,17 +439,17 @@ def member_views(q, lengths):
     return out
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-def test_packed_equals_padded(spec):
+@pytest.mark.parametrize("mask", ALL_MASKS, ids=ALL_IDS)
+def test_packed_equals_padded(mask):
     rng = np.random.default_rng(12)
     lengths = [3, 9, 1, 6]
     total = sum(lengths)
     b = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     q, k, v = rand_qkv(rng, 2, total, 8)
     scale = 8 ** -0.5
-    packed = attn(q, k, v, spec, b, scale)
+    packed = attn(q, k, v, mask, b, scale)
     qp, kp, vp = (member_views(x, lengths) for x in (q, k, v))
-    padded = attention_padded(qp, kp, vp, np.array(lengths), spec, scale)
+    padded = attention_padded(qp, kp, vp, np.array(lengths), *mask, scale)
     lo = 0
     for i, n in enumerate(lengths):
         np.testing.assert_allclose(
@@ -454,7 +459,7 @@ def test_packed_equals_padded(spec):
 
 
 def test_padded_mask_blocks_pad_slots():
-    m = padded_mask(5, np.array([3, 5]), GLOBAL_SPEC)
+    m = padded_mask(5, np.array([3, 5]), *GLOBAL)
     assert m.shape == (2, 5, 5)
     # Live queries see exactly the live keys; PAD rows keep a self slot so
     # their (discarded) softmax stays finite.
@@ -469,6 +474,6 @@ def test_padded_pad_rows_produce_no_nan():
     rng = np.random.default_rng(13)
     lengths = [2, 5]
     qp = rng.normal(size=(2, 1, 5, 4)).astype(np.float32)
-    out = attention_padded(qp, qp, qp, np.array(lengths), GLOBAL_SPEC, 0.5)
+    out = attention_padded(qp, qp, qp, np.array(lengths), *GLOBAL, 0.5)
     assert np.all(np.isfinite(out[0, :, :2]))
     assert np.all(np.isfinite(out))

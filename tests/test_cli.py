@@ -66,7 +66,7 @@ def workspace(tmp_path_factory):
     return {"root": root, "vocab": vocab_path, "corpus": corpus, "data": data}
 
 
-def _write_job(path, **overrides):
+def _write_job(path, preset="tiny_test", **overrides):
     base = {
         "train.token_budget": 512,
         "train.batch_tokens_or_sequences": 4,
@@ -77,7 +77,7 @@ def _write_job(path, **overrides):
         "train.seed": 3,
     }
     base.update(overrides)
-    lines = ["preset = tiny_test"] + [f"{k} = {v}" for k, v in base.items()]
+    lines = [f"preset = {preset}"] + [f"{k} = {v}" for k, v in base.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -324,6 +324,23 @@ def test_negative_checkpoint_interval_is_rejected_before_any_step(workspace, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("arch.rope_theta_global", "inf"), ("arch.rope_theta_global", "nan"),
+    ("arch.norm_eps", "nan"), ("train.eps", "inf"), ("train.peak_lr", "nan"),
+    ("train.peak_lr", "inf"), ("train.weight_decay", "nan"),
+])
+def test_pretrain_refuses_a_non_finite_config_value(workspace, tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    rc = main(["pretrain", "--config", str(_write_job(tmp_path / "job.cfg", **{key: value})),
+               "--vocab", str(workspace["vocab"]), "--data", str(workspace["data"]),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"{key.partition('.')[2]} must be finite, got {value}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad_id", (300, -1), ids=("over_vocab", "negative"))
 def test_pretrain_rejects_a_bad_token_id_before_any_step(workspace, tmp_path, capsys, bad_id):
     # tiny_test's vocabulary holds ids 0-255; the bad id sits in one of 64
@@ -395,6 +412,52 @@ def test_extend_rewrites_geometry_only(trained, capsys):
     loaded = load_checkpoint(out)
     assert loaded.cfg.max_seq_len == 8192
     assert loaded.cfg.rope_theta_global == 160000
+
+
+@pytest.mark.parametrize("theta", ("inf", "nan"))
+def test_extend_refuses_a_non_finite_theta(trained, tmp_path, capsys, theta):
+    out = tmp_path / "extended.pbt"
+    rc = main(["extend", "--ckpt", str(trained["ckpt"]), "--theta", theta, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"rope_theta_global must be finite, got {theta}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, arch, field", [
+    ("mntp", {"preset": "moderngbert_1b", "arch.n_layers": 99}, "vocab_size"),
+    ("mntp", {"arch.attention_mode": "causal"}, "attention_mode"),
+    ("embed-train", {"preset": "moderngbert_1b", "arch.n_layers": 99}, "vocab_size"),
+    ("embed-train", {"arch.n_layers": 3}, "n_layers"),
+    ("qa-finetune", {"arch.local_window": 16}, "local_window"),
+], ids=("mntp_preset", "mntp_causal", "embed_preset", "embed_layers", "qa_window"))
+def test_later_phase_refuses_a_config_naming_another_architecture(trained, tmp_path, capsys,
+                                                                  command, arch, field):
+    # mntp trains the checkpoint's bidirectional form, the others the checkpoint's own.
+    job = _write_job(tmp_path / "job.cfg", **arch, **{
+        "train.token_budget": 128, "train.batch_tokens_or_sequences": 2, "train.microbatch": 2})
+    out = tmp_path / "out"
+    common = ["--ckpt", trained["ckpt"], "--vocab", trained["vocab"], "--out", out,
+              "--config", job]
+    if command == "mntp":
+        args = ["--data", trained["data"], "--rank", "2"]
+    elif command == "embed-train":
+        data = tmp_path / "triplets.jsonl"
+        data.write_text(2 * (json.dumps(_TRIPLET) + "\n"), encoding="utf-8")
+        args = ["--data", data]
+    else:
+        data = tmp_path / "niah.jsonl"
+        assert main(["niah-gen", "--pairs", str(_write_pairs(tmp_path / "pairs.jsonl")),
+                     "--vocab", str(trained["vocab"]), "--split", "train",
+                     "--out", str(data)]) == 0
+        args = ["--examples", data]
+    capsys.readouterr()
+    rc = main([command, *map(str, common + args)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith(f"error: {job} names {field} = ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_mntp_and_merge(trained, capsys):

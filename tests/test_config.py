@@ -48,6 +48,22 @@ def test_nonpositive_dimensions_flagged(tiny_cfg):
         assert config.validate(bad), field
 
 
+@pytest.mark.parametrize("value", (float("inf"), float("-inf"), float("nan")),
+                         ids=("inf", "-inf", "nan"))
+@pytest.mark.parametrize("field", ("norm_eps", "rope_theta_global", "rope_theta_local"))
+def test_non_finite_arch_floats_flagged(tiny_cfg, field, value):
+    msgs = config.validate(dataclasses.replace(tiny_cfg, **{field: value}))
+    assert f"{field} must be finite, got {value!r}" in msgs
+
+
+@pytest.mark.parametrize("value", (float("inf"), float("nan")), ids=("inf", "nan"))
+@pytest.mark.parametrize("field", ("peak_lr", "weight_decay", "eps", "mask_rate", "betas"))
+def test_non_finite_phase_floats_flagged(field, value):
+    bad = value if field != "betas" else (0.9, value)
+    msgs = config.validate_phase(dataclasses.replace(config.TrainPhaseConfig(), **{field: bad}))
+    assert f"{field} must be finite, got {bad!r}" in msgs
+
+
 def test_layer_is_global_rule():
     cfg = dataclasses.replace(config.preset("tiny_test"), n_layers=9, global_every=3)
     flags = [cfg.layer_is_global(i) for i in range(9)]

@@ -63,8 +63,9 @@ def test_extend_rejects_shrinking(short_cfg):
 
 def test_extend_rejects_bad_theta(short_cfg):
     params = model.init_params(short_cfg, seed=0)
-    with pytest.raises(ConfigError):
-        extend(params, short_cfg, 0.0, 8192)
+    for theta in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            extend(params, short_cfg, theta, 8192)
 
 
 def test_extension_changes_long_range_attention(short_cfg):

@@ -1,18 +1,15 @@
-"""Packed batches, boundaries, local positions, and mask specs."""
+"""Packed batches, boundaries, local positions, and mask kinds."""
 
 import numpy as np
 import pytest
 
 from packbert.errors import DataError
 from packbert.packing import (
-    CAUSAL_SPEC,
-    GLOBAL_SPEC,
     KIND_CAUSAL,
     KIND_GLOBAL,
     KIND_WINDOW,
-    MaskSpec,
     PackedBatch,
-    allowed,
+    check_mask,
     local_positions,
     mask_matrix,
     pack,
@@ -100,64 +97,49 @@ def test_lengths_property():
     np.testing.assert_array_equal(pack(seqs).lengths, [2, 6, 3])
 
 
-# --- mask specs ---
-
-
-def test_spec_codes_are_stable():
-    assert GLOBAL_SPEC.code == KIND_GLOBAL == 0
-    assert MaskSpec("sliding_window", window=8).code == KIND_WINDOW == 1
-    assert CAUSAL_SPEC.code == KIND_CAUSAL == 2
+# --- mask kinds ---
 
 
 def test_window_spec_requires_window():
-    with pytest.raises(ValueError):
-        MaskSpec("sliding_window")
-    with pytest.raises(ValueError):
-        MaskSpec("sliding_window", window=0)
+    for window in (0, -2, 7):
+        with pytest.raises(ValueError):
+            check_mask(KIND_WINDOW, window)
+    check_mask(KIND_WINDOW, 8)
+    check_mask(KIND_GLOBAL, 0)
+    check_mask(KIND_CAUSAL, 0)
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        MaskSpec("dilated")
+    for kind in (3, -1):
+        with pytest.raises(ValueError):
+            check_mask(kind, 0)
+        with pytest.raises(ValueError):
+            mask_matrix(4, kind, 0)
 
 
 def test_global_allows_everything():
-    for i in range(6):
-        for j in range(6):
-            assert allowed(i, j, GLOBAL_SPEC)
+    m = mask_matrix(6, KIND_GLOBAL, 0)
+    assert m.shape == (6, 6) and m.all()
 
 
 def test_causal_allows_past_only():
-    for i in range(6):
-        for j in range(6):
-            assert allowed(i, j, CAUSAL_SPEC) == (j <= i)
+    i, j = np.indices((6, 6))
+    np.testing.assert_array_equal(mask_matrix(6, KIND_CAUSAL, 0), j <= i)
 
 
 def test_window_half_width_inclusive():
-    spec = MaskSpec("sliding_window", window=8)
-    for i in range(12):
-        for j in range(12):
-            assert allowed(i, j, spec) == (abs(i - j) <= 4)
+    i, j = np.indices((12, 12))
+    np.testing.assert_array_equal(mask_matrix(12, KIND_WINDOW, 8), np.abs(i - j) <= 4)
 
 
 def test_window_allowed_set_symmetric():
-    spec = MaskSpec("sliding_window", window=6)
-    for i in range(10):
-        for j in range(10):
-            assert allowed(i, j, spec) == allowed(j, i, spec)
-
-
-def test_mask_matrix_matches_allowed():
-    for spec in (GLOBAL_SPEC, CAUSAL_SPEC, MaskSpec("sliding_window", window=4)):
-        m = mask_matrix(7, spec)
-        assert m.shape == (7, 7)
-        for i in range(7):
-            for j in range(7):
-                assert m[i, j] == allowed(i, j, spec)
+    m = mask_matrix(10, KIND_WINDOW, 6)
+    np.testing.assert_array_equal(m, m.T)
+    assert not m.all()
 
 
 def test_mask_matrix_partial_queries():
-    m = mask_matrix(5, CAUSAL_SPEC)[:2]
+    m = mask_matrix(5, KIND_CAUSAL, 0)[:2]
     assert m.shape == (2, 5)
     expect = np.array([[1, 0, 0, 0, 0], [1, 1, 0, 0, 0]], dtype=bool)
     np.testing.assert_array_equal(m, expect)

@@ -1,5 +1,6 @@
 """What the benchmark uses of packbert still exists and works: the tracer's
-targets, and the checkpoint that the haystack workload builds by hand."""
+targets and mask-kind names, and the checkpoint that the haystack workload
+builds by hand."""
 
 import ast
 import importlib
@@ -7,7 +8,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from packbert import config, model, optim, trainer
+from packbert import config, model, optim, packing, trainer
 from packbert.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -15,18 +16,32 @@ SPANS = PERFBENCH / "spans.py"
 WORKLOAD = PERFBENCH / "workload.py"
 
 
-def test_every_traced_name_resolves(monkeypatch):
-    # A refactor that drops or renames a traced function fails here, not as
-    # an ``absent`` entry in a benchmark run.
+def _load_spans(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # A refactor that drops or renames a traced function fails here, not as
+    # an ``absent`` entry in a benchmark run.
+    spans = _load_spans(monkeypatch)
     missing = [
         f"{mod}.{fn}" for mod, fn in spans.TARGETS
         if not callable(getattr(importlib.import_module(f"packbert.{mod}"), fn, None))
     ]
     assert spans.TARGETS and not missing, missing
+
+
+def test_kernel_mask_kinds_keep_their_metric_names(monkeypatch):
+    # The benchmark names its kernels.attn_*.{global,window} metrics by the
+    # kernels' integer mask kind, the one mask vocabulary packbert has.
+    names = _load_spans(monkeypatch)._KIND_NAMES
+    assert names[packing.KIND_GLOBAL] == "global"
+    assert names[packing.KIND_WINDOW] == "window"
+    assert names[packing.KIND_CAUSAL] == "causal"
 
 
 def test_hand_built_checkpoint_saves_and_inspects(tmp_path, capsys):
