@@ -60,6 +60,8 @@ def init_adapters(
     """Fresh zero-delta adapter pairs for every targeted matrix: A ~ N(0, 0.02), B = 0."""
     if rank < 1:
         raise ConfigError(f"rank must be >= 1, got {rank}")
+    if not 0 < alpha < np.inf:
+        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
     names = target_names(cfg)
     missing = [n for n in names if n not in params]
     if missing:

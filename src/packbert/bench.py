@@ -80,8 +80,8 @@ def gen_synthetic(
             )
         lengths = np.full(spec.n_docs, spec.length, dtype=np.int64)
     elif spec.kind == "normal":
-        if spec.mean < 1 or spec.spread < 0:
-            raise ConfigError(f"need mean >= 1 and spread >= 0, got {spec}")
+        if not (1 <= spec.mean < np.inf and 0 <= spec.spread < np.inf):
+            raise ConfigError(f"need a finite mean >= 1 and spread >= 0, got {spec}")
         draw = rng.normal(spec.mean, spec.spread, size=spec.n_docs)
         hi = max_len if max_len is not None else None
         lengths = np.rint(draw).astype(np.int64)

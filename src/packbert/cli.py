@@ -25,21 +25,36 @@ def _doc_text(paragraphs) -> str:
     return "\n\n".join(paragraphs)
 
 
-def _load_job(args, trains=None):
-    """(arch, phase) of the --config job file; the phase defaults if it names
-    none.  ``trains`` is the architecture that a later phase trains, which an
-    architecture the file names must equal."""
-    from .config import TrainPhaseConfig, arch_to_pairs, read_job_config
+def _train_phase(args, train, convert=None) -> None:
+    """Run one training phase and print its report line.
 
-    if getattr(args, "config", None):
-        arch, phase = read_job_config(args.config)
+    It starts from ``--ckpt``, its config passed through ``convert``, or, for
+    ``pretrain``, from fresh weights of the job file's architecture at the
+    phase seed; an architecture the job file names must be the one trained.
+    ``train(params, cfg, phase, vocab)`` reads the data and runs the trainer.
+    """
+    from .config import TrainPhaseConfig, arch_to_pairs, read_job_config
+    from .model import init_params
+    from .tokenizer import load_vocab
+    from .trainer import load_checkpoint
+
+    start = load_checkpoint(args.ckpt) if "ckpt" in args else None
+    arch, phase = read_job_config(args.config) if args.config else (None, None)
+    phase = phase if phase is not None else TrainPhaseConfig()
+    if start is None:
+        if arch is None:
+            raise ConfigError("pretrain requires a config file naming a preset or arch.*")
+        params, cfg = init_params(arch, seed=phase.seed), arch
     else:
-        arch, phase = None, None
-    if trains is not None and arch is not None and arch != trains:
-        field, value = next((f, v) for f, v in arch_to_pairs(arch) if getattr(trains, f) != v)
-        raise ConfigError(f"{args.config} names {field} = {value!r}, but this phase "
-                          f"trains {field} = {getattr(trains, field)!r}")
-    return arch, phase if phase is not None else TrainPhaseConfig()
+        params, cfg = start.params, convert(start.cfg) if convert else start.cfg
+        if arch is not None and arch != cfg:
+            field, value = next((f, v) for f, v in arch_to_pairs(arch) if getattr(cfg, f) != v)
+            raise ConfigError(f"{args.config} names {field} = {value!r}, but this phase "
+                              f"trains {field} = {getattr(cfg, field)!r}")
+    result = train(params, cfg, phase, load_vocab(args.vocab))
+    end = result.checkpoint  # a zero-token budget runs no step and logs no loss
+    loss = result.metrics[-1][2] if result.metrics else float("nan")
+    print(f"final step={end.step} tokens={end.tokens_seen} loss={loss:.6f}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,31 +141,15 @@ def cmd_split_long(args) -> int:
 
 def cmd_pretrain(args) -> int:
     from .data_pipeline import read_sequences
-    from .model import init_params
-    from .tokenizer import load_vocab
     from .trainer import train_mlm
 
-    arch, phase = _load_job(args)
-    if arch is None:
-        raise ConfigError("pretrain requires a config file naming a preset or arch.*")
-    vocab = load_vocab(args.vocab)
-    dataset = read_sequences(args.data)
-    params = init_params(arch, seed=phase.seed)
-    result = train_mlm(
-        params,
-        arch,
-        dataset,
-        phase,
-        mask_id=vocab.mask_id,
-        special_ids=vocab.special_ids,
-        mask_policy=args.mask_policy,
-        dropout_rate=args.dropout,
-        checkpoint_interval_tokens=args.ckpt_interval,
-        out_dir=args.out,
-    )
-    last = result.metrics[-1] if result.metrics else None
-    if last:
-        print(f"final step={last[0]} tokens={last[1]} loss={last[2]:.6f}")
+    def train(params, cfg, phase, vocab):
+        return train_mlm(params, cfg, read_sequences(args.data), phase,
+                         mask_id=vocab.mask_id, special_ids=vocab.special_ids,
+                         mask_policy=args.mask_policy, dropout_rate=args.dropout,
+                         checkpoint_interval_tokens=args.ckpt_interval, out_dir=args.out)
+
+    _train_phase(args, train)
     print(f"checkpoint -> {Path(args.out) / 'ckpt_final.pbt'}")
     return 0
 
@@ -179,29 +178,17 @@ def cmd_extend(args) -> int:
 def cmd_mntp(args) -> int:
     from .adapters import enable_bidirectional, save_adapters, train_mntp_adapter
     from .data_pipeline import read_sequences
-    from .tokenizer import load_vocab
-    from .trainer import load_checkpoint
 
-    ckpt = load_checkpoint(args.ckpt)
-    cfg = enable_bidirectional(ckpt.cfg)  # a no-op on a bidirectional checkpoint
-    _, phase = _load_job(args, cfg)
-    vocab = load_vocab(args.vocab)
-    dataset = read_sequences(args.data)
-    adapters, result = train_mntp_adapter(
-        ckpt.params,
-        cfg,
-        dataset,
-        phase,
-        mask_id=vocab.mask_id,
-        special_ids=vocab.special_ids,
-        rank=args.rank,
-        alpha=args.alpha,
-        phase_tag=args.phase_tag,
-    )
-    save_adapters(adapters, args.out)
-    first = result.metrics[0][2] if result.metrics else float("nan")
-    last = result.metrics[-1][2] if result.metrics else float("nan")
-    print(f"mntp loss first={first:.6f} last={last:.6f}")
+    def train(params, cfg, phase, vocab):
+        adapters, result = train_mntp_adapter(
+            params, cfg, read_sequences(args.data), phase, mask_id=vocab.mask_id,
+            special_ids=vocab.special_ids, rank=args.rank, alpha=args.alpha,
+            phase_tag=args.phase_tag)
+        save_adapters(adapters, args.out)
+        return result
+
+    # enable_bidirectional is a no-op on a bidirectional checkpoint.
+    _train_phase(args, train, enable_bidirectional)
     print(f"adapters -> {args.out}")
     return 0
 
@@ -221,22 +208,13 @@ def cmd_merge_adapters(args) -> int:
 
 
 def cmd_embed_train(args) -> int:
-    from .tokenizer import load_vocab
-    from .trainer import load_checkpoint, read_triplets, train_embedder
+    from .trainer import read_triplets, train_embedder
 
-    ckpt = load_checkpoint(args.ckpt)
-    _, phase = _load_job(args, ckpt.cfg)
-    triplets = read_triplets(args.data, load_vocab(args.vocab))
-    result = train_embedder(
-        ckpt.params,
-        ckpt.cfg,
-        triplets,
-        phase,
-        temperature=args.temperature,
-        out_dir=args.out,
-    )
-    if result.metrics:
-        print(f"final contrastive loss {result.metrics[-1][2]:.6f}")
+    def train(params, cfg, phase, vocab):
+        return train_embedder(params, cfg, read_triplets(args.data, vocab), phase,
+                              temperature=args.temperature, out_dir=args.out)
+
+    _train_phase(args, train)
     print(f"checkpoint -> {Path(args.out) / 'ckpt_final.pbt'}")
     return 0
 
@@ -288,31 +266,26 @@ def cmd_niah_eval(args) -> int:
 
 def cmd_qa_finetune(args) -> int:
     from .niah import doc_tokens, read_examples
-    from .tokenizer import load_vocab
-    from .trainer import SpanExample, load_checkpoint, train_span_qa
+    from .trainer import SpanExample, train_span_qa
 
-    ckpt = load_checkpoint(args.ckpt)
-    _, phase = _load_job(args, ckpt.cfg)
-    vocab = load_vocab(args.vocab)
-    limit = min(ckpt.cfg.max_seq_len, phase.max_seq_len)
-    examples, skipped = [], 0
-    for ex in read_examples(args.examples):
-        ids = doc_tokens(ex, vocab)
-        if ids.size > limit or ex.gold_end >= ids.size:
-            skipped += 1
-            continue
-        examples.append(SpanExample(ids=ids, start=ex.gold_start, end=ex.gold_end))
-    if skipped:
-        print(f"skipped {skipped} examples over the {limit}-token limit")
-    result = train_span_qa(
-        ckpt.params,
-        ckpt.cfg,
-        examples,
-        phase,
-        out_dir=args.out,
-    )
-    if result.metrics:
-        print(f"final span loss {result.metrics[-1][2]:.6f}")
+    def train(params, cfg, phase, vocab):
+        limit = min(cfg.max_seq_len, phase.max_seq_len)
+        examples, skipped = [], 0
+        for i, ex in enumerate(read_examples(args.examples)):
+            ids = doc_tokens(ex, vocab)
+            if not 0 <= ex.gold_start <= ex.gold_end < ids.size:
+                raise DataError(f"{args.examples}: example {i} has gold span "
+                                f"{ex.gold_start}..{ex.gold_end}, outside its "
+                                f"{ids.size}-token document")
+            if ids.size > limit:
+                skipped += 1
+                continue
+            examples.append(SpanExample(ids=ids, start=ex.gold_start, end=ex.gold_end))
+        if skipped:
+            print(f"skipped {skipped} examples over the {limit}-token limit")
+        return train_span_qa(params, cfg, examples, phase, out_dir=args.out)
+
+    _train_phase(args, train)
     print(f"checkpoint -> {Path(args.out) / 'ckpt_final.pbt'}")
     return 0
 
@@ -409,6 +382,18 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
+    def add_phase(name, func, help_text, data="--data", **data_kw):
+        # The flags of every training command; pretrain alone starts from no
+        # checkpoint and so needs a job file naming the architecture.
+        p = add(name, func, help_text)
+        if name != "pretrain":
+            p.add_argument("--ckpt", required=True)
+        p.add_argument("--vocab", required=True)
+        p.add_argument(data, required=True, **data_kw)
+        p.add_argument("--out", required=True)
+        p.add_argument("--config", required=name == "pretrain", default=None)
+        return p
+
     p = add("tokenize", cmd_tokenize, "tokenize a text corpus into sequences")
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True)
@@ -434,11 +419,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--target", type=int, default=8192)
 
-    p = add("pretrain", cmd_pretrain, "masked-token pretraining")
-    p.add_argument("--config", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = add_phase("pretrain", cmd_pretrain, "masked-token pretraining")
     p.add_argument("--mask-policy", default="all_mask")
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--ckpt-interval", type=int, default=0)
@@ -449,12 +430,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-len", type=int, default=8192)
     p.add_argument("--out", required=True)
 
-    p = add("mntp", cmd_mntp, "train low-rank adapters with shifted masking")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
+    p = add_phase("mntp", cmd_mntp, "train low-rank adapters with shifted masking")
     p.add_argument("--rank", type=int, default=16)
     p.add_argument("--alpha", type=float, default=32.0)
     p.add_argument("--phase-tag", default="ext1")
@@ -464,12 +440,8 @@ def build_parser() -> _Parser:
     p.add_argument("--adapters", nargs="+", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("embed-train", cmd_embed_train, "contrastive embedding fine-tune")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--data", required=True, help="JSONL triplets")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
+    p = add_phase("embed-train", cmd_embed_train, "contrastive embedding fine-tune",
+                  help="JSONL triplets")
     p.add_argument("--temperature", type=float, default=0.05)
 
     p = add("niah-gen", cmd_niah_gen, "build haystack examples from QA pairs")
@@ -487,12 +459,8 @@ def build_parser() -> _Parser:
     p.add_argument("--examples", required=True)
     p.add_argument("--max-answer-len", type=int, default=30)
 
-    p = add("qa-finetune", cmd_qa_finetune, "span-extraction fine-tune on haystacks")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--examples", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
+    add_phase("qa-finetune", cmd_qa_finetune, "span-extraction fine-tune on haystacks",
+              data="--examples")
 
     p = add("bench", cmd_bench, "padded vs packed throughput")
     p.add_argument("--ckpt", default=None)

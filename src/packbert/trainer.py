@@ -888,8 +888,8 @@ def train_embedder(
     ``microbatch`` and the cache cap say: splitting the forward would split
     the pool that InfoNCE normalises over.
     """
-    if not temperature > 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < np.inf:
+        raise ConfigError(f"temperature must be finite and positive, got {temperature}")
     if phase.batch_tokens_or_sequences < 2:
         raise ConfigError("a contrastive batch needs at least 2 triplets, "
                           f"got {phase.batch_tokens_or_sequences}")

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 import packbert
 from packbert import model, objectives, trainer
 from packbert.adapters import load_adapters, runtime_extras
-from packbert.cli import main
+from packbert.cli import build_parser, main
 from packbert.data_pipeline import read_sequences, write_sequences
 from packbert.packing import pack
 from packbert.tokenizer import save_vocab, toy_vocab
@@ -471,7 +473,7 @@ def test_mntp_and_merge(trained, capsys):
          "--config", str(job), "--rank", "2", "--phase-tag", "ext1"]
     )
     assert rc == 0
-    assert "mntp loss" in capsys.readouterr().out
+    assert "final step=" in capsys.readouterr().out
 
     merged = trained["root"] / "merged.pbt"
     rc = main(["merge-adapters", "--ckpt", str(trained["ckpt"]),
@@ -505,6 +507,20 @@ def test_mntp_and_merge_convert_a_causal_checkpoint(trained, tmp_path, capsys):
     assert np.array_equal(model.forward(out.params, out.cfg, batch).hidden, want)
 
 
+@pytest.mark.parametrize("alpha", ("inf", "nan", "0"))
+def test_mntp_refuses_an_alpha_that_is_not_finite_and_positive(trained, tmp_path, capsys,
+                                                               alpha):
+    job = _write_job(tmp_path / "mntp.cfg", **{"train.token_budget": 256})
+    out = tmp_path / "mntp.pbt"
+    rc = main(["mntp", "--ckpt", str(trained["ckpt"]), "--vocab", str(trained["vocab"]),
+               "--data", str(trained["data"]), "--out", str(out), "--config", str(job),
+               "--rank", "2", "--alpha", alpha])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert f"alpha must be finite and positive, got {float(alpha)}" in err
+    assert not out.exists()
+
+
 def test_embed_train(trained, capsys):
     triplets = trained["root"] / "triplets.jsonl"
     recs = [
@@ -528,14 +544,15 @@ def test_embed_train(trained, capsys):
          "--out", str(out), "--config", str(job)]
     )
     assert rc == 0
-    assert "final contrastive loss" in capsys.readouterr().out
+    assert "final step=" in capsys.readouterr().out
     assert (out / "ckpt_final.pbt").exists()
 
 
 @pytest.mark.parametrize("flag, overrides", [
     (["--temperature", "0"], {}),
     ([], {"train.batch_tokens_or_sequences": 1, "train.microbatch": 1}),
-], ids=("temperature", "batch"))
+    (["--temperature", "inf"], {}),
+], ids=("temperature", "batch", "temperature_inf"))
 def test_embed_train_refuses_bad_settings_as_config_errors(trained, tmp_path, capsys,
                                                            flag, overrides):
     triplets = tmp_path / "triplets.jsonl"
@@ -722,7 +739,96 @@ def test_qa_finetune_runs(trained, capsys):
          "--out", str(out), "--config", str(job)]
     )
     assert rc == 0
-    assert "final span loss" in capsys.readouterr().out
+    assert "final step=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ("pretrain", "mntp", "embed-train", "qa-finetune"))
+def test_training_commands_print_one_report_line(trained, tmp_path, capsys, command):
+    # Every training phase runs through one runner and ends with one line,
+    # whose counters are those of the checkpoint it wrote.
+    out = tmp_path / "out"
+    # mntp masks too few positions in two short members; the others have two items.
+    batch = 4 if command == "mntp" else 2
+    job = _write_job(tmp_path / "job.cfg", **{
+        "train.token_budget": 128, "train.batch_tokens_or_sequences": batch})
+    common = ["--vocab", trained["vocab"], "--out", out, "--config", job]
+    if command != "pretrain":
+        common += ["--ckpt", trained["ckpt"]]
+    if command in ("pretrain", "mntp"):
+        args = ["--data", trained["data"]] + (["--rank", "2"] if command == "mntp" else [])
+    elif command == "embed-train":
+        data = tmp_path / "triplets.jsonl"
+        data.write_text(2 * (json.dumps(_TRIPLET) + "\n"), encoding="utf-8")
+        args = ["--data", data]
+    else:
+        args = ["--examples", _write_examples(tmp_path / "niah.jsonl", {}, {})]
+    rc = main([command, *map(str, common + args)])
+    printed = capsys.readouterr().out
+    assert rc == 0
+    reports = [line for line in printed.splitlines() if line.startswith("final ")]
+    assert len(reports) == 1, printed
+    m = re.fullmatch(r"final step=(\d+) tokens=(\d+) loss=(\S+)", reports[0])
+    assert m and np.isfinite(float(m.group(3))), reports[0]
+    step, tokens = int(m.group(1)), int(m.group(2))
+    assert step >= 1
+    if command != "mntp":  # mntp writes adapters, not a checkpoint
+        assert main(["inspect", "--ckpt", str(out / "ckpt_final.pbt")]) == 0
+        assert f" step={step} tokens_seen={tokens}\n" in capsys.readouterr().out
+
+
+def _walkthrough_commands():
+    """Each `packbert ...` command of README's CLI walkthrough, as an argv."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("packbert ")]
+
+
+def test_readme_walkthrough_parses():
+    # A shared flag that is dropped or renamed fails here, not in a reader's shell.
+    commands = _walkthrough_commands()
+    assert {"pretrain", "mntp", "embed-train", "qa-finetune"} <= {argv[0] for argv in commands}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
+def _write_examples(path, *records):
+    path.write_text("".join(json.dumps({**_EXAMPLE, **r}) + "\n" for r in records),
+                    encoding="utf-8")
+    return path
+
+
+def _qa_finetune(trained, tmp_path, examples, **overrides):
+    job = _write_job(tmp_path / "qa.cfg", **{
+        "train.token_budget": 32, "train.batch_tokens_or_sequences": 2,
+        "train.microbatch": 2, **overrides})
+    return main(["qa-finetune", "--ckpt", str(trained["ckpt"]), "--vocab", str(trained["vocab"]),
+                 "--examples", str(examples), "--out", str(tmp_path / "qa"),
+                 "--config", str(job)])
+
+
+@pytest.mark.parametrize("start, end", [(6, 40), (6, 7), (-1, 6), (6, 5)],
+                         ids=("far_past", "one_past", "negative", "reversed"))
+def test_qa_finetune_refuses_a_gold_span_outside_its_document(trained, tmp_path, capsys,
+                                                             start, end):
+    # _EXAMPLE's document is 7 tokens long; the second example's span is bad.
+    examples = _write_examples(tmp_path / "niah.jsonl", {},
+                               {"gold_start": start, "gold_end": end})
+    rc = _qa_finetune(trained, tmp_path, examples)
+    out = capsys.readouterr()
+    assert rc == 2, out.err
+    assert f"example 1 has gold span {start}..{end}, outside its 7-token document" in out.err
+    assert "skipped" not in out.out
+    assert not (tmp_path / "qa").exists()
+
+
+def test_qa_finetune_skips_only_examples_over_the_limit(trained, tmp_path, capsys):
+    long = {"paragraphs": ["rain fell over green hills today", "the secret code is omega"],
+            "gold_start": 10, "gold_end": 10}
+    examples = _write_examples(tmp_path / "niah.jsonl", {}, long, {})
+    assert _qa_finetune(trained, tmp_path, examples, **{"train.max_seq_len": 8}) == 0
+    assert "skipped 1 examples over the 8-token limit" in capsys.readouterr().out
 
 
 def test_bench_prints_table(capsys):
@@ -735,6 +841,16 @@ def test_bench_prints_table(capsys):
     assert "spmt_mean=" in out
     assert "padded" in out and "packed" in out
     assert "s/1M tokens" in out
+
+
+@pytest.mark.parametrize("spec", ("normal:nan:1", "normal:inf:1", "normal:8:nan",
+                                  "normal:8:inf"))
+def test_bench_refuses_a_non_finite_normal_spec(capsys, spec):
+    rc = main(["bench", "--spec", spec, "--n-docs", "8", "--reps", "1", "--budget", "64"])
+    out = capsys.readouterr()
+    assert rc == 1, out.out
+    assert "need a finite mean" in out.err
+    assert out.out == ""
 
 
 def test_entry_modules_do_not_import_scipy():
