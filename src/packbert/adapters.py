@@ -188,17 +188,27 @@ def load_adapters(path) -> AdapterSet:
         if not name or half not in ("A", "B") or adapter_key(name, half) != key:
             raise DataError(f"{path} has unexpected adapter tensor {key!r}")
         pairs.setdefault(name, {})[half] = arr
+    rank = meta_entry(meta, "rank", int, path)
+    if rank < 1:
+        raise DataError(f"{path} has rank {rank}; want >= 1")
+    alpha = float(meta_entry(meta, "alpha", float, path))
+    if not 0 < alpha < np.inf:
+        raise DataError(f"{path} has alpha {alpha}; want finite and positive")
     tensors_out = {}
     for name, ab in pairs.items():
         if set(ab) != {"A", "B"}:
             raise DataError(f"{path} is missing half of the pair for {name}")
-        tensors_out[name] = (ab["A"], ab["B"])
+        a, b = ab["A"], ab["B"]
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != rank or b.shape[0] != rank:
+            raise DataError(f"{path} has rank {rank}, but the pair for {name} "
+                            f"is A {a.shape}, B {b.shape}")
+        tensors_out[name] = (a, b)
     targets = meta_entry(meta, "targets", list, path)
     if not all(isinstance(t, str) for t in targets):
         raise DataError(f"{path} has non-string adapter targets")
     return AdapterSet(
-        rank=meta_entry(meta, "rank", int, path),
-        alpha=float(meta_entry(meta, "alpha", float, path)),
+        rank=rank,
+        alpha=alpha,
         targets=tuple(targets),
         phase_tag=meta_entry(meta, "phase_tag", str, path),
         tensors=tensors_out,

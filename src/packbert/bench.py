@@ -83,9 +83,8 @@ def gen_synthetic(
         if not (1 <= spec.mean < np.inf and 0 <= spec.spread < np.inf):
             raise ConfigError(f"need a finite mean >= 1 and spread >= 0, got {spec}")
         draw = rng.normal(spec.mean, spec.spread, size=spec.n_docs)
-        hi = max_len if max_len is not None else None
         lengths = np.rint(draw).astype(np.int64)
-        lengths = np.clip(lengths, 1, hi)
+        lengths = np.clip(lengths, 1, max_len)
     else:
         raise ConfigError(f"unknown synthetic kind {spec.kind!r}")
     allowed = np.setdiff1d(
@@ -216,6 +215,8 @@ def measure(
         raise ConfigError(f"unknown path {path!r}; expected one of {PATHS}")
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
+    if batch_budget < 1:
+        raise ConfigError(f"batch_budget must be >= 1, got {batch_budget}")
     if len(dataset) == 0:
         raise ConfigError("cannot time an empty dataset")
     token_count = int(sum(len(s) for s in dataset))

@@ -31,6 +31,7 @@ def _train_phase(args, train, convert=None) -> None:
     It starts from ``--ckpt``, its config passed through ``convert``, or, for
     ``pretrain``, from fresh weights of the job file's architecture at the
     phase seed; an architecture the job file names must be the one trained.
+    A phase that would train no token is refused before any data is read.
     ``train(params, cfg, phase, vocab)`` reads the data and runs the trainer.
     """
     from .config import TrainPhaseConfig, arch_to_pairs, read_job_config
@@ -51,10 +52,12 @@ def _train_phase(args, train, convert=None) -> None:
             field, value = next((f, v) for f, v in arch_to_pairs(arch) if getattr(cfg, f) != v)
             raise ConfigError(f"{args.config} names {field} = {value!r}, but this phase "
                               f"trains {field} = {getattr(cfg, field)!r}")
+    if phase.token_budget == 0:
+        raise ConfigError("train.token_budget is 0, so this phase would train no token: "
+                          "set it in a --config file")
     result = train(params, cfg, phase, load_vocab(args.vocab))
-    end = result.checkpoint  # a zero-token budget runs no step and logs no loss
-    loss = result.metrics[-1][2] if result.metrics else float("nan")
-    print(f"final step={end.step} tokens={end.tokens_seen} loss={loss:.6f}")
+    end = result.checkpoint
+    print(f"final step={end.step} tokens={end.tokens_seen} loss={result.metrics[-1][2]:.6f}")
 
 
 # ---------------------------------------------------------------------------

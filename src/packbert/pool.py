@@ -1,12 +1,13 @@
 """One pool of pinned worker threads, shared by attention and the layer stack.
 
-The pool holds usable CPUs // BLAS threads workers, each pinned to its own
-CPU; numpy releases the GIL inside matmul and ufunc loops, so tasks run at
-the same time.  The caller is never pinned and only waits.  Callers decide
-which calls are large enough to hand out and split them into fixed tasks
-that write disjoint outputs; since no task's extent depends on the worker
-count, results are bit-identical for any count.  The pool is created, and
-the BLAS thread count probed, only at the first call that uses it.
+Importing it, as `model` and `kernels` do, sets BLAS to one thread whatever
+OPENBLAS_NUM_THREADS says, so no bit depends on that variable, and the pool
+holds a worker per usable CPU (one if no settable BLAS is found), each
+pinned to its own CPU.  numpy releases the GIL inside matmul and ufunc loops,
+so tasks run at the same time; the caller is never pinned and only waits.
+Callers split calls large enough to hand out into fixed tasks with disjoint
+outputs; no task's extent depends on the worker count, so results are
+bit-identical for any count.  The pool is created at the first call using it.
 """
 
 from __future__ import annotations
@@ -14,18 +15,20 @@ from __future__ import annotations
 import itertools
 import os
 
+from .util import pin_blas_to_one_thread
+
+# util imports numpy, which maps the BLAS.  The lookup reads /proc/self/maps, so
+# a pin succeeds only on Linux, where os.sched_getaffinity exists too.
+_BLAS_PINNED = pin_blas_to_one_thread()
 _workers: int | None = None  # resolved at the first call that uses the pool
 _pool = None  # (workers, ThreadPoolExecutor), created with it
 
 
 def _worker_count() -> int:
-    """Usable CPUs // BLAS threads, found once; 1 if the BLAS is unknown."""
+    """Usable CPUs if BLAS runs on one thread, found once; else 1."""
     global _workers
     if _workers is None:
-        from .util import blas_threads
-
-        threads = blas_threads() if hasattr(os, "sched_setaffinity") else None
-        _workers = max(1, len(os.sched_getaffinity(0)) // threads) if threads else 1
+        _workers = len(os.sched_getaffinity(0)) if _BLAS_PINNED else 1
     return _workers
 
 

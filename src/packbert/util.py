@@ -25,13 +25,13 @@ PURPOSE_DROP = 0x64726F706F757473  # per-sequence dropout seeds
 PURPOSE_DATA = 0x646174616467656E  # synthetic data generation
 PURPOSE_NIAH = 0x6E6565646C657321  # haystack construction
 
-# Thread-count getters of the BLAS builds numpy ships with or links against.
+# Thread-count setters of the BLAS builds numpy ships with or links against.
 _BLAS_THREAD_SYMBOLS = (
-    "scipy_openblas_get_num_threads64_",
-    "scipy_openblas_get_num_threads",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
-    "MKL_Get_Max_Threads",
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+    "MKL_Set_Num_Threads",
 )
 
 
@@ -113,15 +113,15 @@ def read_jsonl(path, what: str, fields: dict, build, defaults=None) -> list:
     return out
 
 
-def blas_threads() -> int | None:
-    """Thread count of the BLAS library mapped into this process, or None if unknown."""
+def pin_blas_to_one_thread() -> bool:
+    """Set the BLAS library mapped into this process to one thread; False if none is found."""
     import ctypes
 
     try:
         with open("/proc/self/maps", encoding="ascii", errors="replace") as f:
             libs = {line.split()[-1] for line in f if "blas" in line.lower() and ".so" in line}
     except OSError:
-        return None
+        return False
     for path in sorted(libs):
         try:
             lib = ctypes.CDLL(path)
@@ -130,7 +130,6 @@ def blas_threads() -> int | None:
         for sym in _BLAS_THREAD_SYMBOLS:
             fn = getattr(lib, sym, None)
             if fn is not None:
-                fn.restype = ctypes.c_int
-                fn.argtypes = []
-                return int(fn())
-    return None
+                fn(1)  # ctypes passes an int argument as a C int
+                return True
+    return False

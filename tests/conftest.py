@@ -12,6 +12,13 @@ from packbert.packing import pack
 from packbert.tokenizer import toy_vocab
 
 
+def pytest_report_header(config):
+    """The parallel layout every timing of this run was taken under."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"BLAS {blas.get('name')} {blas.get('version')}, set to one thread by packbert: "
+            f"{pool._BLAS_PINNED}; pool workers: {pool._worker_count()}")
+
+
 @pytest.fixture
 def tiny_cfg():
     return config.preset("tiny_test")

@@ -299,13 +299,10 @@ def test_worker_exception_surfaces_from_the_call(pool_workers, monkeypatch):
     assert np.array_equal(again, serial)
 
 
-@pytest.mark.parametrize("probed, cpus, want", [(2, 2, 1), (None, 2, 1), (1, 2, 2), (1, 4, 4), (2, 4, 2)])
-def test_worker_count_is_usable_cpus_over_blas_threads(probed, cpus, want, monkeypatch):
-    from packbert import util
-
-    monkeypatch.setattr(util, "blas_threads", lambda: probed)
+@pytest.mark.parametrize("pinned, cpus, want", [(True, 2, 2), (True, 4, 4), (False, 2, 1), (False, 4, 1)])
+def test_worker_count_is_usable_cpus_once_blas_is_pinned(pinned, cpus, want, monkeypatch):
+    monkeypatch.setattr(pool, "_BLAS_PINNED", pinned)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
     monkeypatch.setattr(pool, "_workers", None)
     assert pool._worker_count() == want
 

@@ -182,6 +182,9 @@ def test_measure_rejects_bad_arguments(tiny_cfg):
         measure(params, tiny_cfg, docs, "vectorized")
     with pytest.raises(ConfigError):
         measure(params, tiny_cfg, docs, "packed", reps=0)
+    for budget in (0, -5):
+        with pytest.raises(ConfigError, match="batch_budget"):
+            measure(params, tiny_cfg, docs, "packed", batch_budget=budget)
     with pytest.raises(ConfigError):
         measure(params, tiny_cfg, [], "packed")
 

@@ -190,6 +190,7 @@ def test_missing_input_file_gives_a_message(trained, tmp_path, command, missing,
         "niah-gen": {"--pairs": _write_pairs(tmp_path / "pairs.jsonl"), "--split": "test",
                      "--out": tmp_path / "niah.jsonl"},
         "embed-train": {"--ckpt": trained["ckpt"], "--vocab": trained["vocab"],
+                        "--config": _write_job(tmp_path / "job.cfg"),
                         "--out": tmp_path / "embed"},
     }[command]
     args = {**present, missing: tmp_path / "nope.txt"}
@@ -589,7 +590,8 @@ def test_mistyped_jsonl_field_is_a_data_error(trained, tmp_path, capsys, command
     data.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     args = {
-        "embed-train": ["--ckpt", trained["ckpt"], "--data", data, "--out", out],
+        "embed-train": ["--ckpt", trained["ckpt"], "--data", data, "--out", out,
+                        "--config", _write_job(tmp_path / "job.cfg")],
         "niah-eval": ["--ckpt", trained["ckpt"], "--examples", data],
         "niah-gen": ["--pairs", data, "--split", "test", "--out", out],
     }[command]
@@ -754,15 +756,7 @@ def test_training_commands_print_one_report_line(trained, tmp_path, capsys, comm
     common = ["--vocab", trained["vocab"], "--out", out, "--config", job]
     if command != "pretrain":
         common += ["--ckpt", trained["ckpt"]]
-    if command in ("pretrain", "mntp"):
-        args = ["--data", trained["data"]] + (["--rank", "2"] if command == "mntp" else [])
-    elif command == "embed-train":
-        data = tmp_path / "triplets.jsonl"
-        data.write_text(2 * (json.dumps(_TRIPLET) + "\n"), encoding="utf-8")
-        args = ["--data", data]
-    else:
-        args = ["--examples", _write_examples(tmp_path / "niah.jsonl", {}, {})]
-    rc = main([command, *map(str, common + args)])
+    rc = main([command, *map(str, common + _phase_data(command, trained, tmp_path))])
     printed = capsys.readouterr().out
     assert rc == 0
     reports = [line for line in printed.splitlines() if line.startswith("final ")]
@@ -774,6 +768,35 @@ def test_training_commands_print_one_report_line(trained, tmp_path, capsys, comm
     if command != "mntp":  # mntp writes adapters, not a checkpoint
         assert main(["inspect", "--ckpt", str(out / "ckpt_final.pbt")]) == 0
         assert f" step={step} tokens_seen={tokens}\n" in capsys.readouterr().out
+
+
+def _phase_data(command, trained, tmp_path):
+    """The data arguments of one training command: two triplets or examples for JSONL readers."""
+    if command in ("pretrain", "mntp"):
+        return ["--data", trained["data"]] + (["--rank", "2"] if command == "mntp" else [])
+    if command == "embed-train":
+        data = tmp_path / "triplets.jsonl"
+        data.write_text(2 * (json.dumps(_TRIPLET) + "\n"), encoding="utf-8")
+        return ["--data", data]
+    return ["--examples", _write_examples(tmp_path / "niah.jsonl", {}, {})]
+
+
+@pytest.mark.parametrize("command", ("pretrain", "mntp", "embed-train", "qa-finetune"))
+def test_training_command_refuses_a_phase_that_trains_no_token(trained, tmp_path, capsys,
+                                                               command):
+    # A later phase without --config has a budget of 0; pretrain's job file names 0.
+    if command == "pretrain":
+        common = ["--config", _write_job(tmp_path / "job.cfg", **{"train.token_budget": 0})]
+    else:
+        common = ["--ckpt", trained["ckpt"]]
+    args = [command, *map(str, common + _phase_data(command, trained, tmp_path))]
+    inputs = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main(args + ["--vocab", str(trained["vocab"]), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert "train.token_budget" in err
+    assert sorted(tmp_path.rglob("*")) == inputs
 
 
 def _walkthrough_commands():
@@ -878,9 +901,9 @@ def _run_python(code, *args, env_extra=None):
 def test_small_attention_calls_start_no_thread():
     # An mlm_short-sized attention call (16 members of 32 tokens) and a whole
     # tiny_test training step over 16 members of 24-40 tokens stay in the
-    # caller: no pool, no thread, no BLAS probe, no concurrent.futures import.
-    # With one BLAS thread on this many CPUs a large call would use the pool.
-    # (numpy itself imports ctypes, so the probe's import cannot be seen.)
+    # caller: no pool, no thread, no concurrent.futures import.  BLAS is set
+    # to one thread at import, so on this many CPUs a large call would use
+    # the pool; the worker count is not even looked up.
     code = (
         "import json, sys, threading; sys.path.insert(0, sys.argv[1]);"
         "import numpy as np; before = threading.active_count();"
@@ -906,14 +929,26 @@ def test_small_attention_calls_start_no_thread():
     assert got == {"steps": 1, "futures": False, "new_threads": 0, "probed": False}
 
 
-@pytest.mark.parametrize("threads", (1, 2))
-def test_blas_thread_probe_reads_the_loaded_blas(threads):
+def test_bits_do_not_depend_on_the_blas_thread_variable():
+    # An mlm_mid-sized forward and backward: six layers, hidden 256, every
+    # third layer global, four members of 384-640 tokens.  Its matmuls are
+    # large enough for a BLAS left at two threads to split them differently.
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]);"
-        "import numpy; from packbert import util; print(json.dumps(util.blas_threads()))"
+        "import dataclasses, numpy as np; from packbert import config, model, pool, util;"
+        "from packbert.packing import pack;"
+        "cfg = dataclasses.replace(config.preset('moderngbert_134m'), vocab_size=4096,"
+        " n_layers=6, hidden=256, n_heads=4, intermediate=384, max_seq_len=1024);"
+        "rng = np.random.default_rng(0); params = model.init_params(cfg, seed=0);"
+        "batch = pack([rng.integers(5, 4096, size=n, dtype=np.int32)"
+        " for n in rng.integers(384, 641, size=4)]);"
+        "out = model.forward(params, cfg, batch, want_cache=True);"
+        "d = rng.normal(size=out.hidden.shape).astype(out.hidden.dtype);"
+        "grads = model.backward(params, cfg, out.cache, d);"
+        "print(json.dumps([pool._BLAS_PINNED, util.params_digest({'h': out.hidden, **grads})]))"
     )
-    env = {f"{lib}_NUM_THREADS": str(threads) for lib in ("OPENBLAS", "OMP", "MKL")}
-    got = _run_python(code, env_extra=env)
-    if got is None:
-        pytest.skip("numpy's BLAS exposes no known thread-count symbol")
-    assert got == threads
+    at = [{f"{lib}_NUM_THREADS": n for lib in ("OPENBLAS", "OMP", "MKL")} for n in "12"]
+    got = [_run_python(code, env_extra=env) for env in (*at, None)]
+    if not all(pinned for pinned, _ in got):
+        pytest.skip("numpy's BLAS exposes no known thread-count setter")
+    assert len({digest for _, digest in got}) == 1, got

@@ -169,6 +169,10 @@ MALFORMED_META = {
         {"params/tok_emb": t["params/tok_emb"][:10]})),
     "checkpoint_moments_differ": ("checkpoint", lambda t, meta: t.pop("opt.v/tok_emb")),
     "adapters_without_rank": ("adapters", lambda t, meta: meta.pop("rank")),
+    "adapters_of_rank_0": ("adapters", lambda t, meta: meta.update(rank=0)),
+    "adapters_rank_1_on_width_2_pairs": ("adapters", lambda t, meta: meta.update(rank=1)),
+    "adapters_alpha_inf": ("adapters", lambda t, meta: meta.update(alpha=float("inf"))),
+    "adapters_alpha_negative": ("adapters", lambda t, meta: meta.update(alpha=-1.0)),
 }
 
 
