@@ -307,6 +307,34 @@ def test_worker_count_is_usable_cpus_once_blas_is_pinned(pinned, cpus, want, mon
     assert pool._worker_count() == want
 
 
+@pytest.mark.parametrize("probed, cpus, want", [(2, 2, 1), (None, 2, 1)])
+def test_worker_count_is_usable_cpus_over_blas_threads(probed, cpus, want, monkeypatch,
+                                                         tmp_path):
+    # The pin itself fails: a mapped BLAS with a thread getter (it keeps its
+    # `probed` threads) but no setter, or no BLAS mapped at all (None).  The
+    # pool then holds one worker, as it shares the CPUs with the BLAS.
+    import ctypes
+
+    from packbert import util
+
+    maps = tmp_path / "maps"
+    lib = "7f00-7f01 r-xp 00000000 00:00 0 /usr/lib/libopenblas.so.0\n"
+    maps.write_text("" if probed is None else lib, encoding="ascii")
+    real_open = open
+    monkeypatch.setattr(util, "open", lambda path, **kw: real_open(maps, **kw), raising=False)
+
+    class GetterOnly:
+        def openblas_get_num_threads(self):
+            return probed
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: GetterOnly())
+    monkeypatch.setattr(pool, "_BLAS_PINNED", util.pin_blas_to_one_thread())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(pool, "_workers", None)
+    assert pool._BLAS_PINNED is False
+    assert pool._worker_count() == want
+
+
 def test_single_position_returns_v():
     q = np.full((1, 1, 4), 0.3, dtype=np.float32)
     k = np.full((1, 1, 4), -2.0, dtype=np.float32)

@@ -929,6 +929,30 @@ def test_small_attention_calls_start_no_thread():
     assert got == {"steps": 1, "futures": False, "new_threads": 0, "probed": False}
 
 
+@pytest.mark.parametrize("threads", (1, 2))
+def test_blas_thread_probe_reads_the_loaded_blas(threads):
+    # Read the mapped BLAS's own thread count before and after importing
+    # packbert: the variable sets it first, packbert's import then sets 1.
+    code = (
+        "import ctypes, json, sys; sys.path.insert(0, sys.argv[1]); import numpy;"
+        "maps = open('/proc/self/maps', encoding='ascii', errors='replace');"
+        "libs = sorted({l.split()[-1] for l in maps if 'blas' in l.lower() and '.so' in l});"
+        "syms = ('scipy_openblas_get_num_threads64_', 'scipy_openblas_get_num_threads',"
+        " 'openblas_get_num_threads64_', 'openblas_get_num_threads', 'MKL_Get_Max_Threads');"
+        "get = next((getattr(ctypes.CDLL(p), s) for p in libs for s in syms"
+        " if hasattr(ctypes.CDLL(p), s)), None);"
+        "before = get and get(); from packbert import pool; after = get and get();"
+        "print(json.dumps([before, after, pool._BLAS_PINNED]))"
+    )
+    env = {f"{lib}_NUM_THREADS": str(threads) for lib in ("OPENBLAS", "OMP", "MKL")}
+    before, after, pinned = _run_python(code, env_extra=env)
+    if before is None:
+        pytest.skip("numpy's BLAS exposes no known thread-count symbol")
+    assert before == threads
+    assert pinned is True
+    assert after == 1
+
+
 def test_bits_do_not_depend_on_the_blas_thread_variable():
     # An mlm_mid-sized forward and backward: six layers, hidden 256, every
     # third layer global, four members of 384-640 tokens.  Its matmuls are
